@@ -304,9 +304,15 @@ def _cmd_verify(args) -> int:
             raise CLIError("--n/--alpha/--sigma must be given together")
         points = [_params_from(args)]
     else:
+        ns = _parse_range(args.n_range, "n-range")
+        if min(ns, default=2) < 2:
+            raise CLIError("--n-range: rank below supported range (need n >= 2)")
+        alphas = _parse_range(args.alpha_set, "alpha-set")
+        if not set(alphas) <= {0, 1, 2, 3}:
+            raise CLIError(f"--alpha-set: alpha must be one of 0, 1, 2, 3, got {args.alpha_set!r}")
         points = []
-        for n in _parse_range(args.n_range, "n-range"):
-            for alpha in _parse_range(args.alpha_set, "alpha-set"):
+        for n in ns:
+            for alpha in alphas:
                 for st in _parse_range(args.sigma_tilde_range, "sigma-tilde-range"):
                     sigma = Fraction(st) - Fraction(n + 1 + alpha, 2)
                     points.append(InducedRepParams(n=n, alpha=alpha, sigma=sigma))
@@ -317,6 +323,8 @@ def _cmd_verify(args) -> int:
             fixed = int(args.lmax)
         except ValueError:
             raise CLIError(f"--lmax: expected 'auto' or an integer, got {args.lmax!r}") from None
+        if fixed < 1:
+            raise CLIError(f"--lmax: window radius must be >= 1, got {fixed}")
         lmax_of = lambda params: fixed
 
     all_ok = True

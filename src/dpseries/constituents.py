@@ -18,14 +18,20 @@ labels whose regions are empty.  Emptiness is decided exactly: a region is a
 coordinate box intersected with the dominance cone, so greedily assigning
 each coordinate the largest even value allowed by its upper bound and its
 predecessor is a feasibility witness iff one exists.
+
+A point's case, sign branch, window and nonempty regions are built once and
+kept in a bounded memo; every public function here, and the views in
+``structure``, ``unitarity`` and ``howe``, read that one record.
 """
 
 from __future__ import annotations
 
+import functools
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .parameters import CaseTag, InducedRepParams, classify, derived
+from .parameters import CaseTag, DerivedConstants, InducedRepParams, classify, derived
 from .ktypes import KType, check_ktype
 
 __all__ = [
@@ -198,45 +204,68 @@ class ConstituentSet:
     index_bound: tuple[str, int] | None  # ("r1"|"r2", value), None on the unitary axis
 
 
+@dataclass(frozen=True)
+class _Point:
+    """Everything the closed-form views read at one reducible point."""
+
+    case: CaseTag
+    branch: str
+    derived: DerivedConstants
+    index_bound: tuple[str, int] | None
+    labels: tuple[ConstituentLabel, ...]  # nonempty, lexicographically ordered
+    label_set: frozenset[ConstituentLabel]
+    regions: tuple[Region, ...]  # regions[x] belongs to labels[x]
+
+
+# Points kept in the memo.  The views of one point all read its record, so a
+# few suffice; a record at n = 16 holds about 26 kB.
+_POINTS_KEPT = 32
+
+
+@functools.lru_cache(maxsize=_POINTS_KEPT)
+def _point(params: InducedRepParams) -> _Point:
+    """The point's case, sign branch, theorem window and nonempty regions, built once."""
+    case = classify(params)
+    if case is CaseTag.IRREDUCIBLE:
+        raise ValueError(
+            "constituents are defined only at reducible points (sigma_tilde must be an integer)"
+        )
+    d = derived(params)
+    sigma = params.sigma
+    if case.family == "R":
+        branch = "neg" if sigma <= -1 else "zero" if sigma == 0 else "pos"
+    else:
+        branch = "neg" if sigma < 0 else "pos"
+    window, bound = _theorem_range(params, case, branch, d)
+    built = [(lab, _build_region(params, case, branch, d, lab)) for lab in window]
+    kept = [(lab, region) for lab, region in built if not region.is_empty()]
+    labels = tuple(lab for lab, _ in kept)
+    regions = tuple(region for _, region in kept)
+    return _Point(case, branch, d, bound, labels, frozenset(labels), regions)
+
+
 def sign_branch(params: InducedRepParams) -> str:
     """Which sign branch of the case theorems applies: "neg", "zero" or "pos".
 
     Cases 1 have integer sigma (branches sigma <= -1, sigma == 0, sigma >= 1);
     Cases 2 have half-integer sigma (branches sigma <= -1/2, sigma >= 1/2).
     """
-    case = _reducible_case(params)
-    if case in (CaseTag.CASE_1A, CaseTag.CASE_1B):
-        if params.sigma <= -1:
-            return "neg"
-        if params.sigma == 0:
-            return "zero"
-        return "pos"
-    return "neg" if params.sigma < 0 else "pos"
+    return _point(params).branch
 
 
-def _reducible_case(params: InducedRepParams) -> CaseTag:
-    case = classify(params)
-    if case is CaseTag.IRREDUCIBLE:
-        raise ValueError(
-            "constituents are defined only at reducible points (sigma_tilde must be an integer)"
-        )
-    return case
-
-
-def _label_definable(params: InducedRepParams, label: ConstituentLabel) -> bool:
-    case = _reducible_case(params)
-    d = derived(params)
-    if label.family != case.family:
+def _label_definable(pt: _Point, label: ConstituentLabel) -> bool:
+    d = pt.derived
+    if label.family != pt.case.family:
         return False
     if label.family == "R":
         return 0 <= label.i + label.j <= d.k
     return 0 <= label.i <= (d.n1 + 1) // 2 and 0 <= label.j <= d.n0 // 2
 
 
-def _chains(params: InducedRepParams, label: ConstituentLabel) -> list[tuple[int, int, int]]:
+def _chains(
+    params: InducedRepParams, case: CaseTag, branch: str, d: DerivedConstants, label: ConstituentLabel
+) -> list[tuple[int, int, int]]:
     """The two defining chains (lo_coord, even value, hi_coord) of a region."""
-    case = _reducible_case(params)
-    d = derived(params)
     st = int(d.sigma_tilde)
     n0, n1 = d.n0, d.n1
     i, j = label.i, label.j
@@ -247,7 +276,6 @@ def _chains(params: InducedRepParams, label: ConstituentLabel) -> list[tuple[int
     def bm(idx: int) -> int:
         return st - (params.n + params.alpha) + idx
 
-    branch = sign_branch(params)
     if case is CaseTag.CASE_1A:
         if branch == "neg":
             return [
@@ -279,21 +307,16 @@ def _chains(params: InducedRepParams, label: ConstituentLabel) -> list[tuple[int
     ]
 
 
-def region_for(params: InducedRepParams, label: ConstituentLabel) -> Region:
-    """The lattice region of a constituent label.
-
-    Defined for every label of the case's full index grid (0 <= i+j <= k for
-    family R, the rectangle S(n) for family L); labels outside the grid raise
-    ValueError.  The resulting region may be empty.
-    """
-    if not _label_definable(params, label):
-        raise ValueError(f"label undefined here: {label} at {params} ({classify(params).value})")
+def _build_region(
+    params: InducedRepParams, case: CaseTag, branch: str, d: DerivedConstants, label: ConstituentLabel
+) -> Region:
     n = params.n
     lower: list[int | None] = [None] * n
     upper: list[int | None] = [None] * n
     feasible = True
-    for lo_coord, value, hi_coord in _chains(params, label):
-        assert value % 2 == 0, "region chains must sit on even barrier positions"
+    for lo_coord, value, hi_coord in _chains(params, case, branch, d, label):
+        if value % 2 != 0:
+            raise RuntimeError(f"region chain of {label} at {params} sits on odd position {value}")
         if lo_coord >= 1:
             if lo_coord <= n:
                 cur = lower[lo_coord - 1]
@@ -309,19 +332,33 @@ def region_for(params: InducedRepParams, label: ConstituentLabel) -> Region:
     return Region(n=n, lower=tuple(lower), upper=tuple(upper), feasible=feasible)
 
 
+def region_for(params: InducedRepParams, label: ConstituentLabel) -> Region:
+    """The lattice region of a constituent label.
+
+    Defined for every label of the case's full index grid (0 <= i+j <= k for
+    family R, the rectangle S(n) for family L); labels outside the grid raise
+    ValueError.  The resulting region may be empty.
+    """
+    pt = _point(params)
+    if label in pt.label_set:
+        return pt.regions[bisect_left(pt.labels, label)]
+    if not _label_definable(pt, label):
+        raise ValueError(f"label undefined here: {label} at {params} ({pt.case.value})")
+    return _build_region(params, pt.case, pt.branch, pt.derived, label)
+
+
 def is_empty(params: InducedRepParams, label: ConstituentLabel) -> bool:
     """True iff the label's region contains no dominant lattice point."""
-    return region_for(params, label).is_empty()
+    return label not in _point(params).label_set and region_for(params, label).is_empty()
 
 
-def _theorem_range(params: InducedRepParams) -> tuple[list[ConstituentLabel], tuple[str, int] | None]:
+def _theorem_range(
+    params: InducedRepParams, case: CaseTag, branch: str, d: DerivedConstants
+) -> tuple[list[ConstituentLabel], tuple[str, int] | None]:
     """Label window of the decomposition theorem for the case and sign of sigma."""
-    case = _reducible_case(params)
-    d = derived(params)
     sigma = params.sigma
-    branch = sign_branch(params)
     labels: list[ConstituentLabel] = []
-    if case in (CaseTag.CASE_1A, CaseTag.CASE_1B):
+    if case.family == "R":
         k = d.k
         if branch == "neg":
             r = ("r1", max(k + int(sigma), 0))
@@ -364,9 +401,8 @@ def _theorem_range(params: InducedRepParams) -> tuple[list[ConstituentLabel], tu
 
 def enumerate_constituents(params: InducedRepParams) -> ConstituentSet:
     """All nonempty constituents at a reducible point, lexicographically ordered."""
-    labels, bound = _theorem_range(params)
-    kept = tuple(lab for lab in labels if not is_empty(params, lab))
-    return ConstituentSet(case=classify(params), labels=kept, index_bound=bound)
+    pt = _point(params)
+    return ConstituentSet(case=pt.case, labels=pt.labels, index_bound=pt.index_bound)
 
 
 def label_of(params: InducedRepParams, lam: KType) -> ConstituentLabel:
@@ -374,11 +410,8 @@ def label_of(params: InducedRepParams, lam: KType) -> ConstituentLabel:
     lam = check_ktype(lam)
     if len(lam) != params.n:
         raise ValueError(f"K-type has length {len(lam)}, expected n={params.n}")
-    hits = [
-        lab
-        for lab in enumerate_constituents(params).labels
-        if region_for(params, lab).contains(lam)
-    ]
+    pt = _point(params)
+    hits = [lab for lab, region in zip(pt.labels, pt.regions) if region.contains(lam)]
     if len(hits) != 1:
         raise RuntimeError(
             f"constituent partition violated at lambda={lam} for {params}: hits={hits}"

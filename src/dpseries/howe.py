@@ -92,12 +92,13 @@ def omega_image(p: int, q: int, n: int) -> OmegaImage:
     """Identify Omega^{p,q} inside its target module."""
     target = induced_params(p, q, n)
     case = classify(target)
-    assert case is not CaseTag.IRREDUCIBLE, "embedding targets are always reducible"
+    # sigma_tilde = (p + q + alpha)/2 is an integer of the parity of p
+    if case is CaseTag.IRREDUCIBLE or p % 2 != (case in (CaseTag.CASE_1A, CaseTag.CASE_2A)):
+        raise RuntimeError(f"embedding ({p},{q}) cannot target {target} in {case.value}")
     sigma = target.sigma
     m = p + q
 
     if case is CaseTag.CASE_1A:
-        assert p % 2 == 1, "Case 1a embeddings have odd p"
         if sigma <= 0:
             idx = ((p - 1) // 2, (q - _epsilon(m)) // 2)
             shape = "single"
@@ -106,7 +107,6 @@ def omega_image(p: int, q: int, n: int) -> OmegaImage:
             shape = "generated"
         label = ConstituentLabel("R", *idx)
     elif case is CaseTag.CASE_1B:
-        assert p % 2 == 0, "Case 1b embeddings have even p"
         if sigma <= 0:
             idx = (p // 2, (q - _epsilon_prime(m)) // 2)
             shape = "single"
@@ -115,7 +115,6 @@ def omega_image(p: int, q: int, n: int) -> OmegaImage:
             shape = "generated"
         label = ConstituentLabel("R", *idx)
     elif case is CaseTag.CASE_2A:
-        assert p % 2 == 1, "Case 2a embeddings have odd p"
         if sigma < 0:
             idx = ((n + 1 - q) // 2, (p - 1) // 2)
             shape = "single"
@@ -124,7 +123,6 @@ def omega_image(p: int, q: int, n: int) -> OmegaImage:
             shape = "generated"
         label = ConstituentLabel("L", *idx)
     else:
-        assert p % 2 == 0, "Case 2b embeddings have even p"
         if sigma < 0:
             idx = (p // 2, (n - q) // 2)
             shape = "single"

@@ -111,9 +111,9 @@ def build(params: InducedRepParams, lmax: int) -> TruncatedLattice:
             pair_ok &= pts[:, j - 1] >= pts[:, j] + 1
         idx = np.nonzero(pair_ok)[0]
         tgt = np.searchsorted(codes, codes[idx] + powers[j])
-        if len(idx):
-            # every dominant in-window move lands on an enumerated point
-            assert tgt.max() < P and (codes[tgt] == codes[idx] + powers[j]).all()
+        # every dominant in-window move lands on an enumerated point
+        if len(idx) and not (tgt.max() < P and (codes[tgt] == codes[idx] + powers[j]).all()):
+            raise AssertionError(f"a coordinate-{j + 1} move leaves the enumerated window")
         two_lam = 2 * pts[idx, j]
         up_ok = np.ones(len(idx), dtype=bool)
         if up_block[j] is not None:

@@ -99,11 +99,12 @@ class InducedRepParams:
     sigma: Fraction
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 2:
+        # type(), not isinstance(): bool is an int subclass, and True is no rank
+        if type(self.n) is not int or self.n < 2:
             raise ValueError(
                 f"rank below supported range: n must be an integer >= 2, got {self.n!r}"
             )
-        if self.alpha not in (0, 1, 2, 3):
+        if type(self.alpha) is not int or self.alpha not in (0, 1, 2, 3):
             raise ValueError(f"alpha must be one of 0, 1, 2, 3, got {self.alpha!r}")
         sigma = self.sigma
         if isinstance(sigma, str):

@@ -6,15 +6,17 @@ submodule, and all edges are directed downward (toward the socle).  The edge
 pattern is an index-adjacency rule depending on the case and the sign of
 sigma:
 
-* family R, sigma <= -1:  (i,j) -> (i-1,j), (i,j-1)   (levels i+j decrease)
+* family R, sigma <= -1:  (i,j) -> (i-1,j), (i,j-1)   (level i+j drops)
 * family R, sigma  =  0:  no edges (direct sum)
-* family R, sigma >=  1:  (i,j) -> (i+1,j), (i,j+1)
-* family L, Case 2a:      (i,j) -> (i+1,j), (i,j-1)   (levels i-j increase)
-* family L, Case 2b:      (i,j) -> (i-1,j), (i,j+1)   (levels j-i increase)
+* family R, sigma >=  1:  (i,j) -> (i+1,j), (i,j+1)   (level -(i+j) drops)
+* family L, Case 2a:      (i,j) -> (i+1,j), (i,j-1)   (level j-i drops)
+* family L, Case 2b:      (i,j) -> (i-1,j), (i,j+1)   (level i-j drops)
 
-restricted to surviving (nonempty) nodes and transitively reduced.  The socle
-series follows the same level function: layer 1 is the set of sinks, layer l
-the nodes whose longest downward path has length l-1.
+restricted to surviving (nonempty) nodes.  Every edge lowers the level by
+exactly one, so the diagram is graded: no edge is implied by a longer path.
+The socle series is the same grading: layer l holds the nodes l-1 levels
+above the lowest, so layer 1 is the set of sinks and every edge joins
+adjacent layers.
 """
 
 from __future__ import annotations
@@ -23,13 +25,7 @@ import json
 from dataclasses import dataclass
 
 from .parameters import CaseTag, InducedRepParams
-from .constituents import (
-    ConstituentLabel,
-    ConstituentSet,
-    enumerate_constituents,
-    parse_label,
-    sign_branch,
-)
+from .constituents import ConstituentLabel, _Point, _point, parse_label
 
 __all__ = [
     "ModuleDiagram",
@@ -53,9 +49,6 @@ class ModuleDiagram:
     nodes: tuple[ConstituentLabel, ...]
     edges: tuple[Edge, ...]  # (upper, lower), pointing toward the socle
 
-    def successors(self, label: ConstituentLabel) -> tuple[ConstituentLabel, ...]:
-        return tuple(v for u, v in self.edges if u == label)
-
     def sinks(self) -> tuple[ConstituentLabel, ...]:
         with_out = {u for u, _ in self.edges}
         return tuple(x for x in self.nodes if x not in with_out)
@@ -76,84 +69,37 @@ class Submodule:
     members: tuple[ConstituentLabel, ...]
 
 
-def _down_steps(case: CaseTag, branch: str) -> tuple[tuple[int, int], ...]:
-    if case in (CaseTag.CASE_1A, CaseTag.CASE_1B):
-        if branch == "neg":
-            return ((-1, 0), (0, -1))
-        if branch == "zero":
-            return ()
-        return ((1, 0), (0, 1))
-    if case is CaseTag.CASE_2A:
-        return ((1, 0), (0, -1))
-    return ((-1, 0), (0, 1))
-
-
-def _transitive_reduction(nodes: tuple[ConstituentLabel, ...], edges: set[Edge]) -> tuple[Edge, ...]:
-    succ = {x: {v for u, v in edges if u == x} for x in nodes}
-
-    def reach(start: ConstituentLabel) -> set[ConstituentLabel]:
-        seen: set[ConstituentLabel] = set()
-        stack = [start]
-        while stack:
-            x = stack.pop()
-            for y in succ[x]:
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        return seen
-
-    reachable = {x: reach(x) for x in nodes}
-    reduced = {
-        (u, v)
-        for u, v in edges
-        if not any(w != v and v in reachable[w] for w in succ[u])
-    }
-    return tuple(sorted(reduced))
+def _grading(pt: _Point) -> tuple[int, int]:
+    """(a, b) such that the level a*i + b*j drops by one along every edge."""
+    if pt.case.family == "R":
+        sign = {"neg": 1, "zero": 0, "pos": -1}[pt.branch]
+        return sign, sign
+    return (-1, 1) if pt.case is CaseTag.CASE_2A else (1, -1)
 
 
 def module_diagram(params: InducedRepParams) -> ModuleDiagram:
     """Hasse diagram of the generation order on the nonempty constituents."""
-    cs = enumerate_constituents(params)
-    node_set = set(cs.labels)
-    steps = _down_steps(cs.case, sign_branch(params))
-    edges: set[Edge] = set()
-    for lab in cs.labels:
-        for di, dj in steps:
-            tgt_i, tgt_j = lab.i + di, lab.j + dj
-            if tgt_i < 0 or tgt_j < 0:
-                continue
-            tgt = ConstituentLabel(lab.family, tgt_i, tgt_j)
-            if tgt in node_set:
-                edges.add((lab, tgt))
-    return ModuleDiagram(nodes=cs.labels, edges=_transitive_reduction(cs.labels, edges))
-
-
-def _layer_index(case: CaseTag, branch: str, cs: ConstituentSet, lab: ConstituentLabel) -> int:
-    if case in (CaseTag.CASE_1A, CaseTag.CASE_1B):
-        if branch == "zero":
-            return 1
-        levels = [x.i + x.j for x in cs.labels]
-        if branch == "neg":
-            return lab.i + lab.j - min(levels) + 1
-        return max(levels) - (lab.i + lab.j) + 1
-    assert cs.index_bound is not None
-    r = cs.index_bound[1]
-    if case is CaseTag.CASE_2A:
-        if branch == "pos":
-            return (lab.j - lab.i) + 2
-        return r - (lab.i - lab.j) + 1
-    if branch == "pos":
-        return (lab.i - lab.j) + 1
-    return r - (lab.j - lab.i) + 1
+    pt = _point(params)
+    a, b = _grading(pt)
+    edges = []
+    for lab in pt.labels:
+        for di, dj in ((-1, 0), (0, -1), (0, 1), (1, 0)):
+            if a * di + b * dj == -1 and lab.i + di >= 0 and lab.j + dj >= 0:
+                tgt = ConstituentLabel(lab.family, lab.i + di, lab.j + dj)
+                if tgt in pt.label_set:
+                    edges.append((lab, tgt))
+    return ModuleDiagram(nodes=pt.labels, edges=tuple(sorted(edges)))
 
 
 def socle_series(params: InducedRepParams) -> SocleSeries:
     """Socle filtration layers per the case theorems (layer 1 = socle)."""
-    cs = enumerate_constituents(params)
-    branch = sign_branch(params)
+    pt = _point(params)
+    a, b = _grading(pt)
+    level = {lab: a * lab.i + b * lab.j for lab in pt.labels}
+    low = min(level.values(), default=0)
     by_layer: dict[int, list[ConstituentLabel]] = {}
-    for lab in cs.labels:
-        by_layer.setdefault(_layer_index(cs.case, branch, cs, lab), []).append(lab)
+    for lab in pt.labels:
+        by_layer.setdefault(level[lab] - low + 1, []).append(lab)
     count = max(by_layer, default=0)
     if sorted(by_layer) != list(range(1, count + 1)):
         raise RuntimeError(f"socle layers not contiguous at {params}: {sorted(by_layer)}")
@@ -168,25 +114,22 @@ def generated_submodule(params: InducedRepParams, label: ConstituentLabel) -> Su
     sigma < 0 (the singleton at sigma = 0); Case 2a takes {i >= s, j <= t};
     Case 2b takes {i <= s, j >= t}.
     """
-    cs = enumerate_constituents(params)
-    if label not in cs.labels:
+    pt = _point(params)
+    if label not in pt.label_set:
         raise ValueError(f"label is not a nonempty constituent here: {label} at {params}")
     s, t = label.i, label.j
-    case = cs.case
-    branch = sign_branch(params)
-    if case in (CaseTag.CASE_1A, CaseTag.CASE_1B):
-        if branch == "pos":
+    if pt.case.family == "R":
+        if pt.branch == "pos":
             keep = lambda x: x.i >= s and x.j >= t
-        elif branch == "neg":
+        elif pt.branch == "neg":
             keep = lambda x: x.i <= s and x.j <= t
         else:
             keep = lambda x: (x.i, x.j) == (s, t)
-    elif case is CaseTag.CASE_2A:
+    elif pt.case is CaseTag.CASE_2A:
         keep = lambda x: x.i >= s and x.j <= t
     else:
         keep = lambda x: x.i <= s and x.j >= t
-    members = tuple(x for x in cs.labels if keep(x))
-    return Submodule(generator=label, members=members)
+    return Submodule(generator=label, members=tuple(x for x in pt.labels if keep(x)))
 
 
 def irreducible_submodules(params: InducedRepParams) -> tuple[ConstituentLabel, ...]:

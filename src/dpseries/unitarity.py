@@ -23,14 +23,9 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .parameters import CaseTag, InducedRepParams, derived
+from .parameters import CaseTag, InducedRepParams
 from .ktypes import KType, check_ktype
-from .constituents import (
-    ConstituentLabel,
-    enumerate_constituents,
-    region_for,
-    sign_branch,
-)
+from .constituents import ConstituentLabel, _point, region_for
 
 __all__ = [
     "UnitarityVerdict",
@@ -106,19 +101,18 @@ def constituent_unitarizable(
     params: InducedRepParams, label: ConstituentLabel
 ) -> UnitarityVerdict:
     """Unitarizability of one constituent, per the case theorems' clauses."""
-    cs = enumerate_constituents(params)
-    if label not in cs.labels:
+    pt = _point(params)
+    if label not in pt.label_set:
         raise ValueError(f"label is not a nonempty constituent here: {label} at {params}")
-    case = cs.case
-    branch = sign_branch(params)
+    case = pt.case
+    branch = pt.branch
     sigma = params.sigma
-    d = derived(params)
     i, j = label.i, label.j
     k0 = params.n // 2  # largest i with an i<->i barrier pair in family L
     k1 = (params.n + 1) // 2
 
     if case in (CaseTag.CASE_1A, CaseTag.CASE_1B):
-        k = d.k
+        k = pt.derived.k
         if branch == "zero":
             return UnitarityVerdict(True, f"{case.value}-sigma=0-direct-sum")
         exceptional = (

@@ -134,3 +134,14 @@ def test_verify_bad_flags(capsys):
     assert "--lmax" in capsys.readouterr().err
     assert run(["verify", "--n", "2"]) == 1
     assert "together" in capsys.readouterr().err
+
+
+def test_verify_out_of_range_flags_name_the_flag(capsys):
+    assert run(["verify", "--lmax", "0"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --lmax") and "Traceback" not in err
+    assert run(["verify", "--alpha-set", "5"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --alpha-set") and "Traceback" not in err
+    assert run(["verify", "--n-range", "1:2"]) == 1
+    assert capsys.readouterr().err.startswith("error: --n-range")

@@ -158,3 +158,43 @@ def test_label_parse_and_str():
         parse_label("X(0,1)")
     with pytest.raises(ValueError):
         parse_label("L(0)")
+
+
+def test_point_structure_is_built_once(monkeypatch):
+    from dpseries import (
+        constituent_unitarizable,
+        constituents,
+        generated_submodule,
+        module_diagram,
+        omega_image,
+        possible_embeddings,
+        socle_series,
+    )
+    from dpseries.constituents import _point, sign_branch
+
+    windows = []  # one theorem window per record built
+    theorem_range = constituents._theorem_range
+
+    def counted(*args):
+        windows.append(args)
+        return theorem_range(*args)
+
+    monkeypatch.setattr(constituents, "_theorem_range", counted)
+    assert _point.cache_info().maxsize is not None
+    _point.cache_clear()
+    params = params_from_sigma_tilde(9, 2, 4)
+    labels = enumerate_constituents(params).labels
+    for lab in labels:
+        region_for(params, lab)
+        assert not is_empty(params, lab)
+        generated_submodule(params, lab)
+        constituent_unitarizable(params, lab)
+    module_diagram(params)
+    socle_series(params)
+    sign_branch(params)
+    label_of(params, (0,) * 9)
+    assert possible_embeddings(params)
+    for p, q in possible_embeddings(params):
+        omega_image(p, q, params.n)
+    info = _point.cache_info()
+    assert (info.misses, info.currsize, len(windows)) == (1, 1, 1)

@@ -59,6 +59,15 @@ def test_input_validation():
     assert InducedRepParams(2, 0, 1).sigma == Fraction(1)
 
 
+def test_bool_is_no_rank_or_exponent():
+    with pytest.raises(ValueError, match="alpha"):
+        InducedRepParams(n=4, alpha=True, sigma=0)
+    with pytest.raises(ValueError, match="alpha"):
+        InducedRepParams(n=4, alpha=False, sigma=0)
+    with pytest.raises(ValueError, match="rank"):
+        InducedRepParams(n=True, alpha=0, sigma=0)
+
+
 def test_rational_parsing():
     assert parse_rational("-3/2") == Fraction(-3, 2)
     assert parse_rational(" 7 ") == Fraction(7)

@@ -110,6 +110,23 @@ def test_edges_join_adjacent_levels(st_val):
                 assert abs(level(u) - level(v)) == 1
 
 
+def test_diagram_is_graded():
+    # Every edge joins adjacent socle layers, so no edge is implied by a longer path.
+    for n in range(2, 13):
+        for alpha in range(4):
+            for st_val in range(-15, 16):
+                params = params_from_sigma_tilde(n, alpha, st_val)
+                diagram = module_diagram(params)
+                layer = {
+                    lab: depth
+                    for depth, labs in enumerate(socle_series(params).layers, start=1)
+                    for lab in labs
+                }
+                assert sorted(layer) == list(diagram.nodes), params
+                for u, v in diagram.edges:
+                    assert layer[u] == layer[v] + 1, (params, u, v)
+
+
 def test_generated_submodules_downward_closed():
     for params in (P_SW, P_1A, InducedRepParams(4, 2, Fraction(-5, 2)), params_from_sigma_tilde(3, 1, 4)):
         diagram = module_diagram(params)
