@@ -326,6 +326,13 @@ def _cmd_verify(args) -> int:
         if fixed < 1:
             raise CLIError(f"--lmax: window radius must be >= 1, got {fixed}")
         lmax_of = lambda params: fixed
+    # refuse an oversized window before any point runs
+    flag = "--lmax" if args.lmax != "auto" else "--n" if args.n is not None else "--n-range"
+    for params in points:
+        try:
+            oracle.check_window(params.n, lmax_of(params) or oracle.auto_lmax(params))
+        except ValueError as e:
+            raise CLIError(f"{flag}: {e}") from None
 
     all_ok = True
     for params in points:
@@ -342,6 +349,8 @@ def _cmd_verify(args) -> int:
             "checks": dict(verdict.checks),
             "witness": verdict.witness,
         }
+        if verdict.warnings:
+            record["warnings"] = list(verdict.warnings)
         print(json.dumps(record, sort_keys=True))
     return 0 if all_ok else 2
 

@@ -20,11 +20,11 @@ split by the truncation.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
+from math import comb
 
 import numpy as np
-from scipy.sparse import coo_matrix
+from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from .parameters import CaseTag, InducedRepParams, classify
@@ -32,7 +32,11 @@ from .ktypes import blocked_positions, effective_barriers
 from .constituents import ConstituentLabel, enumerate_constituents, region_for
 from .structure import generated_submodule, module_diagram, socle_series
 
-__all__ = ["OracleVerdict", "TruncatedLattice", "auto_lmax", "build", "compare"]
+__all__ = ["OracleVerdict", "TruncatedLattice", "auto_lmax", "build", "check_window", "compare"]
+
+# Largest window build() enumerates, in points.  build() peaks near 217 bytes
+# per window point at n=8, so a refused window would need about 2 GB.
+MAX_WINDOW_POINTS = 9_000_000
 
 
 def auto_lmax(params: InducedRepParams) -> int:
@@ -60,98 +64,205 @@ class TruncatedLattice:
         return self.points[self.comp == c]
 
 
+def check_window(n: int, lmax: int) -> int:
+    """Number of dominant n-tuples with entries in [-lmax, lmax].
+
+    Raises ValueError, before anything is enumerated, when that exceeds
+    ``MAX_WINDOW_POINTS``.
+    """
+    size = comb(2 * lmax + n, n)
+    if size > MAX_WINDOW_POINTS:
+        raise ValueError(
+            f"window of {size} points (n={n}, lmax={lmax}) exceeds the oracle's budget"
+            f" of {MAX_WINDOW_POINTS} points"
+        )
+    return size
+
+
 def _window_points(n: int, lmax: int) -> np.ndarray:
-    vals = range(lmax, -lmax - 1, -1)
-    pts = np.array(list(itertools.combinations_with_replacement(vals, n)), dtype=np.int64)
-    return pts
+    """Every dominant n-tuple with entries in [-lmax, lmax], lexicographically sorted.
+
+    Built one column at a time: a row ending in ``v`` is followed by the
+    entries -lmax..v in increasing order.  The columns are contiguous (the
+    array is the transpose of a C-ordered (n, P) array).
+    """
+    cols = [np.arange(-lmax, lmax + 1)]
+    for _ in range(1, n):
+        sizes = cols[-1] + (lmax + 1)
+        parent = np.repeat(np.arange(len(sizes)), sizes)
+        starts = np.cumsum(sizes) - sizes
+        cols = [c[parent] for c in cols]
+        cols.append(np.arange(len(parent)) - starts[parent] - lmax)
+    return np.stack(cols).T
 
 
-def _verify_boxes(pts: np.ndarray, comp: np.ndarray, n_classes: int) -> None:
-    # Each class must be exactly its bounding box intersected with the window:
-    # the structural signature of barrier-cut regions.
-    for c in range(n_classes):
-        mask = comp == c
-        cls = pts[mask]
-        lo = cls.min(axis=0)
-        hi = cls.max(axis=0)
-        in_box = ((pts >= lo) & (pts <= hi)).all(axis=1)
-        if in_box.sum() != mask.sum():
-            raise AssertionError(
-                f"SCC class {c} is not an order-convex box within the window"
-            )
+def _by_value(table: np.ndarray, lmax: int) -> np.ndarray:
+    """Re-lay a table over the values -lmax..lmax so that each value indexes its entry.
+
+    Negative values index from the end, as numpy does, so the window's
+    coordinates index the table without a shifted copy of the points.
+    """
+    return np.roll(table, -lmax)
+
+
+def _box_masks(cols: list[np.ndarray], values: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Per point, the bitmask of the boxes that contain it.
+
+    Coordinate j of a point is ``values[cols[j]]``; box b holds the point when
+    ``lo[b, j] <= values[cols[j]] <= hi[b, j]`` for every j.  Each coordinate
+    maps every value to the bitmask of the boxes whose slab holds it, and the
+    tables are ANDed across coordinates.  Returns a (ceil(B/64), P) uint64
+    array; box b is bit b % 64 of word b // 64.
+    """
+    boxes = len(lo)
+    words = np.empty(((boxes + 63) // 64, len(cols[0])), dtype=np.uint64)
+    for w in range(len(words)):
+        sl = slice(64 * w, min(64 * w + 64, boxes))
+        bits = np.uint64(1) << np.arange(sl.stop - sl.start, dtype=np.uint64)
+        for j, col in enumerate(cols):
+            inside = (values[:, None] >= lo[None, sl, j]) & (values[:, None] <= hi[None, sl, j])
+            table = np.bitwise_or.reduce(np.where(inside, bits, np.uint64(0)), axis=1)
+            if j == 0:
+                words[w] = table[col]
+            else:
+                words[w] &= table[col]
+    return words
+
+
+def _set_bits(words) -> list[int]:
+    """Indices of the set bits of a sequence of 64-bit words, ascending."""
+    out = []
+    for w, word in enumerate(words):
+        word = int(word)
+        while word:
+            low = word & -word
+            out.append(64 * w + low.bit_length() - 1)
+            word ^= low
+    return out
 
 
 def build(params: InducedRepParams, lmax: int) -> TruncatedLattice:
-    """Enumerate the window, build the transition graph, and analyze it."""
+    """Enumerate the window, build the transition graph, and analyze it.
+
+    Every pass over the window is O(P*n) for P points.  A tuple's index in
+    the window is its rank in the combinatorial number system (Knuth, TAOCP
+    4A, 7.2.1.3), so a one-step move is index arithmetic.  The classes are
+    the connected components of the mutual pairs (both directions nonzero),
+    which the graph stores one direction each.
+    """
     if lmax < 1:
         raise ValueError(f"lmax must be >= 1, got {lmax}")
+    n = params.n
+    size = check_window(n, lmax)
     warnings = []
     auto = auto_lmax(params)
     if lmax < auto:
         warnings.append(f"window lmax={lmax} below auto margin {auto}; comparisons may fail")
 
-    n = params.n
     pts = _window_points(n, lmax)
     P = len(pts)
-    base = 2 * lmax + 1
-    powers = base ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    codes = (pts + lmax) @ powers
-    order = np.argsort(codes)
-    pts = pts[order]
-    codes = codes[order]
+    lam = [pts[:, j] for j in range(n)]
+    # pascal[k][v] = C(v + lmax + k, k).  With u = lam + lmax, coordinate i
+    # adds C(u_i + n-1-i, n-i) to a tuple's rank, and a +e_j move adds
+    # C(u_j + n-1-j, n-1-j).
+    pascal = [np.ones(2 * lmax + 1, dtype=np.int64)]
+    for _ in range(n):
+        pascal.append(np.cumsum(pascal[-1]))
+    pascal = [_by_value(table, lmax) for table in pascal]
+    rank = np.zeros(P, dtype=np.int64)
+    for i in range(n):
+        rank += (pascal[n - i] - pascal[n - 1 - i])[lam[i]]
+    # every dominant in-window move lands on an enumerated point
+    if P != size or (rank != np.arange(P)).any():
+        raise AssertionError("the window misses a dominant tuple, so a move leaves the enumerated window")
+    del rank
 
     up_block, down_block = blocked_positions(params)
-    srcs: list[np.ndarray] = []
-    dsts: list[np.ndarray] = []
-    one_src: list[np.ndarray] = []
-    one_dst: list[np.ndarray] = []
+    # partner[:, j] is the index of x + e_j; mutual[:, j] says x and x + e_j
+    # join each other, which the CSR graph stores as the one edge x -> x + e_j
+    partner = np.empty((P, n), dtype=np.int32)
+    mutual = np.empty((P, n), dtype=bool)
+    degree = np.zeros(P, dtype=np.int32)
+    here = np.arange(P, dtype=np.int32)
+    one_src = [np.zeros(0, dtype=np.int64)]  # one-way edges, as point indices
+    one_dst = [np.zeros(0, dtype=np.int64)]
     for j in range(n):
-        pair_ok = pts[:, j] < lmax
+        lj = lam[j]
+        pair = lj < lmax
         if j > 0:
-            pair_ok &= pts[:, j - 1] >= pts[:, j] + 1
-        idx = np.nonzero(pair_ok)[0]
-        tgt = np.searchsorted(codes, codes[idx] + powers[j])
-        # every dominant in-window move lands on an enumerated point
-        if len(idx) and not (tgt.max() < P and (codes[tgt] == codes[idx] + powers[j]).all()):
-            raise AssertionError(f"a coordinate-{j + 1} move leaves the enumerated window")
-        two_lam = 2 * pts[idx, j]
-        up_ok = np.ones(len(idx), dtype=bool)
-        if up_block[j] is not None:
-            up_ok = two_lam != up_block[j]
-        down_ok = np.ones(len(idx), dtype=bool)
-        if down_block[j] is not None:
-            down_ok = (two_lam + 2) != down_block[j]
-        mutual = up_ok & down_ok
-        srcs.extend((idx[mutual], tgt[mutual]))
-        dsts.extend((tgt[mutual], idx[mutual]))
-        only_up = up_ok & ~down_ok
-        one_src.append(idx[only_up])
-        one_dst.append(tgt[only_up])
-        only_down = down_ok & ~up_ok
-        one_src.append(tgt[only_down])
-        one_dst.append(idx[only_down])
+            pair &= lam[j - 1] > lj
+        step = pascal[n - 1 - j].astype(np.int32)[lj]
+        np.add(here, step, out=partner[:, j])
+        # the pair loses its up edge where 2*lam_j hits the up barrier and its
+        # down edge where 2*lam_j + 2 hits the down barrier
+        up_at = up_block[j] // 2 if up_block[j] is not None else None
+        down_at = down_block[j] // 2 - 1 if down_block[j] is not None else None
+        keep = pair
+        for at in {up_at, down_at} - {None}:
+            keep = keep & (lj != at)
+        mutual[:, j] = keep
+        degree += keep
+        if up_at == down_at:  # no barrier, or a pair cut both ways: no one-way edge
+            continue
+        if down_at is not None:
+            only_up = np.flatnonzero(pair & (lj == down_at))
+            one_src.append(only_up)
+            one_dst.append(only_up + step[only_up])
+        if up_at is not None:
+            only_down = np.flatnonzero(pair & (lj == up_at))
+            one_src.append(only_down + step[only_down])
+            one_dst.append(only_down)
+    del here
+    indptr = np.zeros(P + 1, dtype=np.int32)
+    np.cumsum(degree, out=indptr[1:])
+    indices = partner[mutual]
+    del partner, mutual, degree
+    graph = csr_matrix((np.ones(len(indices)), indices, indptr), shape=(P, P))
+    del indices, indptr
+    # The weak components of the mutual pairs are strongly connected.  Every
+    # one-way edge crosses a cut lam_j = const, always in the same direction,
+    # so no cycle crosses a cut: these components are the strong components
+    # of the whole graph, and the acyclicity check below confirms it.
+    n_classes, raw_comp = connected_components(graph, directed=False)
+    del graph
 
-    all_src = np.concatenate(srcs + one_src) if srcs or one_src else np.zeros(0, dtype=np.int64)
-    all_dst = np.concatenate(dsts + one_dst) if dsts or one_dst else np.zeros(0, dtype=np.int64)
-    graph = coo_matrix(
-        (np.ones(len(all_src), dtype=np.int8), (all_src, all_dst)), shape=(P, P)
-    )
-    n_raw, raw_comp = connected_components(graph, directed=True, connection="strong")
+    # One sort by class gives each class's first point, bounding box and
+    # interior flag.
+    order = np.argsort(raw_comp, kind="stable")
+    starts = np.flatnonzero(np.r_[True, raw_comp[order[1:]] != raw_comp[order[:-1]]])
+    first = order[starts]
+    lo = np.empty((n_classes, n), dtype=np.int64)
+    hi = np.empty((n_classes, n), dtype=np.int64)
+    for j in range(n):
+        col = lam[j][order]
+        lo[:, j] = np.minimum.reduceat(col, starts)
+        hi[:, j] = np.maximum.reduceat(col, starts)
+    interior = np.logical_or.reduceat(((lam[0] < lmax) & (lam[-1] > -lmax))[order], starts)
+    del order
 
     # Renumber classes by first (lexicographically smallest) member point.
-    _, first_idx = np.unique(raw_comp, return_index=True)
-    perm = np.argsort(first_idx, kind="stable")
-    relabel = np.empty(n_raw, dtype=np.int64)
-    relabel[perm] = np.arange(n_raw)
+    perm = np.argsort(first)
+    relabel = np.empty(n_classes, dtype=np.int64)
+    relabel[perm] = np.arange(n_classes)
     comp = relabel[raw_comp]
-    n_classes = n_raw
+    lo, hi, interior = lo[perm], hi[perm], interior[perm]
 
-    _verify_boxes(pts, comp, n_classes)
+    # Each class must be exactly its bounding box intersected with the window:
+    # the structural signature of barrier-cut regions.
+    inside = _box_masks(lam, _by_value(np.arange(-lmax, lmax + 1), lmax), lo, hi)
+    crowded = np.flatnonzero(np.bitwise_count(inside).sum(axis=0) > 1)
+    if len(crowded):
+        stray = inside[:, crowded]
+        own = comp[crowded]
+        stray[own // 64, np.arange(len(crowded))] &= ~(np.uint64(1) << (own % 64).astype(np.uint64))
+        bad = _set_bits(np.bitwise_or.reduce(stray, axis=1))
+        raise AssertionError(f"SCC class {bad[0]} is not an order-convex box within the window")
+    del inside
 
-    osrc = np.concatenate(one_src) if one_src else np.zeros(0, dtype=np.int64)
-    odst = np.concatenate(one_dst) if one_dst else np.zeros(0, dtype=np.int64)
-    cross = comp[osrc] != comp[odst]
-    pair_codes = comp[osrc[cross]] * n_classes + comp[odst[cross]]
+    osrc = comp[np.concatenate(one_src)]
+    odst = comp[np.concatenate(one_dst)]
+    cross = osrc != odst
+    pair_codes = osrc[cross] * n_classes + odst[cross]
     class_edges = tuple(
         (int(pc) // n_classes, int(pc) % n_classes) for pc in np.unique(pair_codes)
     )
@@ -186,9 +297,8 @@ def build(params: InducedRepParams, lmax: int) -> TruncatedLattice:
     for c in sorted(range(n_classes), key=lambda c: len(closures[c])):
         layers_arr[c] = 1 + max((layers_arr[b] for b in succ[c]), default=0)
 
-    interior = np.abs(pts).max(axis=1) < lmax
     for c in range(n_classes):
-        if not interior[comp == c].any():
+        if not interior[c]:
             warnings.append(f"class {c} owns no interior point; enlarge the window")
 
     pts.setflags(write=False)
@@ -270,10 +380,9 @@ def compare(params: InducedRepParams, lmax: int | None = None) -> OracleVerdict:
                 lo[a, c] = region.lower[c]
             if region.upper[c] is not None:
                 hi[a, c] = region.upper[c]
-    doubled = 2 * pts
-    member = (doubled[:, None, :] >= lo[None, :, :]).all(axis=2)
-    member &= (doubled[:, None, :] <= hi[None, :, :]).all(axis=2)
-    counts = member.sum(axis=1)
+    cols = [pts[:, j] for j in range(params.n)]
+    member = _box_masks(cols, _by_value(2 * np.arange(-lmax, lmax + 1), lmax), lo, hi)
+    counts = np.bitwise_count(member).sum(axis=0)
 
     def point_str(idx: int) -> str:
         return "lambda=(" + ",".join(str(int(x)) for x in pts[idx]) + ")"
@@ -284,7 +393,6 @@ def compare(params: InducedRepParams, lmax: int | None = None) -> OracleVerdict:
         checks.append(_fail("partition", witness))
         label_for_class = None
     else:
-        label_ids = member.argmax(axis=1)
         label_for_class = {}
         partition_ok = True
         if lattice.n_classes != len(labels):
@@ -294,8 +402,12 @@ def compare(params: InducedRepParams, lmax: int | None = None) -> OracleVerdict:
             checks.append(_fail("partition", witness))
             partition_ok = False
         else:
+            # regions met by each class: OR of its points' single-bit masks
+            class_regions = np.zeros((len(member), lattice.n_classes), dtype=np.uint64)
+            for word, acc in zip(member, class_regions):
+                np.bitwise_or.at(acc, lattice.comp, word)
             for c in range(lattice.n_classes):
-                ids = np.unique(label_ids[lattice.comp == c])
+                ids = _set_bits(class_regions[:, c])
                 if len(ids) != 1:
                     bad = int(np.nonzero(lattice.comp == c)[0][0])
                     witness = f"class of {point_str(bad)} spans regions " + ", ".join(
@@ -304,7 +416,7 @@ def compare(params: InducedRepParams, lmax: int | None = None) -> OracleVerdict:
                     checks.append(_fail("partition", witness))
                     partition_ok = False
                     break
-                label_for_class[c] = labels[int(ids[0])]
+                label_for_class[c] = labels[ids[0]]
             if partition_ok and len(set(label_for_class.values())) != len(labels):
                 witness = "two lattice classes map to one region"
                 checks.append(_fail("partition", witness))

@@ -1,4 +1,5 @@
 import json
+import time
 
 from dpseries.cli import run
 
@@ -145,3 +146,29 @@ def test_verify_out_of_range_flags_name_the_flag(capsys):
     assert err.startswith("error: --alpha-set") and "Traceback" not in err
     assert run(["verify", "--n-range", "1:2"]) == 1
     assert capsys.readouterr().err.startswith("error: --n-range")
+
+
+def test_verify_refuses_an_oversized_window_at_once(capsys):
+    t0 = time.perf_counter()
+    assert run(["verify", "--n", "12", "--alpha", "0", "--sigma", "-20", "--lmax", "20"]) == 1
+    assert time.perf_counter() - t0 < 5
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: --lmax") and "budget" in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
+def test_verify_checks_every_window_before_running_any(capsys):
+    # n=9 at the auto window is over budget; no smaller point may run first
+    assert run(["verify", "--n-range", "2:9", "--alpha-set", "0", "--sigma-tilde-range", "-6:-6"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: --n-range") and "n=9" in captured.err
+    assert captured.out == ""
+
+
+def test_verify_record_shows_the_below_margin_warning(capsys):
+    assert run(["verify", "--n", "2", "--alpha", "0", "--sigma", "1/2", "--lmax", "2"]) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert record["warnings"] == ["window lmax=2 below auto margin 4; comparisons may fail"]
+    # at the auto window the record has no warnings key
+    assert run(["verify", "--n", "2", "--alpha", "0", "--sigma", "1/2"]) == 0
+    assert "warnings" not in json.loads(capsys.readouterr().out)

@@ -1,11 +1,13 @@
+import inspect
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
-from dpseries import InducedRepParams, auto_lmax, build, compare
-from dpseries.ktypes import blocked_positions
+from dpseries import InducedRepParams, auto_lmax, build, compare, oracle
+from dpseries.ktypes import blocked_positions, neighbors, transition
 
-from conftest import params_from_sigma_tilde
+from conftest import dominant_window, params_from_sigma_tilde
 
 
 def test_single_class_at_irreducible_point():
@@ -121,3 +123,160 @@ def test_compare_matches_sweep_row():
         "socle": "PASS",
         "generated": "PASS",
     }
+
+
+def test_window_points_match_itertools_enumeration():
+    for n in range(1, 5):
+        for lmax in range(0, 5):
+            expected = np.array(sorted(dominant_window(n, lmax)), dtype=np.int64).reshape(-1, n)
+            assert np.array_equal(oracle._window_points(n, lmax), expected), (n, lmax)
+
+
+def _reference_build(params, lmax):
+    """Scalar oracle: ``transition`` on every move of the window, then a plain SCC.
+
+    Returns (comp, class_edges, hasse, layers, closures) with classes numbered
+    by their lexicographically first point, as ``build`` numbers them.
+    """
+    window = sorted(dominant_window(params.n, lmax))
+    succ = {
+        lam: [
+            mu
+            for mu, j, direction in neighbors(lam)
+            if max(map(abs, mu)) <= lmax and transition(params, lam, j, direction) != 0
+        ]
+        for lam in window
+    }
+
+    def reachable(graph, start):
+        seen = {start}
+        stack = [start]
+        while stack:
+            for y in graph[stack.pop()]:
+                if y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+        return seen
+
+    # Kosaraju: finishing order on the graph, then sweeps of the reversed graph
+    pred = {lam: [] for lam in window}
+    for lam, targets in succ.items():
+        for mu in targets:
+            pred[mu].append(lam)
+    finished, seen = [], set()
+    for root in window:
+        if root in seen:
+            continue
+        seen.add(root)
+        stack = [(root, iter(succ[root]))]
+        while stack:
+            node, it = stack[-1]
+            nxt = next((mu for mu in it if mu not in seen), None)
+            if nxt is None:
+                finished.append(node)
+                stack.pop()
+            else:
+                seen.add(nxt)
+                stack.append((nxt, iter(succ[nxt])))
+    component = {}
+    for root in reversed(finished):
+        if root in component:
+            continue
+        component[root] = root
+        stack = [root]
+        while stack:
+            for lam in pred[stack.pop()]:
+                if lam not in component:
+                    component[lam] = root
+                    stack.append(lam)
+    number = {}
+    for lam in window:  # lexicographic order: number classes by first point
+        number.setdefault(component[lam], len(number))
+    comp = {lam: number[component[lam]] for lam in window}
+
+    class_succ = {c: set() for c in range(len(number))}
+    for lam, targets in succ.items():
+        for mu in targets:
+            if comp[lam] != comp[mu]:
+                class_succ[comp[lam]].add(comp[mu])
+    class_edges = tuple(sorted((a, b) for a in class_succ for b in class_succ[a]))
+    closures = tuple(frozenset(reachable(class_succ, c)) for c in range(len(number)))
+    hasse = tuple(
+        (a, b)
+        for a, b in class_edges
+        if not any(c not in (a, b) and b in closures[c] for c in closures[a])
+    )
+    depth = {}
+
+    def layer(c):
+        if c not in depth:
+            depth[c] = 1 + max((layer(b) for b in class_succ[c]), default=0)
+        return depth[c]
+
+    layers = tuple(layer(c) for c in range(len(number)))
+    return [comp[lam] for lam in window], class_edges, hasse, layers, closures
+
+
+SIGMA_TILDES = [Fraction(s) for s in range(-6, 7)] + [Fraction(-7, 2), Fraction(1, 2), Fraction(5, 2)]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("lmax", [1, 2, 3, 4])
+def test_build_matches_scalar_reference(n, lmax):
+    for alpha in range(4):
+        for sigma_tilde in SIGMA_TILDES:
+            params = params_from_sigma_tilde(n, alpha, sigma_tilde)
+            lattice = build(params, lmax)
+            comp, class_edges, hasse, layers, closures = _reference_build(params, lmax)
+            where = (n, lmax, alpha, sigma_tilde)
+            assert lattice.points.tolist() == [list(lam) for lam in sorted(dominant_window(n, lmax))]
+            assert lattice.comp.tolist() == comp, where
+            assert lattice.n_classes == len(layers), where
+            assert lattice.class_edges == class_edges, where
+            assert lattice.hasse == hasse, where
+            assert lattice.layers == layers, where
+            assert lattice.closures == closures, where
+
+
+def test_oversized_window_is_refused_before_enumeration(monkeypatch):
+    def enumerate_nothing(n, lmax):
+        raise AssertionError("the window was enumerated")
+
+    monkeypatch.setattr(oracle, "_window_points", enumerate_nothing)
+    with pytest.raises(ValueError, match="exceeds the oracle's budget"):
+        build(params_from_sigma_tilde(12, 0, -6), 20)
+    assert oracle.check_window(8, 9) == 1562275
+    with pytest.raises(ValueError, match="budget"):
+        oracle.check_window(9, 10)
+
+
+def test_box_masks_past_64_boxes():
+    rng = np.random.default_rng(0)
+    values = np.arange(-5, 6)
+    cols = [rng.integers(0, len(values), 50) for _ in range(3)]
+    lo = rng.integers(-6, 3, (70, 3))
+    hi = lo + rng.integers(0, 8, (70, 3))
+    words = oracle._box_masks(cols, values, lo, hi)
+    assert words.shape == (2, 50)
+    for p in range(50):
+        x = np.array([values[col[p]] for col in cols])
+        inside = [b for b in range(70) if ((lo[b] <= x) & (x <= hi[b])).all()]
+        assert oracle._set_bits(words[:, p]) == inside
+
+
+def test_build_uses_nothing_from_the_closed_form_modules(monkeypatch):
+    from dpseries import constituents, howe, structure, unitarity
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("build reached a closed-form function")
+
+    for module in (constituents, structure, unitarity, howe):
+        for name, value in list(vars(module).items()):
+            if getattr(value, "__module__", None) != module.__name__:
+                continue
+            if inspect.isfunction(value) or hasattr(value, "cache_info"):
+                monkeypatch.setattr(module, name, refuse)
+                if getattr(oracle, name, None) is value:
+                    monkeypatch.setattr(oracle, name, refuse)
+    lattice = build(params_from_sigma_tilde(3, 1, -2), 5)
+    assert lattice.n_classes > 1
