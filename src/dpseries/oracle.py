@@ -24,8 +24,6 @@ from dataclasses import dataclass, field
 from math import comb
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .parameters import CaseTag, InducedRepParams, classify
 from .ktypes import blocked_positions, effective_barriers
@@ -34,8 +32,9 @@ from .structure import generated_submodule, module_diagram, socle_series
 
 __all__ = ["OracleVerdict", "TruncatedLattice", "auto_lmax", "build", "check_window", "compare"]
 
-# Largest window build() enumerates, in points.  build() peaks near 217 bytes
-# per window point at n=8, so a refused window would need about 2 GB.
+# Largest window build() enumerates, in points.  At n=8, build() in a fresh
+# process peaks at 256 MB for 1.56 M points and 482 MB for 3.11 M (ru_maxrss):
+# about 153 bytes per added point, so a refused window would need about 1.4 GB.
 MAX_WINDOW_POINTS = 9_000_000
 
 
@@ -141,6 +140,32 @@ def _set_bits(words) -> list[int]:
     return out
 
 
+def connected_components(size: int, pairs: list[tuple[np.ndarray, np.ndarray]]) -> tuple[int, np.ndarray]:
+    """Connected components of the graph on 0..size-1 with an edge a[i]-b[i] per (a, b) in pairs.
+
+    Shiloach-Vishkin hooking with pointer jumping (see FastSV, Zhang, Azad and
+    Hu, SIAM PP 2020).  Each round sets ``root[max] = min`` for every edge
+    whose roots differ, then jumps pointers to a fixed point; the rounds stop
+    after one that merged nothing.  Roots only move to smaller indices, so a
+    component's root is its smallest index.  Returns the number of components
+    and each point's component, numbered by smallest index.
+    """
+    root = np.arange(size, dtype=np.int32)
+    merged = True
+    while merged:
+        merged = False
+        for a, b in pairs:
+            ra, rb = root[a], root[b]
+            differ = ra != rb
+            merged |= bool(differ.any())
+            ra, rb = ra[differ], rb[differ]
+            root[np.maximum(ra, rb)] = np.minimum(ra, rb)
+        while not np.array_equal(up := root[root], root):
+            root = up
+    is_root = root == np.arange(size, dtype=np.int32)
+    return int(is_root.sum()), (np.cumsum(is_root) - 1)[root]
+
+
 def build(params: InducedRepParams, lmax: int) -> TruncatedLattice:
     """Enumerate the window, build the transition graph, and analyze it.
 
@@ -148,7 +173,7 @@ def build(params: InducedRepParams, lmax: int) -> TruncatedLattice:
     the window is its rank in the combinatorial number system (Knuth, TAOCP
     4A, 7.2.1.3), so a one-step move is index arithmetic.  The classes are
     the connected components of the mutual pairs (both directions nonzero),
-    which the graph stores one direction each.
+    which ``connected_components`` reads as one pair array per coordinate.
     """
     if lmax < 1:
         raise ValueError(f"lmax must be >= 1, got {lmax}")
@@ -178,12 +203,9 @@ def build(params: InducedRepParams, lmax: int) -> TruncatedLattice:
     del rank
 
     up_block, down_block = blocked_positions(params)
-    # partner[:, j] is the index of x + e_j; mutual[:, j] says x and x + e_j
-    # join each other, which the CSR graph stores as the one edge x -> x + e_j
-    partner = np.empty((P, n), dtype=np.int32)
-    mutual = np.empty((P, n), dtype=bool)
-    degree = np.zeros(P, dtype=np.int32)
-    here = np.arange(P, dtype=np.int32)
+    # pairs[j] holds the x with x and x + e_j joining each other, and their
+    # partners x + e_j
+    pairs = []
     one_src = [np.zeros(0, dtype=np.int64)]  # one-way edges, as point indices
     one_dst = [np.zeros(0, dtype=np.int64)]
     for j in range(n):
@@ -192,7 +214,6 @@ def build(params: InducedRepParams, lmax: int) -> TruncatedLattice:
         if j > 0:
             pair &= lam[j - 1] > lj
         step = pascal[n - 1 - j].astype(np.int32)[lj]
-        np.add(here, step, out=partner[:, j])
         # the pair loses its up edge where 2*lam_j hits the up barrier and its
         # down edge where 2*lam_j + 2 hits the down barrier
         up_at = up_block[j] // 2 if up_block[j] is not None else None
@@ -200,8 +221,8 @@ def build(params: InducedRepParams, lmax: int) -> TruncatedLattice:
         keep = pair
         for at in {up_at, down_at} - {None}:
             keep = keep & (lj != at)
-        mutual[:, j] = keep
-        degree += keep
+        here = np.flatnonzero(keep).astype(np.int32)
+        pairs.append((here, here + step[here]))
         if up_at == down_at:  # no barrier, or a pair cut both ways: no one-way edge
             continue
         if down_at is not None:
@@ -212,25 +233,17 @@ def build(params: InducedRepParams, lmax: int) -> TruncatedLattice:
             only_down = np.flatnonzero(pair & (lj == up_at))
             one_src.append(only_down + step[only_down])
             one_dst.append(only_down)
-    del here
-    indptr = np.zeros(P + 1, dtype=np.int32)
-    np.cumsum(degree, out=indptr[1:])
-    indices = partner[mutual]
-    del partner, mutual, degree
-    graph = csr_matrix((np.ones(len(indices)), indices, indptr), shape=(P, P))
-    del indices, indptr
+    del pair, keep, step
     # The weak components of the mutual pairs are strongly connected.  Every
     # one-way edge crosses a cut lam_j = const, always in the same direction,
     # so no cycle crosses a cut: these components are the strong components
     # of the whole graph, and the acyclicity check below confirms it.
-    n_classes, raw_comp = connected_components(graph, directed=False)
-    del graph
+    n_classes, comp = connected_components(P, pairs)
+    del pairs
 
-    # One sort by class gives each class's first point, bounding box and
-    # interior flag.
-    order = np.argsort(raw_comp, kind="stable")
-    starts = np.flatnonzero(np.r_[True, raw_comp[order[1:]] != raw_comp[order[:-1]]])
-    first = order[starts]
+    # One sort by class gives each class's bounding box and interior flag.
+    order = np.argsort(comp, kind="stable")
+    starts = np.flatnonzero(np.r_[True, comp[order[1:]] != comp[order[:-1]]])
     lo = np.empty((n_classes, n), dtype=np.int64)
     hi = np.empty((n_classes, n), dtype=np.int64)
     for j in range(n):
@@ -239,13 +252,6 @@ def build(params: InducedRepParams, lmax: int) -> TruncatedLattice:
         hi[:, j] = np.maximum.reduceat(col, starts)
     interior = np.logical_or.reduceat(((lam[0] < lmax) & (lam[-1] > -lmax))[order], starts)
     del order
-
-    # Renumber classes by first (lexicographically smallest) member point.
-    perm = np.argsort(first)
-    relabel = np.empty(n_classes, dtype=np.int64)
-    relabel[perm] = np.arange(n_classes)
-    comp = relabel[raw_comp]
-    lo, hi, interior = lo[perm], hi[perm], interior[perm]
 
     # Each class must be exactly its bounding box intersected with the window:
     # the structural signature of barrier-cut regions.

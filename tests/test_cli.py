@@ -1,6 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
+import dpseries
 from dpseries.cli import run
 
 
@@ -172,3 +177,13 @@ def test_verify_record_shows_the_below_margin_warning(capsys):
     # at the auto window the record has no warnings key
     assert run(["verify", "--n", "2", "--alpha", "0", "--sigma", "1/2"]) == 0
     assert "warnings" not in json.loads(capsys.readouterr().out)
+
+
+def test_both_module_forms_run_the_cli():
+    env = {**os.environ, "PYTHONPATH": str(Path(dpseries.__file__).parents[1])}
+    for module in ("dpseries", "dpseries.cli"):
+        args = [sys.executable, "-m", module, "classify", "--n", "2", "--alpha", "0", "--sigma", "1/2"]
+        proc = subprocess.run(args, capture_output=True, text=True, env=env)
+        assert (proc.returncode, proc.stdout) == (0, "Case2b, sigma_tilde=2\n"), (module, proc.stderr)
+        proc = subprocess.run([*args, "--bogus"], capture_output=True, text=True, env=env)
+        assert proc.returncode == 1 and "--bogus" in proc.stderr, module

@@ -1,9 +1,14 @@
 import inspect
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dpseries
 from dpseries import InducedRepParams, auto_lmax, build, compare, oracle
 from dpseries.ktypes import blocked_positions, neighbors, transition
 
@@ -280,3 +285,86 @@ def test_build_uses_nothing_from_the_closed_form_modules(monkeypatch):
                     monkeypatch.setattr(oracle, name, refuse)
     lattice = build(params_from_sigma_tilde(3, 1, -2), 5)
     assert lattice.n_classes > 1
+
+
+class _CountedPairs(list):
+    """Edge list that counts the rounds ``connected_components`` makes over it."""
+
+    rounds = 0
+
+    def __iter__(self):
+        self.rounds += 1
+        return super().__iter__()
+
+
+def _union_find_labels(size, pairs):
+    """Component labels by plain union-find, numbered by each component's smallest index."""
+    parent = list(range(size))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for a, b in pairs:
+        for x, y in zip(a.tolist(), b.tolist()):
+            rx, ry = find(x), find(y)
+            parent[max(rx, ry)] = min(rx, ry)
+    number = {}
+    return [number.setdefault(find(x), len(number)) for x in range(size)]
+
+
+def _edges(*pairs):
+    return (np.array([a for a, _ in pairs], dtype=np.int32), np.array([b for _, b in pairs], dtype=np.int32))
+
+
+def test_connected_components_matches_union_find():
+    rng = np.random.default_rng(6)
+    for size in (1, 2, 7, 40, 300):
+        for density in (0.0, 0.3, 1.0, 2.0):
+            pairs = []
+            for _ in range(rng.integers(1, 5)):
+                edges = rng.integers(0, size, (2, int(density * size / 2)), dtype=np.int32)
+                pairs.append((edges[0], edges[1]))
+            n_classes, comp = oracle.connected_components(size, pairs)
+            expected = _union_find_labels(size, pairs)
+            assert comp.tolist() == expected, (size, density)
+            assert n_classes == len(set(expected))
+
+
+def test_connected_components_repeats_rounds_until_nothing_merges():
+    # A star whose centre has the largest index: every edge hooks the centre,
+    # one write wins per round, so each round merges one more leaf.  A path
+    # visited out of index order also needs a second round.
+    star = _CountedPairs([_edges(*((leaf, 5) for leaf in range(5)))])
+    path = _CountedPairs([_edges((0, 4), (4, 1)), _edges((1, 3), (3, 2))])
+    for size, pairs in ((6, star), (7, path)):
+        n_classes, comp = oracle.connected_components(size, pairs)
+        assert pairs.rounds >= 3  # two merging rounds, then one that merges nothing
+        expected = _union_find_labels(size, pairs)
+        assert (n_classes, comp.tolist()) == (len(set(expected)), expected)
+    # each class is numbered by its smallest index, so labels first appear in order
+    n_classes, comp = oracle.connected_components(6, [_edges((5, 1), (4, 0), (3, 5))])
+    assert (n_classes, comp.tolist()) == (3, [0, 1, 2, 1, 0, 1])
+
+
+def test_connected_components_of_an_edgeless_graph():
+    empty = np.zeros(0, dtype=np.int32)
+    for pairs in ([], [(empty, empty)] * 3):
+        n_classes, comp = oracle.connected_components(4, pairs)
+        assert (n_classes, comp.tolist()) == (4, [0, 1, 2, 3])
+
+
+def test_cli_and_build_import_numpy_only():
+    code = (
+        "import sys\n"
+        "at_start = set(sys.modules)\n"
+        "import dpseries, dpseries.cli\n"
+        "from fractions import Fraction\n"
+        "lattice = dpseries.build(dpseries.InducedRepParams(3, 1, Fraction(-9, 2)), 5)\n"
+        "stdlib = sys.stdlib_module_names\n"
+        "print(lattice.n_classes, sorted({m.split('.')[0] for m in set(sys.modules) - at_start} - stdlib))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(dpseries.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stdout) == (0, "5 ['dpseries', 'numpy']\n"), proc.stderr
