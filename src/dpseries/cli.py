@@ -60,15 +60,17 @@ def _add_format_flag(p: argparse.ArgumentParser, dot: bool = False) -> None:
     p.add_argument("--format", choices=choices, default="text")
 
 
+def _int_flag(args, name: str) -> int:
+    raw = getattr(args, name)
+    try:
+        return int(raw)
+    except ValueError:
+        raise CLIError(f"--{name}: not an integer: {raw!r}") from None
+
+
 def _params_from(args: argparse.Namespace) -> InducedRepParams:
-    try:
-        n = int(args.n)
-    except ValueError:
-        raise CLIError(f"--n: not an integer: {args.n!r}") from None
-    try:
-        alpha = int(args.alpha)
-    except ValueError:
-        raise CLIError(f"--alpha: not an integer: {args.alpha!r}") from None
+    n = _int_flag(args, "n")
+    alpha = _int_flag(args, "alpha")
     try:
         sigma = parse_rational(args.sigma)
     except ValueError as e:
@@ -187,14 +189,6 @@ def _cmd_unitary(args) -> int:
             word = "unitarizable" if v.unitarizable else "not unitarizable"
             print(f"{lab}: {word} ({v.reason})")
     return 0
-
-
-def _int_flag(args, name: str) -> int:
-    raw = getattr(args, name)
-    try:
-        return int(raw)
-    except ValueError:
-        raise CLIError(f"--{name}: not an integer: {raw!r}") from None
 
 
 def _cmd_omega(args) -> int:
@@ -359,12 +353,12 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="dpseries", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, fn, needs_params in (
-        ("classify", _cmd_classify, True),
-        ("constituents", _cmd_constituents, True),
-        ("socle", _cmd_socle, True),
-        ("unitary", _cmd_unitary, True),
-        ("embeddings", _cmd_embeddings, True),
+    for name, fn in (
+        ("classify", _cmd_classify),
+        ("constituents", _cmd_constituents),
+        ("socle", _cmd_socle),
+        ("unitary", _cmd_unitary),
+        ("embeddings", _cmd_embeddings),
     ):
         p = sub.add_parser(name)
         _add_params_flags(p)

@@ -29,7 +29,6 @@ from __future__ import annotations
 import functools
 from bisect import bisect_left
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .parameters import CaseTag, DerivedConstants, InducedRepParams, classify, derived
 from .ktypes import KType, check_ktype
@@ -84,21 +83,17 @@ class Region:
     """Per-coordinate bounds on ``2*lam``, intersected with the dominance cone.
 
     ``lower[c-1]``/``upper[c-1]`` bound coordinate c (even integers or None
-    for unbounded).  ``feasible=False`` marks regions whose defining chain was
-    contradictory already at the extended-index level.
+    for unbounded).
     """
 
     n: int
     lower: tuple[int | None, ...]
     upper: tuple[int | None, ...]
-    feasible: bool = True
 
     def contains(self, lam: KType) -> bool:
         lam = check_ktype(lam)
         if len(lam) != self.n:
             raise ValueError(f"K-type has length {len(lam)}, region has n={self.n}")
-        if not self.feasible:
-            return False
         for x, lo, hi in zip(lam, self.lower, self.upper):
             if lo is not None and 2 * x < lo:
                 return False
@@ -134,26 +129,20 @@ class Region:
 
     def is_empty(self) -> bool:
         """True iff no dominant integer point satisfies the bounds."""
-        if not self.feasible:
-            return True
         return self._extremes(self._cap()) is None
 
     def single_point(self) -> KType | None:
         """The unique member K-type, if the region is a single lattice point."""
-        if not self.feasible:
-            return None
-        cap = self._cap()
-        ext = self._extremes(cap)
+        # When the greedy top and bottom agree, neither reached +-cap (cap
+        # exceeds every finite bound), so the point does not depend on cap.
+        ext = self._extremes(self._cap())
         if ext is None or ext[0] != ext[1]:
-            return None
-        again = self._extremes(cap + 8)
-        if again != ext:
             return None
         return ext[0]
 
     def describe(self) -> str:
         """Human-readable membership condition in lambda units."""
-        if not self.feasible or self.is_empty():
+        if self.is_empty():
             return "{empty}"
         point = self.single_point()
         if point is not None:
@@ -186,13 +175,13 @@ class Region:
         return out
 
     @classmethod
-    def from_json(cls, data: list[dict], feasible: bool = True) -> "Region":
+    def from_json(cls, data: list[dict]) -> "Region":
         lower = []
         upper = []
         for entry in sorted(data, key=lambda e: e["coord"]):
             lower.append(None if entry["lo"] == _NEG_INF else int(entry["lo"]))
             upper.append(None if entry["hi"] == _INF else int(entry["hi"]))
-        return cls(n=len(lower), lower=tuple(lower), upper=tuple(upper), feasible=feasible)
+        return cls(n=len(lower), lower=tuple(lower), upper=tuple(upper))
 
 
 @dataclass(frozen=True)
@@ -232,10 +221,7 @@ def _point(params: InducedRepParams) -> _Point:
         )
     d = derived(params)
     sigma = params.sigma
-    if case.family == "R":
-        branch = "neg" if sigma <= -1 else "zero" if sigma == 0 else "pos"
-    else:
-        branch = "neg" if sigma < 0 else "pos"
+    branch = "neg" if sigma < 0 else "zero" if sigma == 0 else "pos"
     window, bound = _theorem_range(params, case, branch, d)
     built = [(lab, _build_region(params, case, branch, d, lab)) for lab in window]
     kept = [(lab, region) for lab, region in built if not region.is_empty()]
@@ -265,46 +251,31 @@ def _label_definable(pt: _Point, label: ConstituentLabel) -> bool:
 def _chains(
     params: InducedRepParams, case: CaseTag, branch: str, d: DerivedConstants, label: ConstituentLabel
 ) -> list[tuple[int, int, int]]:
-    """The two defining chains (lo_coord, even value, hi_coord) of a region."""
+    """The two defining chains (lo_coord, even value, hi_coord) of a region.
+
+    Each chain sits on a barrier between coordinates a and a+2: its value is
+    either ``barrier_plus(a+2) = a+1-st`` or ``barrier_minus(a) = st-(n+alpha)+a``.
+    The low coordinates are (2i, n0-2j) in Case 1a, (2i-1, n1-2j) in Case 1b
+    and (2i-1, 2j) in Cases 2a/2b; the first takes the plus barrier in Case 2b
+    and in family R at sigma < 0, the minus barrier otherwise.
+
+    On the index grid every chain has a <= n and a+2 >= 1: 0 <= 2i <= 2k = n0
+    and 0 <= n0-2j <= n0 in Case 1a, -1 <= 2i-1, n1-2j <= n1 in Case 1b (k =
+    (n1+1)/2), and -1 <= 2i-1 <= n1, 0 <= 2j <= n0 in Cases 2.  So a chain never
+    compares an infinite extended coordinate with its value from the wrong side.
+    """
     st = int(d.sigma_tilde)
-    n0, n1 = d.n0, d.n1
     i, j = label.i, label.j
-
-    def bp(idx: int) -> int:
-        return -st + idx - 1
-
-    def bm(idx: int) -> int:
-        return st - (params.n + params.alpha) + idx
-
     if case is CaseTag.CASE_1A:
-        if branch == "neg":
-            return [
-                (2 * i, bp(2 * i + 2), 2 * i + 2),
-                (n0 - 2 * j, bm(n0 - 2 * j), n0 - 2 * j + 2),
-            ]
-        return [
-            (2 * i, bm(2 * i), 2 * i + 2),
-            (n0 - 2 * j, bp(n0 - 2 * j + 2), n0 - 2 * j + 2),
-        ]
-    if case is CaseTag.CASE_1B:
-        if branch == "neg":
-            return [
-                (2 * i - 1, bp(2 * i + 1), 2 * i + 1),
-                (n1 - 2 * j, bm(n1 - 2 * j), n1 - 2 * j + 2),
-            ]
-        return [
-            (2 * i - 1, bm(2 * i - 1), 2 * i + 1),
-            (n1 - 2 * j, bp(n1 - 2 * j + 2), n1 - 2 * j + 2),
-        ]
-    if case is CaseTag.CASE_2A:
-        return [
-            (2 * i - 1, bm(2 * i - 1), 2 * i + 1),
-            (2 * j, bp(2 * j + 2), 2 * j + 2),
-        ]
-    return [
-        (2 * i - 1, bp(2 * i + 1), 2 * i + 1),
-        (2 * j, bm(2 * j), 2 * j + 2),
-    ]
+        first, second = 2 * i, d.n0 - 2 * j
+    elif case is CaseTag.CASE_1B:
+        first, second = 2 * i - 1, d.n1 - 2 * j
+    else:
+        first, second = 2 * i - 1, 2 * j
+    minus = st - (params.n + params.alpha)  # barrier_minus(a) = minus + a
+    if case is CaseTag.CASE_2B or (case.family == "R" and branch == "neg"):
+        return [(first, first + 1 - st, first + 2), (second, minus + second, second + 2)]
+    return [(first, minus + first, first + 2), (second, second + 1 - st, second + 2)]
 
 
 def _build_region(
@@ -313,23 +284,16 @@ def _build_region(
     n = params.n
     lower: list[int | None] = [None] * n
     upper: list[int | None] = [None] * n
-    feasible = True
     for lo_coord, value, hi_coord in _chains(params, case, branch, d, label):
         if value % 2 != 0:
             raise RuntimeError(f"region chain of {label} at {params} sits on odd position {value}")
-        if lo_coord >= 1:
-            if lo_coord <= n:
-                cur = lower[lo_coord - 1]
-                lower[lo_coord - 1] = value if cur is None else max(cur, value)
-            else:
-                feasible = False  # -inf >= value can never hold
-        if hi_coord <= n:
-            if hi_coord >= 1:
-                cur = upper[hi_coord - 1]
-                upper[hi_coord - 1] = value if cur is None else min(cur, value)
-            else:
-                feasible = False  # +inf <= value can never hold
-    return Region(n=n, lower=tuple(lower), upper=tuple(upper), feasible=feasible)
+        if lo_coord >= 1:  # +inf >= value holds for lo_coord <= 0
+            cur = lower[lo_coord - 1]
+            lower[lo_coord - 1] = value if cur is None else max(cur, value)
+        if hi_coord <= n:  # -inf <= value holds for hi_coord > n
+            cur = upper[hi_coord - 1]
+            upper[hi_coord - 1] = value if cur is None else min(cur, value)
+    return Region(n=n, lower=tuple(lower), upper=tuple(upper))
 
 
 def region_for(params: InducedRepParams, label: ConstituentLabel) -> Region:
@@ -355,48 +319,36 @@ def is_empty(params: InducedRepParams, label: ConstituentLabel) -> bool:
 def _theorem_range(
     params: InducedRepParams, case: CaseTag, branch: str, d: DerivedConstants
 ) -> tuple[list[ConstituentLabel], tuple[str, int] | None]:
-    """Label window of the decomposition theorem for the case and sign of sigma."""
-    sigma = params.sigma
-    labels: list[ConstituentLabel] = []
-    if case.family == "R":
-        k = d.k
-        if branch == "neg":
-            r = ("r1", max(k + int(sigma), 0))
-            lo_lvl, hi_lvl = r[1], k
-        elif branch == "zero":
-            r = None
-            lo_lvl, hi_lvl = k, k
-        else:
-            r = ("r2", max(k - int(sigma), 0))
-            lo_lvl, hi_lvl = r[1], k
-        for i in range(0, hi_lvl + 1):
-            for j in range(0, hi_lvl - i + 1):
-                if lo_lvl <= i + j <= hi_lvl:
-                    labels.append(ConstituentLabel("R", i, j))
-        return sorted(labels), r
+    """Label window of the decomposition theorem for the case and sign of sigma.
 
-    i_max = (d.n1 + 1) // 2
-    j_max = d.n0 // 2
-    half = Fraction(1, 2)
-    if case is CaseTag.CASE_2A:
-        if branch == "pos":
-            r = ("r1", int(min(sigma - half, params.n // 2)))
-            keep = lambda i, j: -1 <= j - i <= r[1]
-        else:
-            r = ("r2", int(min(-sigma + half, (params.n + 1) // 2)))
-            keep = lambda i, j: 0 <= i - j <= r[1]
+    The window is a band lo <= level <= hi of the grid, in sorted order.  In
+    family R the level is i+j and the band runs from r = max(k-|sigma|, 0) up
+    to k (only level k at sigma = 0).  In family L the level is j-i, and Case
+    2a at sigma has the band of Case 2b at -sigma: -1 <= j-i <= r1 with
+    r1 = min(|sigma|-1/2, n//2), or 0 <= i-j <= r2 with r2 =
+    min(|sigma|+1/2, (n+1)//2).
+    """
+    if case.family == "R":
+        i_max = j_max = hi = d.k
+        lo = max(d.k - abs(params.sigma.numerator), 0)  # sigma is an integer here
+        bound = None if branch == "zero" else ("r1" if branch == "neg" else "r2", lo)
+        slope = -1  # j = level - i
     else:
-        if branch == "pos":
-            r = ("r2", int(min(sigma + half, (params.n + 1) // 2)))
-            keep = lambda i, j: 0 <= i - j <= r[1]
+        i_max, j_max = (d.n1 + 1) // 2, d.n0 // 2
+        m = abs(params.sigma.numerator) // 2  # |sigma| - 1/2
+        if (case is CaseTag.CASE_2A) == (branch == "pos"):
+            bound = ("r1", min(m, params.n // 2))
+            lo, hi = -1, bound[1]
         else:
-            r = ("r1", int(min(-sigma - half, params.n // 2)))
-            keep = lambda i, j: -1 <= j - i <= r[1]
-    for i in range(0, i_max + 1):
-        for j in range(0, j_max + 1):
-            if keep(i, j):
-                labels.append(ConstituentLabel("L", i, j))
-    return sorted(labels), r
+            bound = ("r2", min(m + 1, (params.n + 1) // 2))
+            lo, hi = -bound[1], 0
+        slope = 1  # j = level + i
+    labels = [
+        ConstituentLabel(case.family, i, j)
+        for i in range(i_max + 1)
+        for j in range(max(lo + slope * i, 0), min(hi + slope * i, j_max) + 1)
+    ]
+    return labels, bound
 
 
 def enumerate_constituents(params: InducedRepParams) -> ConstituentSet:

@@ -12,9 +12,10 @@ is negative for every K-type and coordinate; for real sigma this reads
 interval ``|sigma| < 1/2`` in the even-parity case.
 
 Unitarizability of an individual constituent is decided by the explicit
-clauses of the case theorems (one clause set per case and sign of sigma);
-the verdict records exactly which clause applied.  The ``region_sign_probe``
-helper is an advisory-only diagnostic, not an independent proof.
+clauses of the case theorems (one clause for family R, one per band kind
+for family L); the verdict records exactly which clause applied.  The
+``region_sign_probe`` helper is an advisory-only diagnostic, not an
+independent proof.
 """
 
 from __future__ import annotations
@@ -100,7 +101,12 @@ class UnitarityVerdict:
 def constituent_unitarizable(
     params: InducedRepParams, label: ConstituentLabel
 ) -> UnitarityVerdict:
-    """Unitarizability of one constituent, per the case theorems' clauses."""
+    """Unitarizability of one constituent, per the case theorems' clauses.
+
+    Family R has one clause for both signs of sigma, read through |sigma|.
+    Family L has one clause per band kind: Case 2a at sigma shares its band
+    (and so its clause) with Case 2b at -sigma.
+    """
     pt = _point(params)
     if label not in pt.label_set:
         raise ValueError(f"label is not a nonempty constituent here: {label} at {params}")
@@ -108,73 +114,41 @@ def constituent_unitarizable(
     branch = pt.branch
     sigma = params.sigma
     i, j = label.i, label.j
-    k0 = params.n // 2  # largest i with an i<->i barrier pair in family L
-    k1 = (params.n + 1) // 2
 
-    if case in (CaseTag.CASE_1A, CaseTag.CASE_1B):
-        k = pt.derived.k
+    if case.family == "R":
         if branch == "zero":
             return UnitarityVerdict(True, f"{case.value}-sigma=0-direct-sum")
-        exceptional = (
-            case is CaseTag.CASE_1B
-            and params.n % 2 == 1
-            and params.alpha in (0, 2)
-            and (i, j) in (((params.n + 1) // 2, 0), (0, (params.n + 1) // 2))
-        )
-        if branch == "neg":
-            r1 = max(k + int(sigma), 0)
-            if -k <= sigma <= -1 and i + j == r1:
-                return UnitarityVerdict(True, f"{case.value}-sigma<=-1-(i+j=r1)")
-            if exceptional:
-                return UnitarityVerdict(True, "Case1b-exceptional-(n odd, alpha in {0,2})")
-            return UnitarityVerdict(
-                False, f"{case.value}-sigma<=-1: needs -{k}<=sigma<=-1 and i+j=r1={r1}"
-            )
-        r2 = max(k - int(sigma), 0)
-        if 1 <= sigma <= k and i + j == r2:
-            return UnitarityVerdict(True, f"{case.value}-sigma>=1-(i+j=r2)")
-        if exceptional:
+        k = pt.derived.k
+        s = abs(sigma.numerator)  # |sigma|, an integer here
+        r, side = ("r1", "sigma<=-1") if branch == "neg" else ("r2", "sigma>=1")
+        tag = f"{case.value}-{side}"
+        if s <= k and i + j == k - s:
+            return UnitarityVerdict(True, f"{tag}-(i+j={r})")
+        # n odd makes alpha even in Case 1, and k = (n+1)/2 in Case 1b
+        if case is CaseTag.CASE_1B and params.n % 2 == 1 and (i, j) in ((k, 0), (0, k)):
             return UnitarityVerdict(True, "Case1b-exceptional-(n odd, alpha in {0,2})")
-        return UnitarityVerdict(
-            False, f"{case.value}-sigma>=1: needs 1<=sigma<={k} and i+j=r2={r2}"
-        )
+        bounds = f"-{k}<=sigma<=-1" if branch == "neg" else f"1<=sigma<={k}"
+        return UnitarityVerdict(False, f"{tag}: needs {bounds} and i+j={r}={max(k - s, 0)}")
 
-    if case is CaseTag.CASE_2A:
-        if branch == "pos":
-            if i == j + 1:
-                return UnitarityVerdict(True, "Case2a-sigma>=1/2-(i=j+1)")
-            r1 = int(min(sigma - _HALF, k0))
-            if _HALF <= sigma <= k0 + _HALF and j - i == r1:
-                return UnitarityVerdict(True, "Case2a-sigma>=1/2-(j-i=r1)")
-            return UnitarityVerdict(
-                False, f"Case2a-sigma>=1/2: needs i=j+1, or sigma<={k0}+1/2 and j-i=r1={r1}"
-            )
-        if i == j:
-            return UnitarityVerdict(True, "Case2a-sigma<=-1/2-(i=j)")
-        r2 = int(min(-sigma + _HALF, k1))
-        if -k1 + _HALF <= sigma <= -_HALF and i - j == r2:
-            return UnitarityVerdict(True, "Case2a-sigma<=-1/2-(i-j=r2)")
-        return UnitarityVerdict(
-            False, f"Case2a-sigma<=-1/2: needs i=j, or sigma>=-{k1}+1/2 and i-j=r2={r2}"
-        )
-
-    if branch == "pos":
-        if i == j:
-            return UnitarityVerdict(True, "Case2b-sigma>=1/2-(i=j)")
-        r2 = int(min(sigma + _HALF, k1))
-        if _HALF <= sigma <= k1 - _HALF and i - j == r2:
-            return UnitarityVerdict(True, "Case2b-sigma>=1/2-(i-j=r2)")
-        return UnitarityVerdict(
-            False, f"Case2b-sigma>=1/2: needs i=j, or sigma<={k1}-1/2 and i-j=r2={r2}"
-        )
-    if i == j + 1:
-        return UnitarityVerdict(True, "Case2b-sigma<=-1/2-(i=j+1)")
-    r1 = int(min(-sigma - _HALF, k0))
-    if -k0 - _HALF <= sigma <= -_HALF and j - i == r1:
-        return UnitarityVerdict(True, "Case2b-sigma<=-1/2-(j-i=r1)")
-    return UnitarityVerdict(
-        False, f"Case2b-sigma<=-1/2: needs i=j+1, or sigma>=-{k0}-1/2 and j-i=r1={r1}"
-    )
+    tag = f"{case.value}-sigma>=1/2" if branch == "pos" else f"{case.value}-sigma<=-1/2"
+    m = abs(sigma.numerator) // 2  # |sigma| - 1/2, sigma being a half-integer
+    if (case is CaseTag.CASE_2A) == (branch == "pos"):
+        # band -1 <= j-i <= r1, r1 = min(|sigma|-1/2, k0)
+        if i == j + 1:
+            return UnitarityVerdict(True, f"{tag}-(i=j+1)")
+        k0 = params.n // 2  # largest i with an i<->i barrier pair in family L
+        if m <= k0 and j - i == m:
+            return UnitarityVerdict(True, f"{tag}-(j-i=r1)")
+        bound = f"sigma<={k0}+1/2" if branch == "pos" else f"sigma>=-{k0}-1/2"
+        return UnitarityVerdict(False, f"{tag}: needs i=j+1, or {bound} and j-i=r1={min(m, k0)}")
+    # band 0 <= i-j <= r2, r2 = min(|sigma|+1/2, k1)
+    if i == j:
+        return UnitarityVerdict(True, f"{tag}-(i=j)")
+    k1 = (params.n + 1) // 2
+    if m + 1 <= k1 and i - j == m + 1:
+        return UnitarityVerdict(True, f"{tag}-(i-j=r2)")
+    bound = f"sigma<={k1}-1/2" if branch == "pos" else f"sigma>=-{k1}+1/2"
+    return UnitarityVerdict(False, f"{tag}: needs i=j, or {bound} and i-j=r2={min(m + 1, k1)}")
 
 
 def region_sign_probe(

@@ -91,6 +91,13 @@ def test_input_errors_exit_1(capsys):
     assert "irreducible" in capsys.readouterr().err
 
 
+def test_non_integer_rank_and_alpha_name_their_flag(capsys):
+    assert run(["classify", "--n", "x", "--alpha", "0", "--sigma", "0"]) == 1
+    assert capsys.readouterr().err == "error: --n: not an integer: 'x'\n"
+    assert run(["classify", "--n", "2", "--alpha", "y", "--sigma", "0"]) == 1
+    assert capsys.readouterr().err == "error: --alpha: not an integer: 'y'\n"
+
+
 def test_verify_single_point(capsys):
     code = run(["verify", "--n", "2", "--alpha", "0", "--sigma", "1/2", "--lmax", "auto"])
     assert code == 0

@@ -6,12 +6,15 @@ from dpseries import (
     ConstituentLabel,
     InducedRepParams,
     Region,
+    classify,
+    derived,
     enumerate_constituents,
     is_empty,
     label_of,
     parse_label,
     region_for,
 )
+from dpseries.constituents import _chains, _point, _theorem_range
 
 from conftest import dominant_window, params_from_sigma_tilde
 
@@ -198,3 +201,40 @@ def test_point_structure_is_built_once(monkeypatch):
         omega_image(p, q, params.n)
     info = _point.cache_info()
     assert (info.misses, info.currsize, len(windows)) == (1, 1, 1)
+
+
+def _index_grid(params):
+    """The case's full label grid: 0 <= i+j <= k for family R, the rectangle S(n) for L."""
+    d = derived(params)
+    if classify(params).family == "R":
+        return [ConstituentLabel("R", i, j) for i in range(d.k + 1) for j in range(d.k + 1 - i)]
+    return [
+        ConstituentLabel("L", i, j)
+        for i in range((d.n1 + 1) // 2 + 1)
+        for j in range(d.n0 // 2 + 1)
+    ]
+
+
+GRID = [(n, alpha, st_val) for n in range(2, 13) for alpha in range(4) for st_val in range(-15, 16)]
+
+
+def test_every_chain_bounds_a_coordinate_of_the_rank():
+    # lo_coord <= n and hi_coord >= 1 on the whole grid, so no chain ever
+    # compares with an infinite extended coordinate from the wrong side.
+    for n, alpha, st_val in GRID:
+        params = params_from_sigma_tilde(n, alpha, st_val)
+        pt = _point(params)
+        for lab in _index_grid(params):
+            for lo_coord, _, hi_coord in _chains(params, pt.case, pt.branch, pt.derived, lab):
+                assert lo_coord <= n and hi_coord >= 1, (params, lab, lo_coord, hi_coord)
+
+
+def test_theorem_window_is_exactly_the_nonempty_grid():
+    # The raw window, before the emptiness filter, against the regions built
+    # label by label: a window wider or narrower than the theorem fails here.
+    for n, alpha, st_val in GRID:
+        params = params_from_sigma_tilde(n, alpha, st_val)
+        pt = _point(params)
+        window, _ = _theorem_range(params, pt.case, pt.branch, pt.derived)
+        nonempty = {lab for lab in _index_grid(params) if not region_for(params, lab).is_empty()}
+        assert set(window) == nonempty, params

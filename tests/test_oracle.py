@@ -9,7 +9,18 @@ import numpy as np
 import pytest
 
 import dpseries
-from dpseries import InducedRepParams, auto_lmax, build, compare, oracle
+from dpseries import (
+    CaseTag,
+    InducedRepParams,
+    ModuleDiagram,
+    Region,
+    SocleSeries,
+    Submodule,
+    auto_lmax,
+    build,
+    compare,
+    oracle,
+)
 from dpseries.ktypes import blocked_positions, neighbors, transition
 
 from conftest import dominant_window, params_from_sigma_tilde
@@ -368,3 +379,107 @@ def test_cli_and_build_import_numpy_only():
     env = {**os.environ, "PYTHONPATH": str(Path(dpseries.__file__).parents[1])}
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert (proc.returncode, proc.stdout) == (0, "5 ['dpseries', 'numpy']\n"), proc.stderr
+
+
+# compare's FAIL verdicts: each check is broken through the closed-form name
+# that compare imports, on the Siegel-Weil point L(0,0), L(1,0), L(1,1).
+P_SW = InducedRepParams(2, 0, Fraction(1, 2))
+SKIPPED = "FAIL: skipped: partition comparison failed"
+
+
+def _everything_region(params, label):
+    return Region(n=params.n, lower=(None,) * params.n, upper=(None,) * params.n)
+
+
+def _split_by_first_coordinate(params, label):
+    # {lambda_1 >= 1}, {lambda_1 <= 0 <= lambda_2} and {lambda_1 <= 0, lambda_2 <= -1}
+    # partition the lattice, but all three meet the class {lambda_1 >= 0 >= lambda_2}.
+    bounds = {
+        "L(0,0)": ((2, None), (None, None)),
+        "L(1,0)": ((None, 0), (0, None)),
+        "L(1,1)": ((None, None), (0, -2)),
+    }
+    lower, upper = bounds[str(label)]
+    return Region(n=params.n, lower=lower, upper=upper)
+
+
+@pytest.mark.parametrize(
+    "fake, witness",
+    [
+        (_everything_region, "lambda=(-4,-4) lies in 3 regions"),
+        (_split_by_first_coordinate, "class of lambda=(0,-4) spans regions L(0,0), L(1,0), L(1,1)"),
+    ],
+)
+def test_compare_partition_failure_skips_the_other_checks(monkeypatch, fake, witness):
+    monkeypatch.setattr(oracle, "region_for", fake)
+    verdict = compare(P_SW, 4)
+    assert verdict.ok is False
+    assert verdict.witness == witness
+    assert verdict.checks == (
+        ("partition", f"FAIL: {witness}"),
+        ("diagram", SKIPPED),
+        ("socle", SKIPPED),
+        ("generated", SKIPPED),
+    )
+
+
+def test_compare_diagram_failure(monkeypatch):
+    edgeless = lambda params: ModuleDiagram(dpseries.module_diagram(params).nodes, ())
+    monkeypatch.setattr(oracle, "module_diagram", edgeless)
+    verdict = compare(P_SW, 4)
+    detail = "edge mismatch: ['L(1,0)->L(0,0)', 'L(1,0)->L(1,1)']"
+    assert verdict.ok is False
+    assert verdict.witness == detail
+    assert verdict.checks == (
+        ("partition", "PASS"),
+        ("diagram", f"FAIL: {detail}"),
+        ("socle", "PASS"),
+        ("generated", "PASS"),
+    )
+
+
+def test_compare_socle_failure(monkeypatch):
+    one_layer = lambda params: SocleSeries((dpseries.module_diagram(params).nodes,))
+    monkeypatch.setattr(oracle, "socle_series", one_layer)
+    verdict = compare(P_SW, 4)
+    detail = (
+        "socle mismatch: oracle {1: ['L(0,0)', 'L(1,1)'], 2: ['L(1,0)']}"
+        " vs formula {1: ['L(0,0)', 'L(1,0)', 'L(1,1)']}"
+    )
+    assert verdict.ok is False
+    assert verdict.witness == detail
+    assert verdict.checks == (
+        ("partition", "PASS"),
+        ("diagram", "PASS"),
+        ("socle", f"FAIL: {detail}"),
+        ("generated", "PASS"),
+    )
+
+
+def test_compare_generated_failure(monkeypatch):
+    singleton = lambda params, label: Submodule(label, (label,))
+    monkeypatch.setattr(oracle, "generated_submodule", singleton)
+    verdict = compare(P_SW, 4)
+    detail = (
+        "generated submodule of L(1,0): oracle ['L(0,0)', 'L(1,0)', 'L(1,1)']"
+        " vs formula ['L(1,0)']"
+    )
+    assert verdict.ok is False
+    assert verdict.witness == detail
+    assert verdict.checks == (
+        ("partition", "PASS"),
+        ("diagram", "PASS"),
+        ("socle", "PASS"),
+        ("generated", f"FAIL: {detail}"),
+    )
+
+
+def test_compare_irreducible_point_with_several_classes_fails(monkeypatch):
+    monkeypatch.setattr(oracle, "classify", lambda params: CaseTag.IRREDUCIBLE)
+    verdict = compare(P_SW, 4)
+    failed = "FAIL: 3 classes at an irreducible point"
+    assert verdict.ok is False
+    assert verdict.case == "Irreducible"
+    assert verdict.witness == "3 strongly connected classes"
+    names = ("partition", "diagram", "socle", "generated")
+    assert verdict.checks == tuple((name, failed) for name in names)

@@ -11,6 +11,7 @@ from dpseries import (
     irreducible_submodules,
     n_ratio,
     nonunitarity_witness,
+    parse_label,
     possible_embeddings,
 )
 from dpseries.unitarity import region_sign_probe, xi
@@ -162,3 +163,54 @@ def test_region_sign_probe_flags_nonunitary_socle():
     probe = region_sign_probe(p, ConstituentLabel("L", 1, 0), radius=4)
     assert probe["all_negative"] is False
     assert probe["violations"]
+
+
+# One point per reason template of the n 2..6 grid; every template occurs at n <= 3.
+@pytest.mark.parametrize(
+    "n, alpha, sigma, label, unitarizable, reason",
+    [
+        (2, 1, "-3", "R(0,0)", False, "Case1a-sigma<=-1: needs -1<=sigma<=-1 and i+j=r1=0"),
+        (2, 1, "-1", "R(0,0)", True, "Case1a-sigma<=-1-(i+j=r1)"),
+        (2, 3, "0", "R(0,1)", True, "Case1a-sigma=0-direct-sum"),
+        (2, 1, "1", "R(0,1)", False, "Case1a-sigma>=1: needs 1<=sigma<=1 and i+j=r2=0"),
+        (2, 1, "1", "R(0,0)", True, "Case1a-sigma>=1-(i+j=r2)"),
+        (3, 0, "-2", "R(0,2)", True, "Case1b-exceptional-(n odd, alpha in {0,2})"),
+        (3, 2, "-1", "R(1,1)", False, "Case1b-sigma<=-1: needs -2<=sigma<=-1 and i+j=r1=1"),
+        (2, 3, "-1", "R(0,0)", True, "Case1b-sigma<=-1-(i+j=r1)"),
+        (2, 1, "0", "R(0,1)", True, "Case1b-sigma=0-direct-sum"),
+        (3, 2, "1", "R(1,1)", False, "Case1b-sigma>=1: needs 1<=sigma<=2 and i+j=r2=1"),
+        (2, 3, "1", "R(0,0)", True, "Case1b-sigma>=1-(i+j=r2)"),
+        (2, 0, "-5/2", "L(1,0)", False, "Case2a-sigma<=-1/2: needs i=j, or sigma>=-1+1/2 and i-j=r2=1"),
+        (2, 0, "-1/2", "L(1,0)", True, "Case2a-sigma<=-1/2-(i-j=r2)"),
+        (2, 0, "-5/2", "L(0,0)", True, "Case2a-sigma<=-1/2-(i=j)"),
+        (2, 0, "3/2", "L(0,0)", False, "Case2a-sigma>=1/2: needs i=j+1, or sigma<=1+1/2 and j-i=r1=1"),
+        (2, 0, "3/2", "L(1,0)", True, "Case2a-sigma>=1/2-(i=j+1)"),
+        (2, 0, "3/2", "L(0,1)", True, "Case2a-sigma>=1/2-(j-i=r1)"),
+        (2, 0, "-3/2", "L(0,0)", False, "Case2b-sigma<=-1/2: needs i=j+1, or sigma>=-1-1/2 and j-i=r1=1"),
+        (2, 0, "-3/2", "L(1,0)", True, "Case2b-sigma<=-1/2-(i=j+1)"),
+        (2, 0, "-3/2", "L(0,1)", True, "Case2b-sigma<=-1/2-(j-i=r1)"),
+        (2, 0, "5/2", "L(1,0)", False, "Case2b-sigma>=1/2: needs i=j, or sigma<=1-1/2 and i-j=r2=1"),
+        (2, 0, "1/2", "L(1,0)", True, "Case2b-sigma>=1/2-(i-j=r2)"),
+        (2, 0, "1/2", "L(0,0)", True, "Case2b-sigma>=1/2-(i=j)"),
+    ],
+)
+def test_every_reason_template(n, alpha, sigma, label, unitarizable, reason):
+    verdict = constituent_unitarizable(InducedRepParams(n, alpha, sigma), parse_label(label))
+    assert (verdict.unitarizable, verdict.reason) == (unitarizable, reason)
+
+
+def test_case1b_corners_at_even_rank_are_not_exceptional():
+    # The exceptional clause needs n odd; at even n the corners R(k,0) and
+    # R(0,k), k = n/2, get the level clause like every other label.
+    seen = 0
+    for n in (2, 4, 6):
+        for alpha in (1, 3):
+            for st_val in range(-8, 9, 2):  # even sigma_tilde, odd n+alpha: Case 1b
+                params = params_from_sigma_tilde(n, alpha, st_val)
+                k = n // 2
+                for lab in enumerate_constituents(params).labels:
+                    if (lab.i, lab.j) in ((k, 0), (0, k)):
+                        verdict = constituent_unitarizable(params, lab)
+                        assert "exceptional" not in verdict.reason, (params, lab)
+                        seen += not verdict.unitarizable
+    assert seen > 0
