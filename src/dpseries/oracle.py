@@ -20,6 +20,7 @@ split by the truncation.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from math import comb
 
@@ -32,10 +33,11 @@ from .structure import generated_submodule, module_diagram, socle_series
 
 __all__ = ["OracleVerdict", "TruncatedLattice", "auto_lmax", "build", "check_window", "compare"]
 
-# Largest window build() enumerates, in points.  At n=8, build() in a fresh
-# process peaks at 256 MB for 1.56 M points and 482 MB for 3.11 M (ru_maxrss):
-# about 153 bytes per added point, so a refused window would need about 1.4 GB.
-MAX_WINDOW_POINTS = 9_000_000
+# Largest window build() enumerates, in points.  compare() in a fresh process
+# peaks (ru_maxrss) at 95 MB for 1.56 M points and 162 MB for 3.11 M (n=8), and
+# at 470 MB for 10.0 M and 905 MB for 20.2 M (n=9): about 45 bytes per added
+# point over about 40 MB, so a window at the budget needs about 1.2 GB.
+MAX_WINDOW_POINTS = 25_000_000
 
 
 def auto_lmax(params: InducedRepParams) -> int:
@@ -50,8 +52,8 @@ class TruncatedLattice:
 
     params: InducedRepParams
     lmax: int
-    points: np.ndarray  # (P, n) dominant tuples, lexicographically sorted
-    comp: np.ndarray  # (P,) class id per point, classes numbered by first point
+    points: np.ndarray  # (P, n) int8 (wider when lmax >= 128) dominant tuples, lexicographically sorted
+    comp: np.ndarray  # (P,) int32 class id per point, classes numbered by first point
     n_classes: int
     class_edges: tuple[tuple[int, int], ...]  # generation order, deduplicated
     hasse: tuple[tuple[int, int], ...]  # transitive reduction of class_edges
@@ -82,26 +84,31 @@ def _window_points(n: int, lmax: int) -> np.ndarray:
     """Every dominant n-tuple with entries in [-lmax, lmax], lexicographically sorted.
 
     Built one column at a time: a row ending in ``v`` is followed by the
-    entries -lmax..v in increasing order.  The columns are contiguous (the
-    array is the transpose of a C-ordered (n, P) array).
+    entries -lmax..v in increasing order.  The entries are int8 when they fit
+    (lmax < 128) and int32 otherwise; the columns are contiguous (the array is
+    the transpose of a C-ordered (n, P) array).
     """
-    cols = [np.arange(-lmax, lmax + 1)]
-    for _ in range(1, n):
-        sizes = cols[-1] + (lmax + 1)
-        parent = np.repeat(np.arange(len(sizes)), sizes)
-        starts = np.cumsum(sizes) - sizes
-        cols = [c[parent] for c in cols]
-        cols.append(np.arange(len(parent)) - starts[parent] - lmax)
-    return np.stack(cols).T
+    dtype = np.int8 if lmax < 128 else np.int32
+    cols = np.arange(-lmax, lmax + 1, dtype=dtype)[None]
+    for k in range(1, n):
+        sizes = cols[-1].astype(np.int32) + (lmax + 1)
+        parent = np.repeat(np.arange(len(sizes), dtype=np.int32), sizes)
+        offset = np.arange(len(parent), dtype=np.int32)
+        offset -= (np.cumsum(sizes, dtype=np.int32) - sizes)[parent]
+        wider = np.empty((k + 1, len(parent)), dtype=dtype)
+        np.take(cols, parent, axis=1, out=wider[:k], mode="clip")
+        np.subtract(offset, lmax, out=wider[k], casting="unsafe")
+        cols = wider
+    return cols.T
 
 
 def _by_value(table: np.ndarray, lmax: int) -> np.ndarray:
-    """Re-lay a table over the values -lmax..lmax so that each value indexes its entry.
+    """Re-lay tables over the values -lmax..lmax (last axis) so that each value indexes its entry.
 
     Negative values index from the end, as numpy does, so the window's
     coordinates index the table without a shifted copy of the points.
     """
-    return np.roll(table, -lmax)
+    return np.concatenate((table[..., lmax:], table[..., :lmax]), axis=-1)
 
 
 def _box_masks(cols: list[np.ndarray], values: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -140,15 +147,54 @@ def _set_bits(words) -> list[int]:
     return out
 
 
-def connected_components(size: int, pairs: list[tuple[np.ndarray, np.ndarray]]) -> tuple[int, np.ndarray]:
+class _MutualPairs:
+    """Each coordinate's mutual pairs, rebuilt from the window columns on every pass.
+
+    Coordinate j pairs x with x + e_j when the move is dominant and in the
+    window and neither direction is blocked: lam_j avoids the cut values
+    ``cuts[j]``.  Iterating yields ``mutual(j)`` for each coordinate in turn,
+    so no pair array outlives one step of a round.
+    """
+
+    def __init__(self, lam: list[np.ndarray], steps: np.ndarray, cuts: list[set[int]], lmax: int):
+        self.lam, self.steps, self.cuts, self.lmax = lam, steps, cuts, lmax
+
+    def movable(self, j: int) -> np.ndarray:
+        """Mask of the points whose +e_j move stays dominant and in the window."""
+        lj = self.lam[j]
+        mask = lj < self.lmax
+        if j > 0:
+            mask &= self.lam[j - 1] > lj
+        return mask
+
+    def partners(self, j: int, here: np.ndarray) -> np.ndarray:
+        """Indices of x + e_j for the points x at indices ``here``."""
+        return here + self.steps[j][self.lam[j][here]]
+
+    def mutual(self, j: int) -> tuple[np.ndarray, np.ndarray]:
+        """Indices of the x whose pair with x + e_j is mutual, and of their partners."""
+        keep = self.movable(j)
+        for at in self.cuts[j]:
+            keep &= self.lam[j] != at
+        here = np.flatnonzero(keep)
+        del keep
+        return here, self.partners(j, here)
+
+    def __iter__(self):
+        return map(self.mutual, range(len(self.lam)))
+
+
+def connected_components(size: int, pairs: Iterable[tuple[np.ndarray, np.ndarray]]) -> tuple[int, np.ndarray]:
     """Connected components of the graph on 0..size-1 with an edge a[i]-b[i] per (a, b) in pairs.
 
-    Shiloach-Vishkin hooking with pointer jumping (see FastSV, Zhang, Azad and
-    Hu, SIAM PP 2020).  Each round sets ``root[max] = min`` for every edge
-    whose roots differ, then jumps pointers to a fixed point; the rounds stop
-    after one that merged nothing.  Roots only move to smaller indices, so a
-    component's root is its smallest index.  Returns the number of components
-    and each point's component, numbered by smallest index.
+    ``pairs`` is iterated once per round, so it may rebuild its arrays on
+    each pass.  Shiloach-Vishkin hooking with pointer jumping (see FastSV,
+    Zhang, Azad and Hu, SIAM PP 2020).  Each round sets ``root[max] = min``
+    for every edge whose roots differ, then jumps pointers to a fixed point;
+    the rounds stop after one that merged nothing.  Roots only move to
+    smaller indices, so a component's root is its smallest index.  Returns
+    the number of components and each point's int32 component, numbered by
+    smallest index.
     """
     root = np.arange(size, dtype=np.int32)
     merged = True
@@ -160,10 +206,11 @@ def connected_components(size: int, pairs: list[tuple[np.ndarray, np.ndarray]]) 
             merged |= bool(differ.any())
             ra, rb = ra[differ], rb[differ]
             root[np.maximum(ra, rb)] = np.minimum(ra, rb)
+            del a, b, differ  # free them before the next pair is built
         while not np.array_equal(up := root[root], root):
             root = up
     is_root = root == np.arange(size, dtype=np.int32)
-    return int(is_root.sum()), (np.cumsum(is_root) - 1)[root]
+    return int(is_root.sum()), (np.cumsum(is_root, dtype=np.int32) - 1)[root]
 
 
 def build(params: InducedRepParams, lmax: int) -> TruncatedLattice:
@@ -173,7 +220,7 @@ def build(params: InducedRepParams, lmax: int) -> TruncatedLattice:
     the window is its rank in the combinatorial number system (Knuth, TAOCP
     4A, 7.2.1.3), so a one-step move is index arithmetic.  The classes are
     the connected components of the mutual pairs (both directions nonzero),
-    which ``connected_components`` reads as one pair array per coordinate.
+    which ``connected_components`` reads one coordinate at a time.
     """
     if lmax < 1:
         raise ValueError(f"lmax must be >= 1, got {lmax}")
@@ -184,56 +231,51 @@ def build(params: InducedRepParams, lmax: int) -> TruncatedLattice:
     if lmax < auto:
         warnings.append(f"window lmax={lmax} below auto margin {auto}; comparisons may fail")
 
+    # The coordinates are int8 when they fit; NEP 50 keeps int8 + int in int8,
+    # so they only enter comparisons and index the by-value tables below.
     pts = _window_points(n, lmax)
     P = len(pts)
     lam = [pts[:, j] for j in range(n)]
-    # pascal[k][v] = C(v + lmax + k, k).  With u = lam + lmax, coordinate i
-    # adds C(u_i + n-1-i, n-i) to a tuple's rank, and a +e_j move adds
+    # pascal[k][v] = C(v + lmax + k, k), at most C(2*lmax + n, n) = size, so
+    # int32 holds it.  With u = lam + lmax, coordinate i adds
+    # C(u_i + n-1-i, n-i) to a tuple's rank, and a +e_j move adds
     # C(u_j + n-1-j, n-1-j).
-    pascal = [np.ones(2 * lmax + 1, dtype=np.int64)]
-    for _ in range(n):
-        pascal.append(np.cumsum(pascal[-1]))
-    pascal = [_by_value(table, lmax) for table in pascal]
-    rank = np.zeros(P, dtype=np.int64)
+    pascal = np.ones((n + 1, 2 * lmax + 1), dtype=np.int32)
+    for k in range(n):
+        np.cumsum(pascal[k], out=pascal[k + 1])
+    pascal = _by_value(pascal, lmax)
+    rank_terms = pascal[1:] - pascal[:-1]
+    rank = np.zeros(P, dtype=np.int32)
     for i in range(n):
-        rank += (pascal[n - i] - pascal[n - 1 - i])[lam[i]]
+        rank += rank_terms[n - 1 - i][lam[i]]
     # every dominant in-window move lands on an enumerated point
-    if P != size or (rank != np.arange(P)).any():
+    if P != size or (rank != np.arange(P, dtype=np.int32)).any():
         raise AssertionError("the window misses a dominant tuple, so a move leaves the enumerated window")
     del rank
 
+    # A pair x, x + e_j loses its up edge where 2*lam_j hits the up barrier
+    # and its down edge where 2*lam_j + 2 hits the down barrier.
     up_block, down_block = blocked_positions(params)
-    # pairs[j] holds the x with x and x + e_j joining each other, and their
-    # partners x + e_j
-    pairs = []
-    one_src = [np.zeros(0, dtype=np.int64)]  # one-way edges, as point indices
-    one_dst = [np.zeros(0, dtype=np.int64)]
+    up_at = [b // 2 if b is not None else None for b in up_block]
+    down_at = [b // 2 - 1 if b is not None else None for b in down_block]
+    cuts = [{u, d} - {None} for u, d in zip(up_at, down_at)]
+    pairs = _MutualPairs(lam, pascal[n - 1 :: -1], cuts, lmax)  # steps[j] = pascal[n-1-j]
+    # The one-way edges sit only at the cut values, so they are few.
+    one_src = [np.zeros(0, dtype=np.intp)]
+    one_dst = [np.zeros(0, dtype=np.intp)]
     for j in range(n):
-        lj = lam[j]
-        pair = lj < lmax
-        if j > 0:
-            pair &= lam[j - 1] > lj
-        step = pascal[n - 1 - j].astype(np.int32)[lj]
-        # the pair loses its up edge where 2*lam_j hits the up barrier and its
-        # down edge where 2*lam_j + 2 hits the down barrier
-        up_at = up_block[j] // 2 if up_block[j] is not None else None
-        down_at = down_block[j] // 2 - 1 if down_block[j] is not None else None
-        keep = pair
-        for at in {up_at, down_at} - {None}:
-            keep = keep & (lj != at)
-        here = np.flatnonzero(keep).astype(np.int32)
-        pairs.append((here, here + step[here]))
-        if up_at == down_at:  # no barrier, or a pair cut both ways: no one-way edge
+        if up_at[j] == down_at[j]:  # no barrier, or a pair cut both ways: no one-way edge
             continue
-        if down_at is not None:
-            only_up = np.flatnonzero(pair & (lj == down_at))
+        movable = pairs.movable(j)
+        if down_at[j] is not None:
+            only_up = np.flatnonzero(movable & (lam[j] == down_at[j]))
             one_src.append(only_up)
-            one_dst.append(only_up + step[only_up])
-        if up_at is not None:
-            only_down = np.flatnonzero(pair & (lj == up_at))
-            one_src.append(only_down + step[only_down])
+            one_dst.append(pairs.partners(j, only_up))
+        if up_at[j] is not None:
+            only_down = np.flatnonzero(movable & (lam[j] == up_at[j]))
+            one_src.append(pairs.partners(j, only_down))
             one_dst.append(only_down)
-    del pair, keep, step
+        del movable
     # The weak components of the mutual pairs are strongly connected.  Every
     # one-way edge crosses a cut lam_j = const, always in the same direction,
     # so no cycle crosses a cut: these components are the strong components
@@ -243,7 +285,8 @@ def build(params: InducedRepParams, lmax: int) -> TruncatedLattice:
 
     # One sort by class gives each class's bounding box and interior flag.
     order = np.argsort(comp, kind="stable")
-    starts = np.flatnonzero(np.r_[True, comp[order[1:]] != comp[order[:-1]]])
+    sizes = np.bincount(comp)
+    starts = np.cumsum(sizes) - sizes
     lo = np.empty((n_classes, n), dtype=np.int64)
     hi = np.empty((n_classes, n), dtype=np.int64)
     for j in range(n):
@@ -265,8 +308,8 @@ def build(params: InducedRepParams, lmax: int) -> TruncatedLattice:
         raise AssertionError(f"SCC class {bad[0]} is not an order-convex box within the window")
     del inside
 
-    osrc = comp[np.concatenate(one_src)]
-    odst = comp[np.concatenate(one_dst)]
+    osrc = comp[np.concatenate(one_src)].astype(np.int64)
+    odst = comp[np.concatenate(one_dst)].astype(np.int64)
     cross = osrc != odst
     pair_codes = osrc[cross] * n_classes + odst[cross]
     class_edges = tuple(

@@ -170,10 +170,10 @@ def test_verify_refuses_an_oversized_window_at_once(capsys):
 
 
 def test_verify_checks_every_window_before_running_any(capsys):
-    # n=9 at the auto window is over budget; no smaller point may run first
-    assert run(["verify", "--n-range", "2:9", "--alpha-set", "0", "--sigma-tilde-range", "-6:-6"]) == 1
+    # n=10 at the auto window is over budget; no smaller point may run first
+    assert run(["verify", "--n-range", "2:10", "--alpha-set", "0", "--sigma-tilde-range", "-6:-6"]) == 1
     captured = capsys.readouterr()
-    assert captured.err.startswith("error: --n-range") and "n=9" in captured.err
+    assert captured.err.startswith("error: --n-range") and "n=10" in captured.err
     assert captured.out == ""
 
 

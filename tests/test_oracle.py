@@ -2,6 +2,7 @@ import inspect
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -148,6 +149,36 @@ def test_window_points_match_itertools_enumeration():
             assert np.array_equal(oracle._window_points(n, lmax), expected), (n, lmax)
 
 
+def test_window_points_past_the_int8_range():
+    for lmax in (127, 128, 200):
+        expected = np.array(sorted(dominant_window(2, lmax)), dtype=np.int64)
+        assert np.array_equal(oracle._window_points(2, lmax), expected), lmax
+
+
+def test_wide_window_keeps_the_class_structure():
+    for alpha in range(4):
+        for sigma_tilde in (-6, -1, 2):
+            params = params_from_sigma_tilde(2, alpha, sigma_tilde)
+            wide, auto = build(params, 130), build(params, auto_lmax(params))
+            assert wide.points.dtype != np.int8
+            for field in ("n_classes", "hasse", "layers", "closures"):
+                assert getattr(wide, field) == getattr(auto, field), (alpha, sigma_tilde, field)
+
+
+def test_compare_holds_under_64_bytes_per_window_point():
+    # numpy reports its buffers to tracemalloc, so the peak is deterministic
+    params = params_from_sigma_tilde(6, 0, -6)
+    points = oracle.check_window(6, 8)
+    tracemalloc.start()
+    try:
+        verdict = compare(params, 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdict.ok
+    assert peak < 64 * points, f"{peak / points:.1f} bytes per point"
+
+
 def _reference_build(params, lmax):
     """Scalar oracle: ``transition`` on every move of the window, then a plain SCC.
 
@@ -263,7 +294,7 @@ def test_oversized_window_is_refused_before_enumeration(monkeypatch):
         build(params_from_sigma_tilde(12, 0, -6), 20)
     assert oracle.check_window(8, 9) == 1562275
     with pytest.raises(ValueError, match="budget"):
-        oracle.check_window(9, 10)
+        oracle.check_window(9, 12)
 
 
 def test_box_masks_past_64_boxes():
