@@ -286,10 +286,14 @@ def _parse_range(raw: str, flag: str) -> list[int]:
     try:
         if ":" in raw:
             lo, hi = raw.split(":")
-            return list(range(int(lo), int(hi) + 1))
-        return [int(part) for part in raw.split(",")]
+            values = list(range(int(lo), int(hi) + 1))
+        else:
+            values = [int(part) for part in raw.split(",")]
     except ValueError:
         raise CLIError(f"--{flag}: expected A:B or a comma list, got {raw!r}") from None
+    if not values:
+        raise CLIError(f"--{flag}: empty range {raw!r} (need A <= B)")
+    return values
 
 
 def _cmd_verify(args) -> int:
@@ -299,15 +303,16 @@ def _cmd_verify(args) -> int:
         points = [_params_from(args)]
     else:
         ns = _parse_range(args.n_range, "n-range")
-        if min(ns, default=2) < 2:
+        if min(ns) < 2:
             raise CLIError("--n-range: rank below supported range (need n >= 2)")
         alphas = _parse_range(args.alpha_set, "alpha-set")
         if not set(alphas) <= {0, 1, 2, 3}:
             raise CLIError(f"--alpha-set: alpha must be one of 0, 1, 2, 3, got {args.alpha_set!r}")
+        sigma_tildes = _parse_range(args.sigma_tilde_range, "sigma-tilde-range")
         points = []
         for n in ns:
             for alpha in alphas:
-                for st in _parse_range(args.sigma_tilde_range, "sigma-tilde-range"):
+                for st in sigma_tildes:
                     sigma = Fraction(st) - Fraction(n + 1 + alpha, 2)
                     points.append(InducedRepParams(n=n, alpha=alpha, sigma=sigma))
     if args.lmax == "auto":

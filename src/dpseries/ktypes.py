@@ -21,6 +21,7 @@ Coefficients are exact rationals; "blocked" always means exactly zero.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -138,8 +139,11 @@ def _is_even_integer(value: Fraction) -> bool:
     return is_integer(value) and int(value) % 2 == 0
 
 
+# A verify op reads one point's barriers four times (auto_lmax in the caller,
+# compare and build, then blocked_positions), so a few points suffice.
+@functools.lru_cache(maxsize=32)
 def barriers(params: InducedRepParams) -> tuple[Barrier, ...]:
-    """Both barriers for every coordinate 1..n, with effectiveness flags."""
+    """Both barriers for every coordinate 1..n, with effectiveness flags, computed once."""
     out = []
     for j in range(1, params.n + 1):
         for kind, pos in (("plus", barrier_plus(params, j)), ("minus", barrier_minus(params, j))):
@@ -161,13 +165,10 @@ def blocked_positions(
     which the up-move in coordinate j is blocked (``transition == 0``), or
     None when no even lattice point is ever blocked.  This is exactly the set
     of pairs where ``transition(params, lam, j, ...)`` vanishes; the oracle's
-    vectorized graph build consumes it.
+    vectorized graph build consumes it.  It reads the memoized ``barriers``,
+    whose plus and minus entries alternate by coordinate.
     """
-    up = []
-    down = []
-    for j in range(1, params.n + 1):
-        bp = barrier_plus(params, j)
-        bm = barrier_minus(params, j)
-        up.append(int(bp) if _is_even_integer(bp) else None)
-        down.append(int(bm) if _is_even_integer(bm) else None)
-    return tuple(up), tuple(down)
+    both = barriers(params)
+    up = tuple(int(b.position) if b.effective else None for b in both[0::2])
+    down = tuple(int(b.position) if b.effective else None for b in both[1::2])
+    return up, down

@@ -42,6 +42,7 @@ MAX_WINDOW_POINTS = 25_000_000
 
 def auto_lmax(params: InducedRepParams) -> int:
     """Window radius: max effective-barrier |position|/2, rounded up, plus 3."""
+    # ktypes memoizes the barriers, so compare and build each calling this costs one computation
     positions = [abs(int(b.position)) for b in effective_barriers(params)]
     return (max(positions, default=0) + 1) // 2 + 3
 

@@ -109,27 +109,19 @@ def socle_series(params: InducedRepParams) -> SocleSeries:
 def generated_submodule(params: InducedRepParams, label: ConstituentLabel) -> Submodule:
     """The smallest submodule containing the given constituent.
 
-    Realized as an explicit index set over the nonempty constituents:
-    family R takes {i >= s, j >= t} for sigma > 0 and {i <= s, j <= t} for
-    sigma < 0 (the singleton at sigma = 0); Case 2a takes {i >= s, j <= t};
-    Case 2b takes {i <= s, j >= t}.
+    With ``(a, b) = _grading`` and the generator at ``(s, t)``, it keeps the
+    nonempty constituents x with ``a*(x.i - s) <= 0`` and ``b*(x.j - t) <= 0``;
+    at sigma = 0 the grading is (0, 0) and it keeps the generator alone.
     """
     pt = _point(params)
     if label not in pt.label_set:
         raise ValueError(f"label is not a nonempty constituent here: {label} at {params}")
+    a, b = _grading(pt)
+    if (a, b) == (0, 0):
+        return Submodule(generator=label, members=(label,))
     s, t = label.i, label.j
-    if pt.case.family == "R":
-        if pt.branch == "pos":
-            keep = lambda x: x.i >= s and x.j >= t
-        elif pt.branch == "neg":
-            keep = lambda x: x.i <= s and x.j <= t
-        else:
-            keep = lambda x: (x.i, x.j) == (s, t)
-    elif pt.case is CaseTag.CASE_2A:
-        keep = lambda x: x.i >= s and x.j <= t
-    else:
-        keep = lambda x: x.i <= s and x.j >= t
-    return Submodule(generator=label, members=tuple(x for x in pt.labels if keep(x)))
+    members = tuple(x for x in pt.labels if a * (x.i - s) <= 0 and b * (x.j - t) <= 0)
+    return Submodule(generator=label, members=members)
 
 
 def irreducible_submodules(params: InducedRepParams) -> tuple[ConstituentLabel, ...]:

@@ -160,6 +160,20 @@ def test_verify_out_of_range_flags_name_the_flag(capsys):
     assert capsys.readouterr().err.startswith("error: --n-range")
 
 
+def test_verify_empty_range_names_its_flag(capsys):
+    for flag, raw in (("--n-range", "5:2"), ("--sigma-tilde-range", "3:1"), ("--alpha-set", "3:0")):
+        assert run(["verify", flag, raw]) == 1, flag
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {flag}: ") and "empty" in captured.err, flag
+        assert "Traceback" not in captured.err and captured.out == "", flag
+
+
+def test_default_verify_sweep_matches_golden(capsys):
+    assert run(["verify"]) == 0
+    golden = (Path(__file__).parent / "golden" / "verify_default.jsonl").read_bytes()
+    assert capsys.readouterr().out.encode() == golden
+
+
 def test_verify_refuses_an_oversized_window_at_once(capsys):
     t0 = time.perf_counter()
     assert run(["verify", "--n", "12", "--alpha", "0", "--sigma", "-20", "--lmax", "20"]) == 1

@@ -329,6 +329,28 @@ def test_build_uses_nothing_from_the_closed_form_modules(monkeypatch):
     assert lattice.n_classes > 1
 
 
+def test_barriers_are_computed_once_per_point(monkeypatch):
+    from dpseries import ktypes
+
+    positions = []  # one entry per barrier_plus evaluation
+    barrier_plus = ktypes.barrier_plus
+
+    def counted(params, j):
+        positions.append(j)
+        return barrier_plus(params, j)
+
+    monkeypatch.setattr(ktypes, "barrier_plus", counted)
+    assert ktypes.barriers.cache_info().maxsize is not None
+    ktypes.barriers.cache_clear()
+    params = params_from_sigma_tilde(5, 1, -2)
+    lmax = auto_lmax(params)
+    assert compare(params).ok
+    build(params, lmax)
+    blocked_positions(params)
+    info = ktypes.barriers.cache_info()
+    assert (info.misses, info.currsize, positions) == (1, 1, [1, 2, 3, 4, 5])
+
+
 class _CountedPairs(list):
     """Edge list that counts the rounds ``connected_components`` makes over it."""
 
