@@ -139,9 +139,13 @@ def _is_even_integer(value: Fraction) -> bool:
     return is_integer(value) and int(value) % 2 == 0
 
 
-# A verify op reads one point's barriers four times (auto_lmax in the caller,
-# compare and build, then blocked_positions), so a few points suffice.
-@functools.lru_cache(maxsize=32)
+# An oracle op reads one point's barriers three times (auto_lmax in compare
+# and build, then blocked_positions), and verify reads every point's once
+# more in its window pre-check before any point runs.  So the memo keeps a
+# whole sweep: the default alpha and sigma_tilde sets over every rank whose
+# windows fit the oracle's budget (n 2..9) are 416 points of at most 18
+# small records each.
+@functools.lru_cache(maxsize=512)
 def barriers(params: InducedRepParams) -> tuple[Barrier, ...]:
     """Both barriers for every coordinate 1..n, with effectiveness flags, computed once."""
     out = []

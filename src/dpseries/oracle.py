@@ -6,9 +6,11 @@ draws a directed edge for each one-step move with a nonzero transition
 coefficient (the zero locus comes from ``ktypes.blocked_positions``, which is
 definitionally the zero set of ``ktypes.transition``), and computes strongly
 connected components, their Hasse diagram under reachability, longest-path
-layers, and reachability closures.  ``compare`` then checks the closed-form
-side against this from-first-principles picture and reports the first
-witness on any mismatch.
+layers, and reachability closures.  The components are labelled on runs of
+consecutive points along the last coordinate, not on points; ``build`` gives
+the run-shift lemma that makes this exact.  ``compare`` then checks the
+closed-form side against this from-first-principles picture and reports the
+first witness on any mismatch.
 
 Edge direction convention: an edge A -> B between classes means B lies in the
 submodule generated by A, matching the module diagrams' downward edges.
@@ -34,9 +36,9 @@ from .structure import generated_submodule, module_diagram, socle_series
 __all__ = ["OracleVerdict", "TruncatedLattice", "auto_lmax", "build", "check_window", "compare"]
 
 # Largest window build() enumerates, in points.  compare() in a fresh process
-# peaks (ru_maxrss) at 95 MB for 1.56 M points and 162 MB for 3.11 M (n=8), and
-# at 470 MB for 10.0 M and 905 MB for 20.2 M (n=9): about 45 bytes per added
-# point over about 40 MB, so a window at the budget needs about 1.2 GB.
+# peaks (ru_maxrss) at 83 MB for 1.56 M points and 133 MB for 3.11 M (n=8),
+# and at 383 MB for 10.0 M (n=9): about 36 bytes per added point over about
+# 27 MB, so a window at the budget needs about 0.9 GB.
 MAX_WINDOW_POINTS = 25_000_000
 
 
@@ -148,41 +150,45 @@ def _set_bits(words) -> list[int]:
     return out
 
 
-class _MutualPairs:
-    """Each coordinate's mutual pairs, rebuilt from the window columns on every pass.
+def _movable(lam: list[np.ndarray], j: int, lmax: int, cut: Iterable[int] = ()) -> np.ndarray:
+    """Mask of the points (columns ``lam``) whose +e_j move stays dominant and in the window.
 
-    Coordinate j pairs x with x + e_j when the move is dominant and in the
-    window and neither direction is blocked: lam_j avoids the cut values
-    ``cuts[j]``.  Iterating yields ``mutual(j)`` for each coordinate in turn,
-    so no pair array outlives one step of a round.
+    With the cut values of coordinate j as ``cut``, it masks the points whose
+    pair with x + e_j is mutual: lam_j also avoids every value in ``cut``.
+    """
+    mask = lam[j] < lmax
+    if j > 0:
+        mask &= lam[j - 1] > lam[j]
+    for at in cut:
+        mask &= lam[j] != at
+    return mask
+
+
+class _RunMoves:
+    """Each coordinate's moves between runs, rebuilt from the runs' last points on every pass.
+
+    A run is a maximal stretch of consecutive window points joined by mutual
+    pairs along the last coordinate.  ``lam`` holds the coordinates of each
+    run's last point, ``last`` its window index, and ``run`` the run of every
+    window point.  Iterating yields the mutual run pairs of each coordinate
+    but the last, so no pair array outlives one step of a round.
     """
 
-    def __init__(self, lam: list[np.ndarray], steps: np.ndarray, cuts: list[set[int]], lmax: int):
+    def __init__(self, lam, steps, cuts, lmax, last, run):
         self.lam, self.steps, self.cuts, self.lmax = lam, steps, cuts, lmax
-
-    def movable(self, j: int) -> np.ndarray:
-        """Mask of the points whose +e_j move stays dominant and in the window."""
-        lj = self.lam[j]
-        mask = lj < self.lmax
-        if j > 0:
-            mask &= self.lam[j - 1] > lj
-        return mask
+        self.last, self.run = last, run
 
     def partners(self, j: int, here: np.ndarray) -> np.ndarray:
-        """Indices of x + e_j for the points x at indices ``here``."""
-        return here + self.steps[j][self.lam[j][here]]
+        """Runs holding x + e_j for the last points x of the runs ``here``."""
+        return self.run[self.last[here] + self.steps[j][self.lam[j][here]]]
 
     def mutual(self, j: int) -> tuple[np.ndarray, np.ndarray]:
-        """Indices of the x whose pair with x + e_j is mutual, and of their partners."""
-        keep = self.movable(j)
-        for at in self.cuts[j]:
-            keep &= self.lam[j] != at
-        here = np.flatnonzero(keep)
-        del keep
+        """The runs whose +e_j move is mutual, and the runs it reaches."""
+        here = np.flatnonzero(_movable(self.lam, j, self.lmax, self.cuts[j]))
         return here, self.partners(j, here)
 
     def __iter__(self):
-        return map(self.mutual, range(len(self.lam)))
+        return map(self.mutual, range(len(self.lam) - 1))
 
 
 def connected_components(size: int, pairs: Iterable[tuple[np.ndarray, np.ndarray]]) -> tuple[int, np.ndarray]:
@@ -220,8 +226,19 @@ def build(params: InducedRepParams, lmax: int) -> TruncatedLattice:
     Every pass over the window is O(P*n) for P points.  A tuple's index in
     the window is its rank in the combinatorial number system (Knuth, TAOCP
     4A, 7.2.1.3), so a one-step move is index arithmetic.  The classes are
-    the connected components of the mutual pairs (both directions nonzero),
-    which ``connected_components`` reads one coordinate at a time.
+    the connected components of the mutual pairs (both directions nonzero).
+
+    They are labelled on runs, not points.  A +e_n move goes to the next
+    index, so the mutual pairs along the last coordinate join runs of
+    consecutive points: each run fixes lam_1..lam_{n-1} and covers an
+    interval of lam_n.  Run-shift lemma: a move along a coordinate j < n
+    shifts a whole run onto consecutive points of one run, and is mutual
+    for every point of the run or for none.  Whether it is dominant, in the
+    window and cut reads only lam_{j-1} and lam_j, which the run fixes, and
+    its index step depends on lam_j alone.  The shifted points keep lam_n
+    and its cuts, and lam_{n-1} only grows, so their pairs along the last
+    coordinate stay mutual.  ``connected_components`` therefore reads one
+    pair per run and coordinate, and the class boxes are checked per run.
     """
     if lmax < 1:
         raise ValueError(f"lmax must be >= 1, got {lmax}")
@@ -260,57 +277,90 @@ def build(params: InducedRepParams, lmax: int) -> TruncatedLattice:
     up_at = [b // 2 if b is not None else None for b in up_block]
     down_at = [b // 2 - 1 if b is not None else None for b in down_block]
     cuts = [{u, d} - {None} for u, d in zip(up_at, down_at)]
-    pairs = _MutualPairs(lam, pascal[n - 1 :: -1], cuts, lmax)  # steps[j] = pascal[n-1-j]
-    # The one-way edges sit only at the cut values, so they are few.
+    steps = pascal[n - 1 :: -1]  # steps[j] = pascal[n-1-j]; steps[n-1] is all ones
+
+    # A +e_n move goes to the next index, so the mutual pairs of the last
+    # coordinate join runs of consecutive points; a run ends where its last
+    # point has no mutual pair with the next one.
+    ends = ~_movable(lam, n - 1, lmax, cuts[n - 1])
+    last = np.flatnonzero(ends)
+    run = np.cumsum(ends, dtype=np.int32)
+    run -= ends
+    del ends
+    first = np.concatenate(([0], last[:-1] + 1))
+    tail = [col[last] for col in lam]  # each run's last point
+    head = lam[-1][first]  # lam_n at each run's first point
+    # The run-shift lemma (see the docstring): a move along j < n shifts a
+    # whole run onto one run.  The ends of every shifted run confirm it.
+    for j in range(n - 1):
+        here = np.flatnonzero(_movable(tail, j, lmax))
+        step = steps[j][tail[j][here]]
+        if (run[first[here] + step] != run[last[here] + step]).any():
+            raise AssertionError("a move along a fixed coordinate splits a run")
+    del first, here, step
+    moves = _RunMoves(tail, steps, cuts, lmax, last, run)
+
+    # The one-way edges sit only at the cut values, so they are few.  Every
+    # point of a run moves into one run, so the run's last point stands for
+    # it, and along the last coordinate only a last point has a one-way edge.
     one_src = [np.zeros(0, dtype=np.intp)]
     one_dst = [np.zeros(0, dtype=np.intp)]
     for j in range(n):
         if up_at[j] == down_at[j]:  # no barrier, or a pair cut both ways: no one-way edge
             continue
-        movable = pairs.movable(j)
+        movable = _movable(tail, j, lmax)
         if down_at[j] is not None:
-            only_up = np.flatnonzero(movable & (lam[j] == down_at[j]))
+            only_up = np.flatnonzero(movable & (tail[j] == down_at[j]))
             one_src.append(only_up)
-            one_dst.append(pairs.partners(j, only_up))
+            one_dst.append(moves.partners(j, only_up))
         if up_at[j] is not None:
-            only_down = np.flatnonzero(movable & (lam[j] == up_at[j]))
-            one_src.append(pairs.partners(j, only_down))
+            only_down = np.flatnonzero(movable & (tail[j] == up_at[j]))
+            one_src.append(moves.partners(j, only_down))
             one_dst.append(only_down)
-        del movable
     # The weak components of the mutual pairs are strongly connected.  Every
     # one-way edge crosses a cut lam_j = const, always in the same direction,
     # so no cycle crosses a cut: these components are the strong components
     # of the whole graph, and the acyclicity check below confirms it.
-    n_classes, comp = connected_components(P, pairs)
-    del pairs
+    n_classes, run_comp = connected_components(len(last), moves)
+    comp = run_comp[run]
+    del moves, run, last
 
-    # One sort by class gives each class's bounding box and interior flag.
-    order = np.argsort(comp, kind="stable")
-    sizes = np.bincount(comp)
+    # One sort of the runs by class gives each class's bounding box and
+    # interior flag; a run spans lam_n from its first point to its last.
+    order = np.argsort(run_comp, kind="stable")
+    sizes = np.bincount(run_comp)
     starts = np.cumsum(sizes) - sizes
     lo = np.empty((n_classes, n), dtype=np.int64)
     hi = np.empty((n_classes, n), dtype=np.int64)
-    for j in range(n):
-        col = lam[j][order]
-        lo[:, j] = np.minimum.reduceat(col, starts)
-        hi[:, j] = np.maximum.reduceat(col, starts)
-    interior = np.logical_or.reduceat(((lam[0] < lmax) & (lam[-1] > -lmax))[order], starts)
+    for j, (low, high) in enumerate(zip([*tail[:-1], head], tail)):
+        lo[:, j] = np.minimum.reduceat(low[order], starts)
+        hi[:, j] = np.maximum.reduceat(high[order], starts)
+    # lam_1 is fixed on a run (n >= 2) and lam_n peaks at its last point, so
+    # a run has a point with lam_1 < lmax and lam_n > -lmax iff that one does.
+    interior = np.logical_or.reduceat(((tail[0] < lmax) & (tail[-1] > -lmax))[order], starts)
     del order
 
     # Each class must be exactly its bounding box intersected with the window:
-    # the structural signature of barrier-cut regions.
-    inside = _box_masks(lam, _by_value(np.arange(-lmax, lmax + 1), lmax), lo, hi)
+    # the structural signature of barrier-cut regions.  A run meets a box when
+    # its fixed coordinates lie in it and its lam_n interval overlaps it.
+    unbounded = np.full((n_classes, 1), lmax + 1, dtype=np.int64)
+    inside = _box_masks(
+        [*tail[:-1], head, tail[-1]],
+        _by_value(np.arange(-lmax, lmax + 1), lmax),
+        np.hstack((lo[:, :-1], -unbounded, lo[:, -1:])),
+        np.hstack((hi, unbounded)),
+    )
     crowded = np.flatnonzero(np.bitwise_count(inside).sum(axis=0) > 1)
     if len(crowded):
         stray = inside[:, crowded]
-        own = comp[crowded]
+        own = run_comp[crowded]
         stray[own // 64, np.arange(len(crowded))] &= ~(np.uint64(1) << (own % 64).astype(np.uint64))
         bad = _set_bits(np.bitwise_or.reduce(stray, axis=1))
         raise AssertionError(f"SCC class {bad[0]} is not an order-convex box within the window")
-    del inside
+    del inside, tail, head
 
-    osrc = comp[np.concatenate(one_src)].astype(np.int64)
-    odst = comp[np.concatenate(one_dst)].astype(np.int64)
+    osrc = run_comp[np.concatenate(one_src)].astype(np.int64)
+    odst = run_comp[np.concatenate(one_dst)].astype(np.int64)
     cross = osrc != odst
     pair_codes = osrc[cross] * n_classes + odst[cross]
     class_edges = tuple(

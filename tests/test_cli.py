@@ -7,6 +7,7 @@ from pathlib import Path
 
 import dpseries
 from dpseries.cli import run
+from dpseries.ktypes import barriers
 
 
 def test_classify_text(capsys):
@@ -172,6 +173,15 @@ def test_default_verify_sweep_matches_golden(capsys):
     assert run(["verify"]) == 0
     golden = (Path(__file__).parent / "golden" / "verify_default.jsonl").read_bytes()
     assert capsys.readouterr().out.encode() == golden
+
+
+def test_verify_computes_each_points_barriers_once(capsys):
+    # the window pre-check reads every point's barriers before the first
+    # compare, and compare must find them still memoized
+    barriers.cache_clear()
+    assert run(["verify"]) == 0
+    records = capsys.readouterr().out.splitlines()
+    assert (len(records), barriers.cache_info().misses) == (208, 208)
 
 
 def test_verify_refuses_an_oversized_window_at_once(capsys):

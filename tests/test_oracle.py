@@ -267,8 +267,11 @@ def _reference_build(params, lmax):
 SIGMA_TILDES = [Fraction(s) for s in range(-6, 7)] + [Fraction(-7, 2), Fraction(1, 2), Fraction(5, 2)]
 
 
-@pytest.mark.parametrize("n", [2, 3])
-@pytest.mark.parametrize("lmax", [1, 2, 3, 4])
+# At n=4 the runs along the last coordinate are cut by dominance and by its
+# barriers, and a class spans many runs.
+@pytest.mark.parametrize(
+    "lmax, n", [(lmax, n) for lmax in (1, 2, 3, 4) for n in (2, 3)] + [(lmax, 4) for lmax in (1, 2, 3)]
+)
 def test_build_matches_scalar_reference(n, lmax):
     for alpha in range(4):
         for sigma_tilde in SIGMA_TILDES:
@@ -536,3 +539,35 @@ def test_compare_irreducible_point_with_several_classes_fails(monkeypatch):
     assert verdict.witness == "3 strongly connected classes"
     names = ("partition", "diagram", "socle", "generated")
     assert verdict.checks == tuple((name, failed) for name in names)
+
+
+def _merge_last_class_into_first(moves, n_classes, comp):
+    # the union of the first and last classes boxes in the class between them
+    return 2, np.where(comp == 2, 0, comp)
+
+
+def _split_at_the_cut(moves, n_classes, comp):
+    # class 1 takes lambda_1 = 1 and the runs of lambda_1 = 2 below the cut at
+    # lambda_2 = 1, so its box is lambda_2 <= 1.  The run lambda_1 = 2,
+    # lambda_2 in [1, 2] meets that box only through its first point.
+    lam1, lam2 = moves.lam  # each run's last point
+    below = (lam1 == 1) | ((lam1 == 2) & (lam2 <= 0))
+    return 4, np.select([lam1 <= 0, below, lam1 == 2], [0, 1, 2], 3)
+
+
+@pytest.mark.parametrize(
+    "params, relabel, bad",
+    [(P_SW, _merge_last_class_into_first, 0), (InducedRepParams(2, 1, Fraction(-1)), _split_at_the_cut, 1)],
+)
+def test_build_refuses_a_class_that_is_not_a_box(monkeypatch, params, relabel, bad):
+    labelled = oracle.connected_components
+
+    def relabelled(size, pairs):
+        n_classes, comp = labelled(size, pairs)
+        assert n_classes == 3
+        n_classes, comp = relabel(pairs, n_classes, comp)
+        return n_classes, comp.astype(np.int32)
+
+    monkeypatch.setattr(oracle, "connected_components", relabelled)
+    with pytest.raises(AssertionError, match=f"SCC class {bad} is not an order-convex box"):
+        build(params, 4)
