@@ -77,8 +77,8 @@ def _params_from(args: argparse.Namespace) -> InducedRepParams:
         raise CLIError(f"--sigma: {e}") from None
     try:
         return InducedRepParams(n=n, alpha=alpha, sigma=sigma)
-    except ValueError as e:
-        raise CLIError(str(e)) from None
+    except ValueError as e:  # n and alpha are ints here, and the rank is checked first
+        raise CLIError(f"--{'n' if n < 2 else 'alpha'}: {e}") from None
 
 
 def _require_reducible(params: InducedRepParams) -> None:

@@ -13,15 +13,17 @@ extended conventions ``2*lam_c = +inf`` for ``c <= 0`` and ``-inf`` for
 
 The decomposition theorems restrict the label grid to a window of levels
 (index sum ``i+j`` for family R, index difference for family L) bounded by
-``r1``/``r2``; ``enumerate_constituents`` applies that window and drops the
-labels whose regions are empty.  Emptiness is decided exactly: a region is a
-coordinate box intersected with the dominance cone, so greedily assigning
-each coordinate the largest even value allowed by its upper bound and its
+``r1``/``r2``; ``enumerate_constituents`` returns that window as it is.  Its
+labels are exactly the grid's labels with nonempty regions, as proved in
+``_theorem_range``, so no label is tested for emptiness to build it.
+Emptiness of any other region is decided exactly: a region is a coordinate
+box intersected with the dominance cone, so greedily assigning each
+coordinate the largest even value allowed by its upper bound and its
 predecessor is a feasibility witness iff one exists.
 
-A point's case, sign branch, window and nonempty regions are built once and
-kept in a bounded memo; every public function here, and the views in
-``structure``, ``unitarity`` and ``howe``, read that one record.
+A point's case, sign branch, window and regions are built once and kept in a
+bounded memo; every public function here, and the views in ``structure``,
+``unitarity`` and ``howe``, read that one record.
 """
 
 from __future__ import annotations
@@ -142,11 +144,11 @@ class Region:
 
     def describe(self) -> str:
         """Human-readable membership condition in lambda units."""
-        if self.is_empty():
+        ext = self._extremes(self._cap())
+        if ext is None:
             return "{empty}"
-        point = self.single_point()
-        if point is not None:
-            return "{lambda=(" + ",".join(str(x) for x in point) + ")}"
+        if ext[0] == ext[1]:
+            return "{lambda=(" + ",".join(str(x) for x in ext[0]) + ")}"
         parts = []
         for c, (lo, hi) in enumerate(zip(self.lower, self.upper), start=1):
             if lo is not None and hi is not None:
@@ -186,7 +188,10 @@ class Region:
 
 @dataclass(frozen=True)
 class ConstituentSet:
-    """The nonempty constituents at a reducible point, in lexicographic order."""
+    """The constituents at a reducible point, in lexicographic order.
+
+    ``labels`` is the theorem window, nonempty by ``_theorem_range``'s proof.
+    """
 
     case: CaseTag
     labels: tuple[ConstituentLabel, ...]
@@ -201,7 +206,7 @@ class _Point:
     branch: str
     derived: DerivedConstants
     index_bound: tuple[str, int] | None
-    labels: tuple[ConstituentLabel, ...]  # nonempty, lexicographically ordered
+    labels: tuple[ConstituentLabel, ...]  # the theorem window, nonempty by proof, sorted
     label_set: frozenset[ConstituentLabel]
     regions: tuple[Region, ...]  # regions[x] belongs to labels[x]
 
@@ -213,7 +218,12 @@ _POINTS_KEPT = 32
 
 @functools.lru_cache(maxsize=_POINTS_KEPT)
 def _point(params: InducedRepParams) -> _Point:
-    """The point's case, sign branch, theorem window and nonempty regions, built once."""
+    """The point's case, sign branch, theorem window and its regions, built once.
+
+    The window's labels are the constituents as they stand: each region in it
+    is nonempty and each grid label outside it has an empty region, as
+    ``_theorem_range`` proves case by case, so no region is tested here.
+    """
     case = classify(params)
     if case is CaseTag.IRREDUCIBLE:
         raise ValueError(
@@ -223,10 +233,8 @@ def _point(params: InducedRepParams) -> _Point:
     sigma = params.sigma
     branch = "neg" if sigma < 0 else "zero" if sigma == 0 else "pos"
     window, bound = _theorem_range(params, case, branch, d)
-    built = [(lab, _build_region(params, case, branch, d, lab)) for lab in window]
-    kept = [(lab, region) for lab, region in built if not region.is_empty()]
-    labels = tuple(lab for lab, _ in kept)
-    regions = tuple(region for _, region in kept)
+    labels = tuple(window)
+    regions = tuple(_build_region(params, case, branch, d, lab) for lab in labels)
     return _Point(case, branch, d, bound, labels, frozenset(labels), regions)
 
 
@@ -327,6 +335,51 @@ def _theorem_range(
     2a at sigma has the band of Case 2b at -sigma: -1 <= j-i <= r1 with
     r1 = min(|sigma|-1/2, n//2), or 0 <= i-j <= r2 with r2 =
     min(|sigma|+1/2, (n+1)//2).
+
+    The band is exactly the set of grid labels whose regions are nonempty.
+    Proof.  A region is cut out by the chains (f, v1, f+2) and (s, v2, s+2)
+    of ``_chains``: lower bounds v1 on 2*lam_f and v2 on 2*lam_s, upper
+    bounds v1 on 2*lam_{f+2} and v2 on 2*lam_{s+2}, each dropped when its
+    coordinate is <= 0 or > n.  Even bounds on the coordinates of a weakly
+    decreasing even point can be met iff no lower bound on a coordinate a
+    exceeds an upper bound on a coordinate b <= a: if none does, the greedy
+    top-down point of ``Region._extremes`` meets them all.  The upper bounds
+    sit two places after their own chain's lower bound, so such a pair takes
+    one bound from each chain, and the region is empty iff the chains cross
+    the wrong way:
+
+        f+2 <= s and v1 < v2,   or   s+2 <= f and v2 < v1.
+
+    Both bounds of a crossing exist, as every chain has -1 <= a <= n: f+2 <= s
+    gives f+2 <= n and s >= 1, and s+2 <= f likewise.  Write st for
+    sigma_tilde and N = n+alpha, so 2*sigma = 2*st - N - 1.  A chain takes
+    the plus barrier a+1-st or the minus barrier st-N+a, so plus-first chains
+    have v1-v2 = -2*sigma - (s-f) and minus-first chains v1-v2 = 2*sigma -
+    (s-f).
+
+    Family R, at level l = i+j.  s-f = 2(k-l) in Case 1a (f = 2i, s = n0-2j,
+    k = n0/2) and in Case 1b (f = 2i-1, s = n1-2j, k = (n1+1)/2).  The grid
+    has l <= k, so s+2 <= f never holds, and f+2 <= s iff l <= k-1.
+      - sigma < 0: plus-first, v1-v2 = 2(|sigma| - (k-l)), which is < 0 iff
+        l < k-|sigma| (and then l <= k-1, as |sigma| >= 1).
+      - sigma >= 0: minus-first, v1-v2 = 2(sigma - (k-l)), which is < 0 iff
+        l < k-sigma (and then l <= k-1).
+    So the nonempty levels are l >= k-|sigma|; on the grid (l >= 0) that is
+    the band r <= l <= k, and level k alone at sigma = 0.
+
+    Family L, at level m = j-i.  f = 2i-1 and s = 2j, so s-f = 2m+1 is odd:
+    f+2 <= s iff m >= 1, and s+2 <= f iff m <= -2; levels -1 and 0 never
+    cross.  Put t = sigma in Case 2a (minus-first) and t = -sigma in Case 2b
+    (plus-first); then v1-v2 = 2t - 2m - 1 in both, with t a half-integer.
+      - m >= 1: empty iff v1 < v2, that is iff m > t-1/2.
+      - m <= -2: empty iff v2 < v1, that is iff m < t-1/2.
+      - t > 0 (Case 2a at sigma > 0, Case 2b at sigma < 0): no m <= -2 is
+        >= t-1/2, so the nonempty levels are -1 <= m <= |sigma|-1/2.
+      - t < 0 (the other two): no m >= 1 is <= t-1/2 < 0, so the nonempty
+        levels are -(|sigma|+1/2) <= m <= 0.
+    The grid 0 <= i <= (n1+1)/2, 0 <= j <= n0/2 has j-i <= n0/2 = n//2 and
+    i-j <= (n1+1)/2 = (n+1)//2, which cuts these to the r1 and r2 bands.  So
+    the band holds every nonempty label of the grid and no empty one.
     """
     if case.family == "R":
         i_max = j_max = hi = d.k
@@ -352,7 +405,10 @@ def _theorem_range(
 
 
 def enumerate_constituents(params: InducedRepParams) -> ConstituentSet:
-    """All nonempty constituents at a reducible point, lexicographically ordered."""
+    """All constituents at a reducible point, lexicographically ordered.
+
+    They are the theorem window's labels, nonempty by ``_theorem_range``'s proof.
+    """
     pt = _point(params)
     return ConstituentSet(case=pt.case, labels=pt.labels, index_bound=pt.index_bound)
 

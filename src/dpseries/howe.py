@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .parameters import CaseTag, InducedRepParams, classify, is_integer
+from .parameters import CaseTag, InducedRepParams, classify, format_rational, is_integer
 from .constituents import ConstituentLabel
 from .structure import (
     generated_submodule,
@@ -164,17 +164,23 @@ def check_summary(params: InducedRepParams) -> SummaryReport:
     """Verify the embedding picture at one reducible point.
 
     Every clause failure is reported with a witness; nothing is silently
-    passed over.
+    passed over.  Below -rho the picture claims nothing (p+q = 2*sigma+n+1
+    would be negative), so such a point is refused like an irreducible one.
     """
     case = classify(params)
     if case is CaseTag.IRREDUCIBLE:
         raise ValueError("check_summary needs a reducible point (sigma_tilde an integer)")
     sigma = params.sigma
+    if sigma < -params.rho:
+        raise ValueError(
+            f"check_summary needs sigma >= -rho = {format_rational(-params.rho)}, "
+            f"got sigma = {format_rational(sigma)}"
+        )
     embeddings = possible_embeddings(params)
     images = [omega_image(p, q, params.n) for p, q in embeddings]
     checks: list[ClauseCheck] = []
 
-    if -params.rho <= sigma < 0:
+    if sigma < 0:
         regime = "negative"
         sinks = set(irreducible_submodules(params))
         image_labels = [img.generator for img in images]

@@ -99,6 +99,17 @@ def test_non_integer_rank_and_alpha_name_their_flag(capsys):
     assert capsys.readouterr().err == "error: --alpha: not an integer: 'y'\n"
 
 
+def test_out_of_range_rank_and_alpha_name_their_flag(capsys):
+    assert run(["classify", "--n", "1", "--alpha", "0", "--sigma", "0"]) == 1
+    assert capsys.readouterr().err == (
+        "error: --n: rank below supported range: n must be an integer >= 2, got 1\n"
+    )
+    assert run(["classify", "--n", "2", "--alpha", "9", "--sigma", "0"]) == 1
+    assert capsys.readouterr().err == "error: --alpha: alpha must be one of 0, 1, 2, 3, got 9\n"
+    assert run(["classify", "--n", "1", "--alpha", "9", "--sigma", "0"]) == 1
+    assert capsys.readouterr().err.startswith("error: --n: ")
+
+
 def test_verify_single_point(capsys):
     code = run(["verify", "--n", "2", "--alpha", "0", "--sigma", "1/2", "--lmax", "auto"])
     assert code == 0

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dpseries import (
     ConstituentLabel,
@@ -238,3 +239,19 @@ def test_theorem_window_is_exactly_the_nonempty_grid():
         window, _ = _theorem_range(params, pt.case, pt.branch, pt.derived)
         nonempty = {lab for lab in _index_grid(params) if not region_for(params, lab).is_empty()}
         assert set(window) == nonempty, params
+
+
+@settings(deadline=None)
+@given(st.integers(2, 40), st.integers(0, 3), st.integers(-60, 60))
+def test_constituents_are_the_window_and_nonempty_beyond_grid(n, alpha, st_val):
+    # The proof in _theorem_range, sampled past GRID: the constituents are the
+    # raw window, each region in it is nonempty, and each grid label outside
+    # it is empty.
+    params = params_from_sigma_tilde(n, alpha, st_val)
+    pt = _point(params)
+    window, _ = _theorem_range(params, pt.case, pt.branch, pt.derived)
+    labels = enumerate_constituents(params).labels
+    assert labels == tuple(window)
+    assert all(not region_for(params, lab).is_empty() for lab in labels)
+    outside = set(_index_grid(params)) - set(labels)
+    assert all(region_for(params, lab).is_empty() for lab in outside)

@@ -174,6 +174,17 @@ def test_check_summary_requires_reducible():
         check_summary(InducedRepParams(2, 0, Fraction(1, 3)))
 
 
+def test_check_summary_refuses_sigma_below_minus_rho():
+    # n=4, alpha=1, sigma=-7 is Case 1b and reducible, but p+q = 2*sigma+n+1
+    # is negative there, so no clause of the picture applies.
+    params = InducedRepParams(4, 1, Fraction(-7))
+    assert classify(params) is CaseTag.CASE_1B
+    with pytest.raises(ValueError, match=r"sigma >= -rho = -5/2, got sigma = -7"):
+        check_summary(params)
+    # sigma = -rho itself is still checked (n=4, alpha=0 is Case 2b there).
+    assert check_summary(InducedRepParams(4, 0, Fraction(-5, 2))).regime == "negative"
+
+
 def test_positive_side_quotients_are_cosocles():
     for n in (2, 3, 4):
         for alpha in range(4):
