@@ -108,9 +108,12 @@ class Region:
         m = max(finite, default=0) + 2 * self.n + 4
         return m + (m % 2)
 
-    def _extremes(self, cap: int) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+    @functools.cached_property
+    def _extremes(self) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
         # Greedy largest point (top-down) and smallest point (bottom-up); each
-        # exists iff the region meets the dominance cone at all.
+        # exists iff the region meets the dominance cone at all.  Computed
+        # once per region: every view below reads it.
+        cap = self._cap()
         prev = cap
         top = []
         for lo, hi in zip(self.lower, self.upper):
@@ -131,20 +134,20 @@ class Region:
 
     def is_empty(self) -> bool:
         """True iff no dominant integer point satisfies the bounds."""
-        return self._extremes(self._cap()) is None
+        return self._extremes is None
 
     def single_point(self) -> KType | None:
         """The unique member K-type, if the region is a single lattice point."""
         # When the greedy top and bottom agree, neither reached +-cap (cap
         # exceeds every finite bound), so the point does not depend on cap.
-        ext = self._extremes(self._cap())
+        ext = self._extremes
         if ext is None or ext[0] != ext[1]:
             return None
         return ext[0]
 
     def describe(self) -> str:
         """Human-readable membership condition in lambda units."""
-        ext = self._extremes(self._cap())
+        ext = self._extremes
         if ext is None:
             return "{empty}"
         if ext[0] == ext[1]:
@@ -247,13 +250,17 @@ def sign_branch(params: InducedRepParams) -> str:
     return _point(params).branch
 
 
-def _label_definable(pt: _Point, label: ConstituentLabel) -> bool:
+def _require_definable(params: InducedRepParams, pt: _Point, label: ConstituentLabel) -> None:
+    """Raise ValueError unless the label lies in the case's full index grid."""
     d = pt.derived
     if label.family != pt.case.family:
-        return False
-    if label.family == "R":
-        return 0 <= label.i + label.j <= d.k
-    return 0 <= label.i <= (d.n1 + 1) // 2 and 0 <= label.j <= d.n0 // 2
+        definable = False
+    elif label.family == "R":
+        definable = 0 <= label.i + label.j <= d.k
+    else:
+        definable = 0 <= label.i <= (d.n1 + 1) // 2 and 0 <= label.j <= d.n0 // 2
+    if not definable:
+        raise ValueError(f"label undefined here: {label} at {params} ({pt.case.value})")
 
 
 def _chains(
@@ -314,14 +321,22 @@ def region_for(params: InducedRepParams, label: ConstituentLabel) -> Region:
     pt = _point(params)
     if label in pt.label_set:
         return pt.regions[bisect_left(pt.labels, label)]
-    if not _label_definable(pt, label):
-        raise ValueError(f"label undefined here: {label} at {params} ({pt.case.value})")
+    _require_definable(params, pt, label)
     return _build_region(params, pt.case, pt.branch, pt.derived, label)
 
 
 def is_empty(params: InducedRepParams, label: ConstituentLabel) -> bool:
-    """True iff the label's region contains no dominant lattice point."""
-    return label not in _point(params).label_set and region_for(params, label).is_empty()
+    """True iff the label's region contains no dominant lattice point.
+
+    The theorem window is exactly the grid's nonempty labels (proved in
+    ``_theorem_range``), so this is window membership.  A label outside the
+    grid raises ValueError, as in ``region_for``.
+    """
+    pt = _point(params)
+    if label in pt.label_set:
+        return False
+    _require_definable(params, pt, label)
+    return True
 
 
 def _theorem_range(

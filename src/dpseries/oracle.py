@@ -1,14 +1,20 @@
 """Brute-force verifier on a truncated K-type lattice.
 
 This module knows nothing about the closed-form region/diagram/socle
-formulas.  It enumerates every dominant tuple with entries in [-lmax, lmax],
-draws a directed edge for each one-step move with a nonzero transition
+formulas.  Its window is every dominant tuple with entries in [-lmax, lmax].
+It draws a directed edge for each one-step move with a nonzero transition
 coefficient (the zero locus comes from ``ktypes.blocked_positions``, which is
 definitionally the zero set of ``ktypes.transition``), and computes strongly
 connected components, their Hasse diagram under reachability, longest-path
-layers, and reachability closures.  The components are labelled on runs of
-consecutive points along the last coordinate, not on points; ``build`` gives
-the run-shift lemma that makes this exact.  ``compare`` then checks the
+layers, and reachability closures.
+
+``build`` never enumerates the window point by point.  It enumerates the
+prefixes lam_1..lam_{n-1} and derives in closed form the runs: the maximal
+stretches of consecutive points joined by mutual pairs along the last
+coordinate, each a prefix times an interval of lam_n between the last
+coordinate's cut values.  Its run-shift lemma makes labelling the runs
+exact, and ``compare`` tests region membership once per run, walking the
+points of a run only when the run fails.  ``compare`` checks the
 closed-form side against this from-first-principles picture and reports the
 first witness on any mismatch.
 
@@ -24,6 +30,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import comb
 
 import numpy as np
@@ -35,11 +42,12 @@ from .structure import generated_submodule, module_diagram, socle_series
 
 __all__ = ["OracleVerdict", "TruncatedLattice", "auto_lmax", "build", "check_window", "compare"]
 
-# Largest window build() enumerates, in points.  compare() in a fresh process
-# peaks (ru_maxrss) at 83 MB for 1.56 M points and 133 MB for 3.11 M (n=8),
-# and at 383 MB for 10.0 M (n=9): about 36 bytes per added point over about
-# 27 MB, so a window at the budget needs about 0.9 GB.
-MAX_WINDOW_POINTS = 25_000_000
+# Largest window build() accepts, in points.  compare() in a fresh process
+# peaks (ru_maxrss) at 91 MB for 3.11 M points (n=8), at 217 MB for 10.0 M and
+# 366 MB for 20.2 M (n=9), and, with the budget raised for the run, at 586 MB
+# for 30.0 M (n=10): under 20 bytes per point, so a window at the budget
+# needs about 0.6 GB.
+MAX_WINDOW_POINTS = 30_000_000
 
 
 def auto_lmax(params: InducedRepParams) -> int:
@@ -51,18 +59,39 @@ def auto_lmax(params: InducedRepParams) -> int:
 
 @dataclass(frozen=True)
 class TruncatedLattice:
-    """Transition graph and SCC analysis of a window of the K-type lattice."""
+    """Transition graph and SCC analysis of a window of the K-type lattice.
+
+    The window is held as its runs along the last coordinate, in window
+    order (see ``build``): ``run_lam`` is each run's last point and
+    ``run_start`` lam_n at its first point.  ``points`` and ``comp`` are
+    per-point views built from them on first use.
+    """
 
     params: InducedRepParams
     lmax: int
-    points: np.ndarray  # (P, n) int8 (wider when lmax >= 128) dominant tuples, lexicographically sorted
-    comp: np.ndarray  # (P,) int32 class id per point, classes numbered by first point
+    run_lam: tuple[np.ndarray, ...]  # n columns, int8 (wider when lmax >= 128): each run's last point
+    run_start: np.ndarray  # (R,) lam_n at each run's first point
+    run_comp: np.ndarray  # (R,) int32 class id per run
     n_classes: int
     class_edges: tuple[tuple[int, int], ...]  # generation order, deduplicated
     hasse: tuple[tuple[int, int], ...]  # transitive reduction of class_edges
     layers: tuple[int, ...]  # per class: 1 + longest downward path length
     closures: tuple[frozenset[int], ...]  # per class: reachable classes incl. self
     warnings: tuple[str, ...] = field(default=())
+
+    @cached_property
+    def points(self) -> np.ndarray:
+        """(P, n) dominant tuples, lexicographically sorted, in the dtype of ``run_lam``."""
+        pts = _window_points(self.params.n, self.lmax)
+        pts.setflags(write=False)
+        return pts
+
+    @cached_property
+    def comp(self) -> np.ndarray:
+        """(P,) int32 class id per point, classes numbered by first point."""
+        comp = np.repeat(self.run_comp, self.run_lam[-1].astype(np.intp) - self.run_start + 1)
+        comp.setflags(write=False)
+        return comp
 
     def class_points(self, c: int) -> np.ndarray:
         return self.points[self.comp == c]
@@ -128,13 +157,12 @@ def _box_masks(cols: list[np.ndarray], values: np.ndarray, lo: np.ndarray, hi: n
     for w in range(len(words)):
         sl = slice(64 * w, min(64 * w + 64, boxes))
         bits = np.uint64(1) << np.arange(sl.stop - sl.start, dtype=np.uint64)
-        for j, col in enumerate(cols):
-            inside = (values[:, None] >= lo[None, sl, j]) & (values[:, None] <= hi[None, sl, j])
-            table = np.bitwise_or.reduce(np.where(inside, bits, np.uint64(0)), axis=1)
-            if j == 0:
-                words[w] = table[col]
-            else:
-                words[w] &= table[col]
+        # tables[j, v]: the boxes whose slab of coordinate j holds the value v
+        inside = (values[:, None] >= lo[sl].T[:, None, :]) & (values[:, None] <= hi[sl].T[:, None, :])
+        tables = np.bitwise_or.reduce(np.where(inside, bits, np.uint64(0)), axis=2)
+        words[w] = tables[0][cols[0]]
+        for table, col in zip(tables[1:], cols[1:]):
+            words[w] &= table[col]
     return words
 
 
@@ -167,20 +195,22 @@ def _movable(lam: list[np.ndarray], j: int, lmax: int, cut: Iterable[int] = ()) 
 class _RunMoves:
     """Each coordinate's moves between runs, rebuilt from the runs' last points on every pass.
 
-    A run is a maximal stretch of consecutive window points joined by mutual
-    pairs along the last coordinate.  ``lam`` holds the coordinates of each
-    run's last point, ``last`` its window index, and ``run`` the run of every
-    window point.  Iterating yields the mutual run pairs of each coordinate
-    but the last, so no pair array outlives one step of a round.
+    ``lam`` holds the coordinates of each run's last point; run r is run
+    ``sub[r]`` of the prefix lam_1..lam_{n-1} numbered ``prefix[r]``, whose
+    first run is ``offset[prefix[r]]`` (see ``build``).  Iterating yields
+    the mutual run pairs of each coordinate but the last, so no pair array
+    outlives one step of a round.
     """
 
-    def __init__(self, lam, steps, cuts, lmax, last, run):
+    def __init__(self, lam, steps, cuts, lmax, prefix, offset, sub):
         self.lam, self.steps, self.cuts, self.lmax = lam, steps, cuts, lmax
-        self.last, self.run = last, run
+        self.prefix, self.offset, self.sub = prefix, offset, sub
 
     def partners(self, j: int, here: np.ndarray) -> np.ndarray:
         """Runs holding x + e_j for the last points x of the runs ``here``."""
-        return self.run[self.last[here] + self.steps[j][self.lam[j][here]]]
+        if j == len(self.lam) - 1:
+            return here + 1  # the point after a run's last point starts the next run
+        return self.offset[self.prefix[here] + self.steps[j][self.lam[j][here]]] + self.sub[here]
 
     def mutual(self, j: int) -> tuple[np.ndarray, np.ndarray]:
         """The runs whose +e_j move is mutual, and the runs it reaches."""
@@ -221,24 +251,45 @@ def connected_components(size: int, pairs: Iterable[tuple[np.ndarray, np.ndarray
 
 
 def build(params: InducedRepParams, lmax: int) -> TruncatedLattice:
-    """Enumerate the window, build the transition graph, and analyze it.
+    """Enumerate the window's runs, build the transition graph, and analyze it.
 
-    Every pass over the window is O(P*n) for P points.  A tuple's index in
-    the window is its rank in the combinatorial number system (Knuth, TAOCP
-    4A, 7.2.1.3), so a one-step move is index arithmetic.  The classes are
-    the connected components of the mutual pairs (both directions nonzero).
+    Only the prefixes lam_1..lam_{n-1} are enumerated; every later pass is
+    O(R*n) for R runs, about 0.3 per window point at n=7.  A tuple's index
+    in a window is its rank in the combinatorial number system (Knuth,
+    TAOCP 4A, 7.2.1.3), so a one-step move is index arithmetic.  The
+    classes are the connected components of the mutual pairs (both
+    directions nonzero).
 
-    They are labelled on runs, not points.  A +e_n move goes to the next
-    index, so the mutual pairs along the last coordinate join runs of
-    consecutive points: each run fixes lam_1..lam_{n-1} and covers an
-    interval of lam_n.  Run-shift lemma: a move along a coordinate j < n
-    shifts a whole run onto consecutive points of one run, and is mutual
-    for every point of the run or for none.  Whether it is dominant, in the
-    window and cut reads only lam_{j-1} and lam_j, which the run fixes, and
-    its index step depends on lam_j alone.  The shifted points keep lam_n
-    and its cuts, and lam_{n-1} only grows, so their pairs along the last
-    coordinate stay mutual.  ``connected_components`` therefore reads one
-    pair per run and coordinate, and the class boxes are checked per run.
+    Runs.  The window lists the points of a prefix p, ending in
+    w = lam_{n-1}, consecutively with lam_n = -lmax..w.  The pair x, x + e_n
+    is mutual unless lam_n = w or lam_n is a cut value of the last
+    coordinate, so the mutual pairs along it join runs of consecutive
+    points, and p holds 1 + #{cut values c : -lmax <= c < w} runs.  Its run
+    s covers lam_n from just above its s-th such cut (or -lmax) up to the
+    next one (or w).  The runs are numbered in window order, by p and then
+    by s, so run (p, s) is ``offset[p] + s``.
+
+    Run-shift lemma: a move along a coordinate j < n shifts run (p, s) onto
+    run (p', s), p' = p + step_j(lam_j), and is mutual for every point of
+    the run or for none.  Whether it is dominant, in the window and cut
+    reads only lam_{j-1} and lam_j, which the run fixes, and its step in
+    the prefix window depends on lam_j alone.  The shifted points keep
+    lam_n, and the last coordinate's cut values do not depend on the
+    prefix, so p' has the cuts of p below w; only a move along j = n-1
+    raises w, by one: the last run grows to w + 1, or, when w is a cut
+    value, a run [w + 1, w + 1] follows it.  So run s of p' starts where
+    run s of p starts and ends no lower: it holds every shifted point, and
+    the shifted pairs along the last coordinate stay mutual.
+    ``connected_components`` therefore reads one pair per run and
+    coordinate, and the class boxes are checked per run.
+
+    Two checks guard the enumeration.  A tiling check: the prefixes' ranks
+    must count up from 0, so every prefix step lands on the prefix it
+    names, and the run lengths must sum to the window's size, so a missed,
+    repeated or misordered tuple or a miscounted run fails it.  A run-shift
+    check: each partner run must start at the same lam_n and end no lower,
+    which fails on a wrong prefix step or run numbering, or if the last
+    coordinate's cuts came to depend on the prefix.
     """
     if lmax < 1:
         raise ValueError(f"lmax must be >= 1, got {lmax}")
@@ -251,25 +302,20 @@ def build(params: InducedRepParams, lmax: int) -> TruncatedLattice:
 
     # The coordinates are int8 when they fit; NEP 50 keeps int8 + int in int8,
     # so they only enter comparisons and index the by-value tables below.
-    pts = _window_points(n, lmax)
-    P = len(pts)
-    lam = [pts[:, j] for j in range(n)]
-    # pascal[k][v] = C(v + lmax + k, k), at most C(2*lmax + n, n) = size, so
-    # int32 holds it.  With u = lam + lmax, coordinate i adds
-    # C(u_i + n-1-i, n-i) to a tuple's rank, and a +e_j move adds
-    # C(u_j + n-1-j, n-1-j).
-    pascal = np.ones((n + 1, 2 * lmax + 1), dtype=np.int32)
-    for k in range(n):
+    prefixes = _window_points(n - 1, lmax)
+    lam = [prefixes[:, j] for j in range(n - 1)]
+    # pascal[k][v] = C(v + lmax + k, k), at most the window's size, so int32
+    # holds it.  With u = lam + lmax, coordinate i adds C(u_i + n-2-i, n-1-i)
+    # to a prefix's rank, and a +e_j move adds C(u_j + n-2-j, n-2-j).
+    pascal = np.ones((n, 2 * lmax + 1), dtype=np.int32)
+    for k in range(n - 1):
         np.cumsum(pascal[k], out=pascal[k + 1])
     pascal = _by_value(pascal, lmax)
     rank_terms = pascal[1:] - pascal[:-1]
-    rank = np.zeros(P, dtype=np.int32)
-    for i in range(n):
-        rank += rank_terms[n - 1 - i][lam[i]]
-    # every dominant in-window move lands on an enumerated point
-    if P != size or (rank != np.arange(P, dtype=np.int32)).any():
-        raise AssertionError("the window misses a dominant tuple, so a move leaves the enumerated window")
-    del rank
+    rank = np.zeros(len(prefixes), dtype=np.int32)
+    for i in range(n - 1):
+        rank += rank_terms[n - 2 - i][lam[i]]
+    steps = pascal[n - 2 :: -1]  # steps[j] = pascal[n-2-j]
 
     # A pair x, x + e_j loses its up edge where 2*lam_j hits the up barrier
     # and its down edge where 2*lam_j + 2 hits the down barrier.
@@ -277,28 +323,36 @@ def build(params: InducedRepParams, lmax: int) -> TruncatedLattice:
     up_at = [b // 2 if b is not None else None for b in up_block]
     down_at = [b // 2 - 1 if b is not None else None for b in down_block]
     cuts = [{u, d} - {None} for u, d in zip(up_at, down_at)]
-    steps = pascal[n - 1 :: -1]  # steps[j] = pascal[n-1-j]; steps[n-1] is all ones
 
-    # A +e_n move goes to the next index, so the mutual pairs of the last
-    # coordinate join runs of consecutive points; a run ends where its last
-    # point has no mutual pair with the next one.
-    ends = ~_movable(lam, n - 1, lmax, cuts[n - 1])
-    last = np.flatnonzero(ends)
-    run = np.cumsum(ends, dtype=np.int32)
-    run -= ends
-    del ends
-    first = np.concatenate(([0], last[:-1] + 1))
-    tail = [col[last] for col in lam]  # each run's last point
-    head = lam[-1][first]  # lam_n at each run's first point
-    # The run-shift lemma (see the docstring): a move along j < n shifts a
-    # whole run onto one run.  The ends of every shifted run confirm it.
+    # A prefix ending in w holds one run plus one per cut value below w; its
+    # run s covers lam_n from run_from[s] to min(run_to[s], w).
+    split = sorted(c for c in cuts[-1] if -lmax <= c < lmax)
+    run_from = np.array([-lmax, *(c + 1 for c in split)], dtype=prefixes.dtype)
+    run_to = np.array([*split, lmax], dtype=prefixes.dtype)
+    counts = np.ones(len(prefixes), dtype=np.int32)
+    for c in split:
+        counts += lam[-1] > c
+    offset = np.cumsum(counts, dtype=np.int32)
+    offset -= counts
+    prefix = np.repeat(np.arange(len(prefixes), dtype=np.int32), counts)
+    sub = (np.arange(len(prefix), dtype=np.int32) - offset[prefix]).astype(np.int8)
+    tail = [col[prefix] for col in lam]  # each run's last point
+    tail.append(np.minimum(run_to[sub], tail[-1]))
+    head = run_from[sub]  # lam_n at each run's first point
+    # every dominant in-window move lands on an enumerated point
+    covered = int(tail[-1].sum(dtype=np.int64)) - int(head.sum(dtype=np.int64)) + len(head)
+    if (rank != np.arange(len(prefixes), dtype=np.int32)).any() or covered != size:
+        raise AssertionError("the window misses a dominant tuple, so a move leaves the enumerated window")
+    del prefixes, lam, rank, counts
+    moves = _RunMoves(tail, steps, cuts, lmax, prefix, offset, sub)
+    # The run-shift lemma (see the docstring): a move along j < n shifts run
+    # (p, s) onto run (p', s).  The partner of every movable run confirms it.
     for j in range(n - 1):
         here = np.flatnonzero(_movable(tail, j, lmax))
-        step = steps[j][tail[j][here]]
-        if (run[first[here] + step] != run[last[here] + step]).any():
+        there = moves.partners(j, here)
+        if (head[there] != head[here]).any() or (tail[-1][there] < tail[-1][here]).any():
             raise AssertionError("a move along a fixed coordinate splits a run")
-    del first, here, step
-    moves = _RunMoves(tail, steps, cuts, lmax, last, run)
+    del here, there
 
     # The one-way edges sit only at the cut values, so they are few.  Every
     # point of a run moves into one run, so the run's last point stands for
@@ -321,9 +375,8 @@ def build(params: InducedRepParams, lmax: int) -> TruncatedLattice:
     # one-way edge crosses a cut lam_j = const, always in the same direction,
     # so no cycle crosses a cut: these components are the strong components
     # of the whole graph, and the acyclicity check below confirms it.
-    n_classes, run_comp = connected_components(len(last), moves)
-    comp = run_comp[run]
-    del moves, run, last
+    n_classes, run_comp = connected_components(len(head), moves)
+    del moves
 
     # One sort of the runs by class gives each class's bounding box and
     # interior flag; a run spans lam_n from its first point to its last.
@@ -357,7 +410,7 @@ def build(params: InducedRepParams, lmax: int) -> TruncatedLattice:
         stray[own // 64, np.arange(len(crowded))] &= ~(np.uint64(1) << (own % 64).astype(np.uint64))
         bad = _set_bits(np.bitwise_or.reduce(stray, axis=1))
         raise AssertionError(f"SCC class {bad[0]} is not an order-convex box within the window")
-    del inside, tail, head
+    del inside
 
     osrc = run_comp[np.concatenate(one_src)].astype(np.int64)
     odst = run_comp[np.concatenate(one_dst)].astype(np.int64)
@@ -401,13 +454,14 @@ def build(params: InducedRepParams, lmax: int) -> TruncatedLattice:
         if not interior[c]:
             warnings.append(f"class {c} owns no interior point; enlarge the window")
 
-    pts.setflags(write=False)
-    comp.setflags(write=False)
+    for column in (*tail, head, run_comp):
+        column.setflags(write=False)
     return TruncatedLattice(
         params=params,
         lmax=lmax,
-        points=pts,
-        comp=comp,
+        run_lam=tuple(tail),
+        run_start=head,
+        run_comp=run_comp,
         n_classes=n_classes,
         class_edges=class_edges,
         hasse=hasse,
@@ -440,7 +494,10 @@ def compare(params: InducedRepParams, lmax: int | None = None) -> OracleVerdict:
     Checks, in order: the region partition against the SCC classes, the
     module diagram against the class Hasse diagram, the socle layers against
     longest-path levels, and each generated submodule against the
-    reachability closure.  PASS requires all four.
+    reachability closure.  PASS requires all four.  Region membership is
+    tested once per run of the window; only the points of a run that does
+    not lie in exactly one region are walked, in window order, to name the
+    first point in none or several.
     """
     if lmax is None:
         lmax = auto_lmax(params)
@@ -469,27 +526,47 @@ def compare(params: InducedRepParams, lmax: int | None = None) -> OracleVerdict:
 
     cs = enumerate_constituents(params)
     labels = cs.labels
-    pts = lattice.points
-    big = np.int64(2) * lmax * 2 + 4
-    lo = np.full((len(labels), params.n), -big, dtype=np.int64)
-    hi = np.full((len(labels), params.n), big, dtype=np.int64)
+    n = params.n
+    # Each region's box in lam units (2*lam >= lower iff lam >= ceil(lower/2))
+    # over the run columns lam_1..lam_{n-1}, first lam_n, last lam_n.  A run
+    # meets the box when its fixed coordinates lie in it, its first lam_n is
+    # at most the box's top (hi[:, n-1]) and its last lam_n at least the
+    # box's bottom (lo[:, n]); the other two bounds stay beyond the window.
+    lo = np.full((len(labels), n + 1), -lmax - 1, dtype=np.int64)
+    hi = np.full((len(labels), n + 1), lmax + 1, dtype=np.int64)
     for a, lab in enumerate(labels):
         region = region_for(params, lab)
-        for c in range(params.n):
+        for c in range(n):
             if region.lower[c] is not None:
-                lo[a, c] = region.lower[c]
+                lo[a, c if c < n - 1 else n] = -(-region.lower[c] // 2)
             if region.upper[c] is not None:
-                hi[a, c] = region.upper[c]
-    cols = [pts[:, j] for j in range(params.n)]
-    member = _box_masks(cols, _by_value(2 * np.arange(-lmax, lmax + 1), lmax), lo, hi)
-    counts = np.bitwise_count(member).sum(axis=0)
+                hi[a, c] = region.upper[c] // 2
+    *fixed, last = lattice.run_lam
+    first = lattice.run_start
+    values = _by_value(np.arange(-lmax, lmax + 1), lmax)
+    meet = _box_masks([*fixed, first, last], values, lo, hi)
+    # The box holds all of the run when also its first lam_n is at least the
+    # bottom and its last at most the top: the lam_n columns swapped.
+    hold = meet & _box_masks([last, first], values, lo[:, n - 1 :], hi[:, n - 1 :])
+    # A run's points each lie in exactly one region iff it meets one region that holds it all.
+    alone = (np.bitwise_count(meet).sum(axis=0) == 1) & (meet == hold).all(axis=0)
 
-    def point_str(idx: int) -> str:
-        return "lambda=(" + ",".join(str(int(x)) for x in pts[idx]) + ")"
+    def point_str(run: int, lam_n: int) -> str:
+        return "lambda=(" + ",".join(str(int(x)) for x in (*(col[run] for col in fixed), lam_n)) + ")"
 
-    if (counts != 1).any():
-        bad = int(np.nonzero(counts != 1)[0][0])
-        witness = f"{point_str(bad)} lies in {int(counts[bad])} regions"
+    crowded = ()
+    if not alone.all():
+        # Walk the points of the other runs, in window order, for the first
+        # that does not lie in exactly one region.
+        other = np.flatnonzero(~alone)
+        lengths = last[other].astype(np.intp) - first[other] + 1
+        at = np.repeat(other, lengths)
+        x = first[at] + (np.arange(len(at)) - np.repeat(np.cumsum(lengths) - lengths, lengths))
+        counts = np.bitwise_count(meet[:, at] & _box_masks([x], values, lo[:, n:], hi[:, n - 1 : n])).sum(axis=0)
+        crowded = np.flatnonzero(counts != 1)
+    if len(crowded):
+        i = int(crowded[0])
+        witness = f"{point_str(at[i], x[i])} lies in {int(counts[i])} regions"
         checks.append(_fail("partition", witness))
         label_for_class = None
     else:
@@ -502,15 +579,15 @@ def compare(params: InducedRepParams, lmax: int | None = None) -> OracleVerdict:
             checks.append(_fail("partition", witness))
             partition_ok = False
         else:
-            # regions met by each class: OR of its points' single-bit masks
-            class_regions = np.zeros((len(member), lattice.n_classes), dtype=np.uint64)
-            for word, acc in zip(member, class_regions):
-                np.bitwise_or.at(acc, lattice.comp, word)
+            # regions met by each class: OR of its runs' masks
+            class_regions = np.zeros((len(meet), lattice.n_classes), dtype=np.uint64)
+            for word, acc in zip(meet, class_regions):
+                np.bitwise_or.at(acc, lattice.run_comp, word)
             for c in range(lattice.n_classes):
                 ids = _set_bits(class_regions[:, c])
                 if len(ids) != 1:
-                    bad = int(np.nonzero(lattice.comp == c)[0][0])
-                    witness = f"class of {point_str(bad)} spans regions " + ", ".join(
+                    bad = int(np.argmax(lattice.run_comp == c))  # the class's first run holds its first point
+                    witness = f"class of {point_str(bad, first[bad])} spans regions " + ", ".join(
                         str(labels[i]) for i in ids
                     )
                     checks.append(_fail("partition", witness))

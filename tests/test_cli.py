@@ -37,6 +37,30 @@ def test_omega_generated(capsys):
     assert out.startswith("target I^0(1/2); Omega = <L(1,0)> = L(0,0) + L(1,0) + L(1,1)")
 
 
+def test_omega_runs_the_greedy_extremes_once(monkeypatch, capsys):
+    from dpseries import constituents
+
+    cap = constituents.Region._cap
+    greedy_runs = []  # one entry per greedy evaluation, which reads the cap once
+    monkeypatch.setattr(constituents.Region, "_cap", lambda self: greedy_runs.append(self) or cap(self))
+    for argv, out in [
+        (
+            ["--p", "0", "--q", "0", "--n", "2"],
+            "target I^0(-3/2); Omega = L(0,1); K-types: {lambda=(0,0)} (trivial representation)",
+        ),
+        (
+            ["--p", "5", "--q", "2", "--n", "3"],
+            "target I^3(3/2); Omega = <L(1,1)> = L(1,0) + L(1,1) + L(2,1);"
+            " generator K-types: {lambda_1 >= 0, lambda_2 >= -1, lambda_3 <= 0}",
+        ),
+    ]:
+        constituents._point.cache_clear()  # fresh regions, with nothing computed yet
+        greedy_runs.clear()
+        assert run(["omega", *argv]) == 0
+        assert capsys.readouterr().out == out + "\n"
+        assert len(greedy_runs) == 1, argv
+
+
 def test_diagram_dot(capsys):
     assert run(["diagram", "--n", "2", "--alpha", "0", "--sigma", "1/2", "--format", "dot"]) == 0
     first = capsys.readouterr().out

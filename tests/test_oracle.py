@@ -179,6 +179,43 @@ def test_compare_holds_under_64_bytes_per_window_point():
     assert peak < 64 * points, f"{peak / points:.1f} bytes per point"
 
 
+def test_compare_holds_under_22_bytes_per_window_point():
+    # the window's runs, not its points, set the peak; a first compare fills
+    # the closed-form memos, so the second measures the oracle alone
+    params = params_from_sigma_tilde(6, 0, -6)
+    points = oracle.check_window(6, 8)
+    compare(params, 8)
+    tracemalloc.start()
+    try:
+        verdict = compare(params, 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdict.ok
+    assert peak < 22 * points, f"{peak / points:.1f} bytes per point"
+
+
+def test_compare_passes_without_enumerating_the_window(monkeypatch):
+    asked = []
+    window_points = oracle._window_points
+
+    def recorded(n, lmax):
+        asked.append(n)
+        return window_points(n, lmax)
+
+    monkeypatch.setattr(oracle, "_window_points", recorded)
+    params = params_from_sigma_tilde(4, 1, -3)
+    verdict = compare(params)
+    assert verdict.ok and verdict.case != "Irreducible"
+    assert asked == [3]
+    # the per-point views are built on first use, with the window's values
+    lattice = build(params, 3)
+    assert asked == [3, 3]
+    assert lattice.points.tolist() == [list(lam) for lam in sorted(dominant_window(4, 3))]
+    assert lattice.points is lattice.points and asked == [3, 3, 4]
+    assert lattice.comp.dtype == np.int32 and len(lattice.comp) == len(lattice.points)
+
+
 def _reference_build(params, lmax):
     """Scalar oracle: ``transition`` on every move of the window, then a plain SCC.
 
@@ -469,6 +506,30 @@ def _split_by_first_coordinate(params, label):
 def test_compare_partition_failure_skips_the_other_checks(monkeypatch, fake, witness):
     monkeypatch.setattr(oracle, "region_for", fake)
     verdict = compare(P_SW, 4)
+    assert verdict.ok is False
+    assert verdict.witness == witness
+    assert verdict.checks == (
+        ("partition", f"FAIL: {witness}"),
+        ("diagram", SKIPPED),
+        ("socle", SKIPPED),
+        ("generated", SKIPPED),
+    )
+
+
+def _lose_the_top_row_of_l10(params, label):
+    # L(1,0) keeps lambda_2 <= -1 only, so lambda_2 = 0 with lambda_1 >= 0 lies
+    # in no region.  The run lambda_1 = 0, lambda_2 in [-4, 0] meets L(1,0)
+    # alone, but L(1,0) does not hold all of it.
+    region = dpseries.region_for(params, label)
+    if str(label) == "L(1,0)":
+        return Region(n=params.n, lower=region.lower, upper=(None, -2))
+    return region
+
+
+def test_compare_names_a_point_in_no_region(monkeypatch):
+    monkeypatch.setattr(oracle, "region_for", _lose_the_top_row_of_l10)
+    verdict = compare(P_SW, 4)
+    witness = "lambda=(0,0) lies in 0 regions"
     assert verdict.ok is False
     assert verdict.witness == witness
     assert verdict.checks == (
