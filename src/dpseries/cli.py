@@ -315,27 +315,25 @@ def _cmd_verify(args) -> int:
                 for st in sigma_tildes:
                     sigma = Fraction(st) - Fraction(n + 1 + alpha, 2)
                     points.append(InducedRepParams(n=n, alpha=alpha, sigma=sigma))
-    if args.lmax == "auto":
-        lmax_of = lambda params: None
-    else:
+    fixed = None  # the window radius, None for each point's auto_lmax
+    if args.lmax != "auto":
         try:
             fixed = int(args.lmax)
         except ValueError:
             raise CLIError(f"--lmax: expected 'auto' or an integer, got {args.lmax!r}") from None
         if fixed < 1:
             raise CLIError(f"--lmax: window radius must be >= 1, got {fixed}")
-        lmax_of = lambda params: fixed
     # refuse an oversized window before any point runs
     flag = "--lmax" if args.lmax != "auto" else "--n" if args.n is not None else "--n-range"
     for params in points:
         try:
-            oracle.check_window(params.n, lmax_of(params) or oracle.auto_lmax(params))
+            oracle.check_window(params.n, fixed or oracle.auto_lmax(params))
         except ValueError as e:
             raise CLIError(f"{flag}: {e}") from None
 
     all_ok = True
     for params in points:
-        verdict = oracle.compare(params, lmax_of(params))
+        verdict = oracle.compare(params, fixed)
         all_ok &= verdict.ok
         record = {
             "n": params.n,

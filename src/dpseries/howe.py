@@ -5,9 +5,9 @@ An orthogonal signature (p, q) determines a target module via
     sigma = (p + q)/2 - (n + 1)/2,    alpha = p - q  (mod 4),
 
 and the coinvariant space Omega^{p,q} embeds there.  Its image is a single
-constituent when sigma is on the negative side (sigma <= 0 in Cases 1,
-sigma <= -1/2 in Cases 2) and the submodule generated by an explicit
-constituent when sigma is on the positive side.  A "possible embedding" at a
+constituent when sigma <= 0 and the submodule generated by one constituent
+when sigma > 0; ``omega_image`` names that constituent by one rule for family
+R and one for each of Cases 2a and 2b.  A "possible embedding" at a
 parameter point is any signature satisfying the two conditions above;
 ``check_summary`` verifies, point by point, the global picture these images
 paint: they enumerate the irreducible submodules for -rho <= sigma < 0, they
@@ -39,16 +39,6 @@ __all__ = [
     "omega_image",
     "possible_embeddings",
 ]
-
-
-def _epsilon(m: int) -> int:
-    """1 for even total m, 0 for odd (Case 1a index offset)."""
-    return 1 if m % 2 == 0 else 0
-
-
-def _epsilon_prime(m: int) -> int:
-    """0 for even total m, 1 for odd (Case 1b index offset)."""
-    return 0 if m % 2 == 0 else 1
 
 
 def induced_params(p: int, q: int, n: int) -> InducedRepParams:
@@ -89,53 +79,42 @@ class OmegaImage:
 
 
 def omega_image(p: int, q: int, n: int) -> OmegaImage:
-    """Identify Omega^{p,q} inside its target module."""
+    """Identify Omega^{p,q} inside its target module.
+
+    The image is the constituent ``generator`` if sigma <= 0 ("single"), else
+    the submodule it generates ("generated").  With c = max(0, (n+1-q)//2):
+
+        family R:  R(p//2, q//2) if single, else R(c, max(0, (n+1-p)//2));
+        Case 2a:   L(c, min(n//2, p//2));
+        Case 2b:   L(min((n+1)//2, p//2), c).
+
+    This folds the case theorems' table, which states each case and sign
+    apart.  Proof: sigma_tilde = (p+q+alpha)/2 has the parity of p, and n+p+q
+    that of n+alpha, so p is odd in Cases 1a, 2a and even in 1b, 2b, and n+q
+    is even in 1a, 2b and odd in 1b, 2a.  Hence the table's (p-1)//2 (1a, 2a)
+    is p//2 and its (n-q)//2 (1a, 2b) is (n+1-q)//2.  Its offsets eps =
+    1 - (p+q)%2 (1a) and eps' = (p+q)%2 (1b) are 1 iff q is odd, and then n-p
+    is even: (q-eps)//2 = q//2 and (n+1-eps-p)//2 = (n+1-p)//2, and likewise
+    for eps'.  In Cases 2 sigma is a half-integer, so the table's sigma < 0 is
+    sigma <= 0; there p+q <= n, and the max and min do nothing.
+    """
     target = induced_params(p, q, n)
     case = classify(target)
     # sigma_tilde = (p + q + alpha)/2 is an integer of the parity of p
     if case is CaseTag.IRREDUCIBLE or p % 2 != (case in (CaseTag.CASE_1A, CaseTag.CASE_2A)):
         raise RuntimeError(f"embedding ({p},{q}) cannot target {target} in {case.value}")
-    sigma = target.sigma
-    m = p + q
-
-    if case is CaseTag.CASE_1A:
-        if sigma <= 0:
-            idx = ((p - 1) // 2, (q - _epsilon(m)) // 2)
-            shape = "single"
-        else:
-            idx = (max(0, (n - q) // 2), max(0, (n + 1 - _epsilon(m) - p) // 2))
-            shape = "generated"
-        label = ConstituentLabel("R", *idx)
-    elif case is CaseTag.CASE_1B:
-        if sigma <= 0:
-            idx = (p // 2, (q - _epsilon_prime(m)) // 2)
-            shape = "single"
-        else:
-            idx = (max(0, (n + 1 - q) // 2), max(0, (n + 1 - _epsilon_prime(m) - p) // 2))
-            shape = "generated"
-        label = ConstituentLabel("R", *idx)
+    single = target.sigma <= 0
+    c = max(0, (n + 1 - q) // 2)
+    if case.family == "R":
+        idx = (p // 2, q // 2) if single else (c, max(0, (n + 1 - p) // 2))
     elif case is CaseTag.CASE_2A:
-        if sigma < 0:
-            idx = ((n + 1 - q) // 2, (p - 1) // 2)
-            shape = "single"
-        else:
-            idx = (max(0, (n + 1 - q) // 2), min(n // 2, (p - 1) // 2))
-            shape = "generated"
-        label = ConstituentLabel("L", *idx)
+        idx = (c, min(n // 2, p // 2))
     else:
-        if sigma < 0:
-            idx = (p // 2, (n - q) // 2)
-            shape = "single"
-        else:
-            idx = (min((n + 1) // 2, p // 2), max(0, (n - q) // 2))
-            shape = "generated"
-        label = ConstituentLabel("L", *idx)
-
-    if shape == "single":
-        members: tuple[ConstituentLabel, ...] = (label,)
-    else:
-        members = generated_submodule(target, label).members
-    return OmegaImage(p=p, q=q, target=target, shape=shape, generator=label, members=members)
+        idx = (min((n + 1) // 2, p // 2), c)
+    label = ConstituentLabel(case.family, *idx)
+    if single:
+        return OmegaImage(p, q, target, "single", label, (label,))
+    return OmegaImage(p, q, target, "generated", label, generated_submodule(target, label).members)
 
 
 @dataclass(frozen=True)

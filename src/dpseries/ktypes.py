@@ -21,7 +21,6 @@ Coefficients are exact rationals; "blocked" always means exactly zero.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -135,23 +134,12 @@ class Barrier:
         return f"l{sign}_{self.coordinate} at {format_rational(self.position)}"
 
 
-def _is_even_integer(value: Fraction) -> bool:
-    return is_integer(value) and int(value) % 2 == 0
-
-
-# An oracle op reads one point's barriers three times (auto_lmax in compare
-# and build, then blocked_positions), and verify reads every point's once
-# more in its window pre-check before any point runs.  So the memo keeps a
-# whole sweep: the default alpha and sigma_tilde sets over every rank whose
-# windows fit the oracle's budget (n 2..9) are 416 points of at most 18
-# small records each.
-@functools.lru_cache(maxsize=512)
 def barriers(params: InducedRepParams) -> tuple[Barrier, ...]:
-    """Both barriers for every coordinate 1..n, with effectiveness flags, computed once."""
+    """Both barriers for every coordinate 1..n, with effectiveness flags."""
     out = []
     for j in range(1, params.n + 1):
         for kind, pos in (("plus", barrier_plus(params, j)), ("minus", barrier_minus(params, j))):
-            out.append(Barrier(j, kind, pos, _is_even_integer(pos)))
+            out.append(Barrier(j, kind, pos, is_integer(pos) and int(pos) % 2 == 0))
     return tuple(out)
 
 
@@ -167,12 +155,17 @@ def blocked_positions(
 
     Returns ``(up, down)`` where ``up[j-1]`` is the even integer position at
     which the up-move in coordinate j is blocked (``transition == 0``), or
-    None when no even lattice point is ever blocked.  This is exactly the set
-    of pairs where ``transition(params, lam, j, ...)`` vanishes; the oracle's
-    vectorized graph build consumes it.  It reads the memoized ``barriers``,
-    whose plus and minus entries alternate by coordinate.
+    None when no even lattice point is ever blocked; the oracle's vectorized
+    graph build consumes it.  These are the effective ``barriers`` in
+    integers: with st = sigma_tilde, ``up[j-1] = j-1-st`` and ``down[j-1] =
+    st-(n+alpha)+j`` when even, and all None when st is not an integer.
     """
-    both = barriers(params)
-    up = tuple(int(b.position) if b.effective else None for b in both[0::2])
-    down = tuple(int(b.position) if b.effective else None for b in both[1::2])
-    return up, down
+    n, st = params.n, params.sigma_tilde
+    if not is_integer(st):
+        return (None,) * n, (None,) * n
+    up = (j - 1 - int(st) for j in range(1, n + 1))
+    down = (int(st) - (n + params.alpha) + j for j in range(1, n + 1))
+    return (
+        tuple(b if b % 2 == 0 else None for b in up),
+        tuple(b if b % 2 == 0 else None for b in down),
+    )

@@ -36,7 +36,7 @@ from math import comb
 import numpy as np
 
 from .parameters import CaseTag, InducedRepParams, classify
-from .ktypes import blocked_positions, effective_barriers
+from .ktypes import blocked_positions
 from .constituents import ConstituentLabel, enumerate_constituents, region_for
 from .structure import generated_submodule, module_diagram, socle_series
 
@@ -52,8 +52,8 @@ MAX_WINDOW_POINTS = 30_000_000
 
 def auto_lmax(params: InducedRepParams) -> int:
     """Window radius: max effective-barrier |position|/2, rounded up, plus 3."""
-    # ktypes memoizes the barriers, so compare and build each calling this costs one computation
-    positions = [abs(int(b.position)) for b in effective_barriers(params)]
+    up, down = blocked_positions(params)
+    positions = [abs(b) for b in up + down if b is not None]
     return (max(positions, default=0) + 1) // 2 + 3
 
 

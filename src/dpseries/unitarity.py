@@ -114,41 +114,41 @@ def constituent_unitarizable(
     branch = pt.branch
     sigma = params.sigma
     i, j = label.i, label.j
+    if branch == "zero":  # family R alone has sigma = 0
+        return UnitarityVerdict(True, f"{case.value}-sigma=0-direct-sum")
+    band, r = pt.index_bound
 
     if case.family == "R":
-        if branch == "zero":
-            return UnitarityVerdict(True, f"{case.value}-sigma=0-direct-sum")
         k = pt.derived.k
-        s = abs(sigma.numerator)  # |sigma|, an integer here
-        r, side = ("r1", "sigma<=-1") if branch == "neg" else ("r2", "sigma>=1")
-        tag = f"{case.value}-{side}"
-        if s <= k and i + j == k - s:
-            return UnitarityVerdict(True, f"{tag}-(i+j={r})")
+        s = abs(sigma.numerator)  # |sigma|, an integer here; r = max(k-s, 0)
+        tag = f"{case.value}-sigma<=-1" if branch == "neg" else f"{case.value}-sigma>=1"
+        if s <= k and i + j == r:
+            return UnitarityVerdict(True, f"{tag}-(i+j={band})")
         # n odd makes alpha even in Case 1, and k = (n+1)/2 in Case 1b
         if case is CaseTag.CASE_1B and params.n % 2 == 1 and (i, j) in ((k, 0), (0, k)):
             return UnitarityVerdict(True, "Case1b-exceptional-(n odd, alpha in {0,2})")
         bounds = f"-{k}<=sigma<=-1" if branch == "neg" else f"1<=sigma<={k}"
-        return UnitarityVerdict(False, f"{tag}: needs {bounds} and i+j={r}={max(k - s, 0)}")
+        return UnitarityVerdict(False, f"{tag}: needs {bounds} and i+j={band}={r}")
 
     tag = f"{case.value}-sigma>=1/2" if branch == "pos" else f"{case.value}-sigma<=-1/2"
     m = abs(sigma.numerator) // 2  # |sigma| - 1/2, sigma being a half-integer
-    if (case is CaseTag.CASE_2A) == (branch == "pos"):
+    if band == "r1":
         # band -1 <= j-i <= r1, r1 = min(|sigma|-1/2, k0)
         if i == j + 1:
             return UnitarityVerdict(True, f"{tag}-(i=j+1)")
         k0 = params.n // 2  # largest i with an i<->i barrier pair in family L
-        if m <= k0 and j - i == m:
+        if m <= k0 and j - i == r:
             return UnitarityVerdict(True, f"{tag}-(j-i=r1)")
         bound = f"sigma<={k0}+1/2" if branch == "pos" else f"sigma>=-{k0}-1/2"
-        return UnitarityVerdict(False, f"{tag}: needs i=j+1, or {bound} and j-i=r1={min(m, k0)}")
+        return UnitarityVerdict(False, f"{tag}: needs i=j+1, or {bound} and j-i=r1={r}")
     # band 0 <= i-j <= r2, r2 = min(|sigma|+1/2, k1)
     if i == j:
         return UnitarityVerdict(True, f"{tag}-(i=j)")
     k1 = (params.n + 1) // 2
-    if m + 1 <= k1 and i - j == m + 1:
+    if m + 1 <= k1 and i - j == r:
         return UnitarityVerdict(True, f"{tag}-(i-j=r2)")
     bound = f"sigma<={k1}-1/2" if branch == "pos" else f"sigma>=-{k1}+1/2"
-    return UnitarityVerdict(False, f"{tag}: needs i=j, or {bound} and i-j=r2={min(m + 1, k1)}")
+    return UnitarityVerdict(False, f"{tag}: needs i=j, or {bound} and i-j=r2={r}")
 
 
 def region_sign_probe(

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from dpseries import (
     InducedRepParams,
     check_summary,
     classify,
+    constituent_unitarizable,
     enumerate_constituents,
     induced_params,
     irreducible_quotients,
@@ -196,3 +198,26 @@ def test_positive_side_quotients_are_cosocles():
                 assert pairs
                 generators = {omega_image(p, q, n).generator for p, q in pairs}
                 assert set(irreducible_quotients(params)) <= generators
+
+
+def test_omega_images_and_unitarity_verdicts_are_pinned():
+    # sha256 of every omega image (generated-side generators and members
+    # included) and of every constituent's unitarity verdict, recorded while
+    # omega_image still stated its table case by case and sign by sign
+    images = hashlib.sha256()
+    for n in range(2, 13):
+        for p in range(2 * n + 4):
+            for q in range(2 * n + 4):
+                img = omega_image(p, q, n)
+                members = ",".join(map(str, img.members))
+                images.update(f"{n} {p} {q} {img.shape} {img.generator} {members}\n".encode())
+    verdicts = hashlib.sha256()
+    for n in range(2, 17):
+        for alpha in range(4):
+            for st in range(-20, 21):
+                params = params_from_sigma_tilde(n, alpha, st)
+                for label in enumerate_constituents(params).labels:
+                    v = constituent_unitarizable(params, label)
+                    verdicts.update(f"{n} {alpha} {st} {label} {v.unitarizable} {v.reason}\n".encode())
+    assert images.hexdigest() == "028203da61d759a0596ff434dc18590e92e23ee1e4b1236acd1735e6c9ce86cd"
+    assert verdicts.hexdigest() == "dea7d7744f0808156d98ee07307dabb96ad84c4a67feae2c1618cbd448e70d48"

@@ -14,7 +14,8 @@ from dpseries import (
     parse_ktype,
     transition,
 )
-from dpseries.ktypes import blocked_positions, check_ktype
+from dpseries.ktypes import barriers, blocked_positions, check_ktype
+from dpseries.oracle import auto_lmax
 
 from conftest import dominant_window, params_from_sigma_tilde
 
@@ -128,3 +129,18 @@ def test_blocked_positions_match_transition_zero_locus():
                 coeff = transition(p, lam, j, direction)
                 block = up[j - 1] if direction == "up" else down[j - 1]
                 assert (coeff == 0) == (block is not None and 2 * lam[j - 1] == block)
+
+
+def test_blocked_positions_and_auto_lmax_match_the_fraction_barriers():
+    sigma_tildes = [Fraction(st) for st in range(-20, 21)]
+    sigma_tildes += [Fraction(sign * t, 2) for sign in (1, -1) for t in (1, 7)]
+    for n in range(2, 10):
+        for alpha in range(4):
+            for st in sigma_tildes:
+                p = params_from_sigma_tilde(n, alpha, st)
+                both = barriers(p)
+                up = tuple(int(b.position) if b.effective else None for b in both if b.kind == "plus")
+                down = tuple(int(b.position) if b.effective else None for b in both if b.kind == "minus")
+                assert blocked_positions(p) == (up, down), p
+                far = max((abs(int(b.position)) for b in effective_barriers(p)), default=0)
+                assert auto_lmax(p) == (far + 1) // 2 + 3, p

@@ -369,26 +369,22 @@ def test_build_uses_nothing_from_the_closed_form_modules(monkeypatch):
     assert lattice.n_classes > 1
 
 
-def test_barriers_are_computed_once_per_point(monkeypatch):
+def test_oracle_evaluates_no_fraction_barrier(monkeypatch, capsys):
+    # the oracle takes its barrier positions from blocked_positions' integer
+    # arithmetic, so no op evaluates the Fraction barrier functions
     from dpseries import ktypes
+    from dpseries.cli import run
 
-    positions = []  # one entry per barrier_plus evaluation
-    barrier_plus = ktypes.barrier_plus
+    def refuse(params, j):
+        raise AssertionError("the oracle evaluated a Fraction barrier")
 
-    def counted(params, j):
-        positions.append(j)
-        return barrier_plus(params, j)
-
-    monkeypatch.setattr(ktypes, "barrier_plus", counted)
-    assert ktypes.barriers.cache_info().maxsize is not None
-    ktypes.barriers.cache_clear()
+    monkeypatch.setattr(ktypes, "barrier_plus", refuse)
+    monkeypatch.setattr(ktypes, "barrier_minus", refuse)
     params = params_from_sigma_tilde(5, 1, -2)
-    lmax = auto_lmax(params)
+    assert build(params, auto_lmax(params)).n_classes > 1
     assert compare(params).ok
-    build(params, lmax)
-    blocked_positions(params)
-    info = ktypes.barriers.cache_info()
-    assert (info.misses, info.currsize, positions) == (1, 1, [1, 2, 3, 4, 5])
+    assert run(["verify"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 208
 
 
 class _CountedPairs(list):
