@@ -209,6 +209,20 @@ def test_default_verify_sweep_matches_golden(capsys):
     assert capsys.readouterr().out.encode() == golden
 
 
+def test_verify_computes_each_points_barriers_once(monkeypatch, capsys):
+    # the window pre-check and each compare read the same closed-form
+    # positions from ktypes.blocked_positions; neither evaluates a Fraction barrier
+    from dpseries import ktypes
+
+    def refuse(params, j):
+        raise AssertionError("verify evaluated a Fraction barrier")
+
+    monkeypatch.setattr(ktypes, "barrier_plus", refuse)
+    monkeypatch.setattr(ktypes, "barrier_minus", refuse)
+    assert run(["verify"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 208
+
+
 def test_verify_refuses_an_oversized_window_at_once(capsys):
     t0 = time.perf_counter()
     assert run(["verify", "--n", "12", "--alpha", "0", "--sigma", "-20", "--lmax", "20"]) == 1

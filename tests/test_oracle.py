@@ -369,11 +369,10 @@ def test_build_uses_nothing_from_the_closed_form_modules(monkeypatch):
     assert lattice.n_classes > 1
 
 
-def test_oracle_evaluates_no_fraction_barrier(monkeypatch, capsys):
-    # the oracle takes its barrier positions from blocked_positions' integer
-    # arithmetic, so no op evaluates the Fraction barrier functions
+def test_barriers_are_computed_once_per_point(monkeypatch):
+    # a point's barrier positions come from blocked_positions' integer
+    # arithmetic alone, so no op re-derives them through the Fraction barriers
     from dpseries import ktypes
-    from dpseries.cli import run
 
     def refuse(params, j):
         raise AssertionError("the oracle evaluated a Fraction barrier")
@@ -381,10 +380,10 @@ def test_oracle_evaluates_no_fraction_barrier(monkeypatch, capsys):
     monkeypatch.setattr(ktypes, "barrier_plus", refuse)
     monkeypatch.setattr(ktypes, "barrier_minus", refuse)
     params = params_from_sigma_tilde(5, 1, -2)
-    assert build(params, auto_lmax(params)).n_classes > 1
+    lmax = auto_lmax(params)
     assert compare(params).ok
-    assert run(["verify"]) == 0
-    assert len(capsys.readouterr().out.splitlines()) == 208
+    assert build(params, lmax).n_classes > 1
+    assert blocked_positions(params) == ((2, None, 4, None, 6), (None, -6, None, -4, None))
 
 
 class _CountedPairs(list):
