@@ -17,6 +17,7 @@ and reach every irreducible quotient.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -156,92 +157,57 @@ def check_summary(params: InducedRepParams) -> SummaryReport:
             f"got sigma = {format_rational(sigma)}"
         )
     embeddings = possible_embeddings(params)
-    images = [omega_image(p, q, params.n) for p, q in embeddings]
-    checks: list[ClauseCheck] = []
+    generators = [omega_image(p, q, params.n).generator for p, q in embeddings]
+    distinct = len(set(generators)) == len(generators)
+
+    def unitary(name: str, labels: Iterable[ConstituentLabel], passed: str) -> ClauseCheck:
+        bad = [str(lab) for lab in labels if not constituent_unitarizable(params, lab).unitarizable]
+        return ClauseCheck(name, not bad, f"not unitarizable: {bad}" if bad else passed)
 
     if sigma < 0:
         regime = "negative"
         sinks = set(irreducible_submodules(params))
-        image_labels = [img.generator for img in images]
-        distinct = len(set(image_labels)) == len(image_labels)
-        checks.append(
+        checks = [
             ClauseCheck(
                 "images-distinct",
                 distinct,
-                f"embeddings {list(embeddings)} -> images {sorted(str(x) for x in image_labels)}",
-            )
-        )
-        same = set(image_labels) == sinks
-        checks.append(
+                f"embeddings {list(embeddings)} -> images {sorted(str(x) for x in generators)}",
+            ),
             ClauseCheck(
                 "submodules-are-embedding-images",
-                same,
-                f"images {_fmt_labels(image_labels)} vs irreducible submodules {_fmt_labels(sinks)}",
-            )
-        )
-        bad = [
-            str(lab)
-            for lab in sorted(sinks)
-            if not constituent_unitarizable(params, lab).unitarizable
+                set(generators) == sinks,
+                f"images {_fmt_labels(generators)} vs irreducible submodules {_fmt_labels(sinks)}",
+            ),
+            unitary("submodules-unitary", sorted(sinks), "all irreducible submodules unitarizable"),
         ]
-        checks.append(
-            ClauseCheck(
-                "submodules-unitary",
-                not bad,
-                "all irreducible submodules unitarizable" if not bad else f"not unitarizable: {bad}",
-            )
-        )
     elif sigma == 0:
         regime = "axis"
         diagram = module_diagram(params)
-        checks.append(
-            ClauseCheck(
-                "axis-direct-sum",
-                not diagram.edges,
-                f"{len(diagram.edges)} diagram edges",
-            )
-        )
-        image_labels = [img.generator for img in images]
         nodes = set(diagram.nodes)
-        ok = len(set(image_labels)) == len(image_labels) and set(image_labels) == nodes
-        checks.append(
+        checks = [
+            ClauseCheck("axis-direct-sum", not diagram.edges, f"{len(diagram.edges)} diagram edges"),
             ClauseCheck(
                 "axis-images-exhaust",
-                ok,
-                f"images {_fmt_labels(image_labels)} vs constituents {_fmt_labels(nodes)}",
-            )
-        )
-        bad = [
-            str(lab)
-            for lab in diagram.nodes
-            if not constituent_unitarizable(params, lab).unitarizable
+                distinct and set(generators) == nodes,
+                f"images {_fmt_labels(generators)} vs constituents {_fmt_labels(nodes)}",
+            ),
+            unitary("axis-summands-unitary", diagram.nodes, "all summands unitarizable"),
         ]
-        checks.append(
-            ClauseCheck(
-                "axis-summands-unitary",
-                not bad,
-                "all summands unitarizable" if not bad else f"not unitarizable: {bad}",
-            )
-        )
     else:
         regime = "positive"
-        checks.append(
+        missing = sorted(str(x) for x in set(irreducible_quotients(params)) - set(generators))
+        checks = [
             ClauseCheck(
                 "reducible-iff-embeddings",
                 bool(embeddings),
                 f"{len(embeddings)} possible embeddings at a reducible point",
-            )
-        )
-        tops = set(irreducible_quotients(params))
-        generators = {img.generator for img in images}
-        missing = sorted(str(x) for x in tops - generators)
-        checks.append(
+            ),
             ClauseCheck(
                 "quotients-are-embedding-cosocles",
                 not missing,
-                "every irreducible quotient is the cosocle of some image"
-                if not missing
-                else f"quotients not reached by any embedding generator: {missing}",
-            )
-        )
+                f"quotients not reached by any embedding generator: {missing}"
+                if missing
+                else "every irreducible quotient is the cosocle of some image",
+            ),
+        ]
     return SummaryReport(params=params, regime=regime, checks=tuple(checks))

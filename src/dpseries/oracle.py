@@ -28,7 +28,7 @@ split by the truncation.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import comb
@@ -471,12 +471,16 @@ def build(params: InducedRepParams, lmax: int) -> TruncatedLattice:
     )
 
 
+# The checks of a verdict, in the order compare() makes them.
+CHECKS = ("partition", "diagram", "socle", "generated")
+
+
 @dataclass(frozen=True)
 class OracleVerdict:
     ok: bool
     lmax: int
     case: str
-    checks: tuple[tuple[str, str], ...]  # (name, "PASS" | "FAIL: ...")
+    checks: tuple[tuple[str, str], ...]  # (name, "PASS" | "FAIL: ...") per name in CHECKS
     witness: str | None
     warnings: tuple[str, ...] = field(default=())
 
@@ -484,49 +488,19 @@ class OracleVerdict:
         return dict(self.checks)[name]
 
 
-def _fail(name: str, detail: str) -> tuple[str, str]:
-    return (name, f"FAIL: {detail}")
+def _partition(
+    params: InducedRepParams, lattice: TruncatedLattice, labels: tuple[ConstituentLabel, ...]
+) -> list[ConstituentLabel] | str:
+    """Each class's region label, or the witness of the first partition failure.
 
-
-def compare(params: InducedRepParams, lmax: int | None = None) -> OracleVerdict:
-    """Closed-form structure vs brute-force lattice analysis on one window.
-
-    Checks, in order: the region partition against the SCC classes, the
-    module diagram against the class Hasse diagram, the socle layers against
-    longest-path levels, and each generated submodule against the
-    reachability closure.  PASS requires all four.  Region membership is
-    tested once per run of the window; only the points of a run that does
-    not lie in exactly one region are walked, in window order, to name the
-    first point in none or several.
+    Fails, in this order, where a point lies in a number of regions other
+    than 1, where the class count is not the label count, where a class
+    spans several regions, and where two classes map to one region.  Region
+    membership is tested once per run of the window; only the points of a
+    run that does not lie in exactly one region are walked, in window order,
+    to name the first point in none or several.
     """
-    if lmax is None:
-        lmax = auto_lmax(params)
-    lattice = build(params, lmax)
-    case = classify(params)
-    checks: list[tuple[str, str]] = []
-    witness: str | None = None
-
-    if case is CaseTag.IRREDUCIBLE:
-        if lattice.n_classes == 1:
-            checks.append(("partition", "PASS"))
-        else:
-            checks.append(_fail("partition", f"{lattice.n_classes} classes at an irreducible point"))
-            witness = f"{lattice.n_classes} strongly connected classes"
-        for name in ("diagram", "socle", "generated"):
-            checks.append((name, checks[0][1] if "FAIL" in checks[0][1] else "PASS"))
-        ok = lattice.n_classes == 1
-        return OracleVerdict(
-            ok=ok,
-            lmax=lmax,
-            case=case.value,
-            checks=tuple(checks),
-            witness=witness,
-            warnings=lattice.warnings,
-        )
-
-    cs = enumerate_constituents(params)
-    labels = cs.labels
-    n = params.n
+    n, lmax = params.n, lattice.lmax
     # Each region's box in lam units (2*lam >= lower iff lam >= ceil(lower/2))
     # over the run columns lam_1..lam_{n-1}, first lam_n, last lam_n.  A run
     # meets the box when its fixed coordinates lie in it, its first lam_n is
@@ -554,122 +528,102 @@ def compare(params: InducedRepParams, lmax: int | None = None) -> OracleVerdict:
     def point_str(run: int, lam_n: int) -> str:
         return "lambda=(" + ",".join(str(int(x)) for x in (*(col[run] for col in fixed), lam_n)) + ")"
 
-    crowded = ()
-    if not alone.all():
-        # Walk the points of the other runs, in window order, for the first
-        # that does not lie in exactly one region.
-        other = np.flatnonzero(~alone)
+    other = np.flatnonzero(~alone)
+    if len(other):
         lengths = last[other].astype(np.intp) - first[other] + 1
         at = np.repeat(other, lengths)
         x = first[at] + (np.arange(len(at)) - np.repeat(np.cumsum(lengths) - lengths, lengths))
         counts = np.bitwise_count(meet[:, at] & _box_masks([x], values, lo[:, n:], hi[:, n - 1 : n])).sum(axis=0)
         crowded = np.flatnonzero(counts != 1)
-    if len(crowded):
-        i = int(crowded[0])
-        witness = f"{point_str(at[i], x[i])} lies in {int(counts[i])} regions"
-        checks.append(_fail("partition", witness))
-        label_for_class = None
-    else:
-        label_for_class = {}
-        partition_ok = True
-        if lattice.n_classes != len(labels):
-            witness = (
-                f"{lattice.n_classes} lattice classes vs {len(labels)} closed-form constituents"
-            )
-            checks.append(_fail("partition", witness))
-            partition_ok = False
-        else:
-            # regions met by each class: OR of its runs' masks
-            class_regions = np.zeros((len(meet), lattice.n_classes), dtype=np.uint64)
-            for word, acc in zip(meet, class_regions):
-                np.bitwise_or.at(acc, lattice.run_comp, word)
-            for c in range(lattice.n_classes):
-                ids = _set_bits(class_regions[:, c])
-                if len(ids) != 1:
-                    bad = int(np.argmax(lattice.run_comp == c))  # the class's first run holds its first point
-                    witness = f"class of {point_str(bad, first[bad])} spans regions " + ", ".join(
-                        str(labels[i]) for i in ids
-                    )
-                    checks.append(_fail("partition", witness))
-                    partition_ok = False
-                    break
-                label_for_class[c] = labels[ids[0]]
-            if partition_ok and len(set(label_for_class.values())) != len(labels):
-                witness = "two lattice classes map to one region"
-                checks.append(_fail("partition", witness))
-                partition_ok = False
-        if partition_ok:
-            checks.append(("partition", "PASS"))
-        else:
-            label_for_class = None
-
-    if label_for_class is None:
-        for name in ("diagram", "socle", "generated"):
-            checks.append(_fail(name, "skipped: partition comparison failed"))
-        return OracleVerdict(
-            ok=False,
-            lmax=lmax,
-            case=case.value,
-            checks=tuple(checks),
-            witness=witness,
-            warnings=lattice.warnings,
-        )
-
-    diagram = module_diagram(params)
-    oracle_edges = {
-        (label_for_class[a], label_for_class[b]) for a, b in lattice.hasse
-    }
-    formula_edges = set(diagram.edges)
-    if oracle_edges != formula_edges:
-        diff = sorted(
-            f"{u}->{v}" for u, v in oracle_edges.symmetric_difference(formula_edges)
-        )
-        detail = f"edge mismatch: {diff[:4]}"
-        checks.append(_fail("diagram", detail))
-        witness = witness or detail
-    else:
-        checks.append(("diagram", "PASS"))
-
-    socle = socle_series(params)
-    oracle_layers: dict[int, set[ConstituentLabel]] = {}
+        if len(crowded):
+            i = int(crowded[0])
+            return f"{point_str(at[i], x[i])} lies in {int(counts[i])} regions"
+    if lattice.n_classes != len(labels):
+        return f"{lattice.n_classes} lattice classes vs {len(labels)} closed-form constituents"
+    # regions met by each class: OR of its runs' masks
+    class_regions = np.zeros((len(meet), lattice.n_classes), dtype=np.uint64)
+    for word, acc in zip(meet, class_regions):
+        np.bitwise_or.at(acc, lattice.run_comp, word)
+    label_for_class = []
     for c in range(lattice.n_classes):
-        oracle_layers.setdefault(lattice.layers[c], set()).add(label_for_class[c])
-    formula_layers = {idx: set(layer) for idx, layer in enumerate(socle.layers, start=1)}
-    if oracle_layers != formula_layers:
-        detail = (
-            "socle mismatch: oracle "
-            + str({k: sorted(map(str, v)) for k, v in sorted(oracle_layers.items())})
-            + " vs formula "
-            + str({k: sorted(map(str, v)) for k, v in sorted(formula_layers.items())})
-        )
-        checks.append(_fail("socle", detail))
-        witness = witness or detail
-    else:
-        checks.append(("socle", "PASS"))
+        ids = _set_bits(class_regions[:, c])
+        if len(ids) != 1:
+            bad = int(np.argmax(lattice.run_comp == c))  # the class's first run holds its first point
+            return f"class of {point_str(bad, first[bad])} spans regions " + ", ".join(str(labels[i]) for i in ids)
+        label_for_class.append(labels[ids[0]])
+    if len(set(label_for_class)) != len(labels):
+        return "two lattice classes map to one region"
+    return label_for_class
 
-    class_for_label = {lab: c for c, lab in label_for_class.items()}
-    gen_ok = True
+
+def _structure_mismatches(
+    params: InducedRepParams,
+    lattice: TruncatedLattice,
+    labels: tuple[ConstituentLabel, ...],
+    label_for_class: list[ConstituentLabel],
+) -> Iterator[str | None]:
+    """Yield the mismatch, or None, of the diagram, the socle and the generated submodules: CHECKS[1:] in turn."""
+    oracle_edges = {(label_for_class[a], label_for_class[b]) for a, b in lattice.hasse}
+    diff = sorted(f"{u}->{v}" for u, v in oracle_edges.symmetric_difference(module_diagram(params).edges))
+    yield f"edge mismatch: {diff[:4]}" if diff else None
+
+    oracle_layers: dict[int, set[ConstituentLabel]] = {}
+    for c, layer in enumerate(lattice.layers):
+        oracle_layers.setdefault(layer, set()).add(label_for_class[c])
+    formula_layers = {idx: set(layer) for idx, layer in enumerate(socle_series(params).layers, start=1)}
+    yield None if oracle_layers == formula_layers else (
+        "socle mismatch: oracle "
+        + str({k: sorted(map(str, v)) for k, v in sorted(oracle_layers.items())})
+        + " vs formula "
+        + str({k: sorted(map(str, v)) for k, v in sorted(formula_layers.items())})
+    )
+
+    class_for_label = {lab: c for c, lab in enumerate(label_for_class)}
     for lab in labels:
         closure_labels = {label_for_class[c] for c in lattice.closures[class_for_label[lab]]}
         formula_members = set(generated_submodule(params, lab).members)
         if closure_labels != formula_members:
-            detail = (
+            yield (
                 f"generated submodule of {lab}: oracle {sorted(map(str, closure_labels))}"
                 f" vs formula {sorted(map(str, formula_members))}"
             )
-            checks.append(_fail("generated", detail))
-            witness = witness or detail
-            gen_ok = False
-            break
-    if gen_ok:
-        checks.append(("generated", "PASS"))
+            return
+    yield None
 
-    ok = all(status == "PASS" for _, status in checks)
+
+def compare(params: InducedRepParams, lmax: int | None = None) -> OracleVerdict:
+    """Closed-form structure vs brute-force lattice analysis on one window.
+
+    Checks, in order: the region partition against the SCC classes, the
+    module diagram against the class Hasse diagram, the socle layers against
+    longest-path levels, and each generated submodule against the
+    reachability closure.  PASS requires all four; when the partition fails,
+    the other three are skipped.  The witness is the first failure's detail.
+    """
+    if lmax is None:
+        lmax = auto_lmax(params)
+    lattice = build(params, lmax)
+    case = classify(params)
+    if case is CaseTag.IRREDUCIBLE:
+        # the whole window must be one class, and all four checks read that
+        ok = lattice.n_classes == 1
+        statuses = ["PASS" if ok else f"FAIL: {lattice.n_classes} classes at an irreducible point"] * len(CHECKS)
+        witness = None if ok else f"{lattice.n_classes} strongly connected classes"
+    else:
+        labels = enumerate_constituents(params).labels
+        label_for_class = _partition(params, lattice, labels)
+        if isinstance(label_for_class, str):
+            witness = label_for_class
+            statuses = [f"FAIL: {witness}"] + ["FAIL: skipped: partition comparison failed"] * (len(CHECKS) - 1)
+        else:
+            mismatches = list(_structure_mismatches(params, lattice, labels, label_for_class))
+            statuses = ["PASS"] + [f"FAIL: {m}" if m else "PASS" for m in mismatches]
+            witness = next(filter(None, mismatches), None)
     return OracleVerdict(
-        ok=ok,
+        ok=all(status == "PASS" for status in statuses),
         lmax=lmax,
         case=case.value,
-        checks=tuple(checks),
+        checks=tuple(zip(CHECKS, statuses, strict=True)),
         witness=witness,
         warnings=lattice.warnings,
     )

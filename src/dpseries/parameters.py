@@ -45,7 +45,7 @@ def parse_rational(text: str) -> Fraction:
     s = text.strip()
     if not _RATIONAL_RE.match(s):
         raise ValueError(f"not a rational of the form a or a/b: {text!r}")
-    if "/" in s and s.split("/")[1].lstrip("+-") == "0":
+    if "/" in s and int(s.split("/")[1]) == 0:
         raise ValueError(f"zero denominator in rational: {text!r}")
     return Fraction(s)
 

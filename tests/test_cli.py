@@ -111,6 +111,8 @@ def test_input_errors_exit_1(capsys):
     assert "--sigma" in capsys.readouterr().err
     assert run(["classify", "--n", "2", "--alpha", "0"]) == 1
     assert "--sigma" in capsys.readouterr().err
+    assert run(["classify", "--n", "2", "--alpha", "0", "--sigma", "1/00"]) == 1
+    assert "--sigma" in capsys.readouterr().err
     assert run(["diagram", "--n", "2", "--alpha", "0", "--sigma", "1/3"]) == 1
     assert "irreducible" in capsys.readouterr().err
 
@@ -233,10 +235,12 @@ def test_verify_refuses_an_oversized_window_at_once(capsys):
 
 
 def test_verify_checks_every_window_before_running_any(capsys):
-    # n=10 at the auto window is over budget; no smaller point may run first
-    assert run(["verify", "--n-range", "2:10", "--alpha-set", "0", "--sigma-tilde-range", "-6:-6"]) == 1
+    # n=11 at the auto window (193,536,720 points) is far over budget; no
+    # smaller point may run first
+    args = ["--n-range", "2,3,4,5,6,7,8,9,11", "--alpha-set", "0", "--sigma-tilde-range", "-6:-6"]
+    assert run(["verify", *args]) == 1
     captured = capsys.readouterr()
-    assert captured.err.startswith("error: --n-range") and "n=10" in captured.err
+    assert captured.err.startswith("error: --n-range") and "n=11" in captured.err
     assert captured.out == ""
 
 

@@ -1,4 +1,5 @@
 import hashlib
+import json
 from fractions import Fraction
 
 import pytest
@@ -221,3 +222,24 @@ def test_omega_images_and_unitarity_verdicts_are_pinned():
                     verdicts.update(f"{n} {alpha} {st} {label} {v.unitarizable} {v.reason}\n".encode())
     assert images.hexdigest() == "028203da61d759a0596ff434dc18590e92e23ee1e4b1236acd1735e6c9ce86cd"
     assert verdicts.hexdigest() == "dea7d7744f0808156d98ee07307dabb96ad84c4a67feae2c1618cbd448e70d48"
+
+
+def test_check_summary_reports_are_pinned():
+    # sha256 of every report's regime and clauses (name, ok, detail) for n
+    # 2..12, alpha 0..3, sigma_tilde -20..20 with sigma >= -rho (880 reports),
+    # recorded while each regime still rebuilt its image labels and stated
+    # its own unitarity clause
+    digest = hashlib.sha256()
+    reports = 0
+    for n in range(2, 13):
+        for alpha in range(4):
+            for st in range(-20, 21):
+                params = params_from_sigma_tilde(n, alpha, st)
+                if params.sigma < -params.rho:
+                    continue
+                report = check_summary(params)
+                clauses = [[c.name, c.ok, c.detail] for c in report.checks]
+                digest.update(json.dumps([n, alpha, st, report.regime, clauses]).encode())
+                reports += 1
+    assert reports == 880
+    assert digest.hexdigest() == "42f8c0b0751bcd24dd49565618790bf85efd047c2e831f7b8f8dccd896589224"

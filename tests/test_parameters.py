@@ -72,7 +72,7 @@ def test_rational_parsing():
     assert parse_rational("-3/2") == Fraction(-3, 2)
     assert parse_rational(" 7 ") == Fraction(7)
     assert format_rational(Fraction(4, 2)) == "2"
-    for bad in ("1.5", "a/b", "1/0", "2/-3", ""):
+    for bad in ("1.5", "a/b", "1/0", "1/00", "-3/000", "2/-3", ""):
         with pytest.raises(ValueError):
             parse_rational(bad)
 

@@ -13,10 +13,11 @@ from dpseries import (
     nonunitarity_witness,
     parse_label,
     possible_embeddings,
+    transition,
 )
 from dpseries.unitarity import region_sign_probe, xi
 
-from conftest import params_from_sigma_tilde
+from conftest import dominant_window, params_from_sigma_tilde
 
 
 def test_n_ratio_worked_points():
@@ -40,6 +41,30 @@ def test_n_ratio_degenerate_denominator():
     # use j=2: xi = 2 + 2*lam_2 - 1 = 1 + 2*lam_2 == 1 at lam_2 = 0
     with pytest.raises(ValueError, match="form degenerates"):
         n_ratio(p, (0, 0), 2)
+
+
+def test_n_ratio_is_the_ratio_of_the_transition_coefficients():
+    # n_ratio(lam, j) = T_up(lam, j) / T_down(lam + e_j, j) on every dominant
+    # up-move, and n_ratio raises exactly where that down coefficient is 0
+    degenerate = 0
+    for n in (2, 3, 4):
+        window = dominant_window(n, 2)
+        for alpha in range(4):
+            for half in range(-16, 17):
+                params = params_from_sigma_tilde(n, alpha, Fraction(half, 2))
+                for lam in window:
+                    for j in range(1, n + 1):
+                        if j > 1 and lam[j - 2] == lam[j - 1]:
+                            continue
+                        raised = lam[: j - 1] + (lam[j - 1] + 1,) + lam[j:]
+                        down = transition(params, raised, j, "down")
+                        if down == 0:
+                            with pytest.raises(ValueError, match="form degenerates"):
+                                n_ratio(params, lam, j)
+                            degenerate += 1
+                        else:
+                            assert n_ratio(params, lam, j) == transition(params, lam, j, "up") / down
+    assert degenerate == 845
 
 
 def test_complementary_series_worked_points():
