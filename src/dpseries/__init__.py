@@ -14,6 +14,7 @@ from .parameters import (
     classify,
     derived,
     format_rational,
+    parse_integer,
     parse_rational,
 )
 from .ktypes import (
@@ -114,6 +115,7 @@ __all__ = [
     "neighbors",
     "nonunitarity_witness",
     "omega_image",
+    "parse_integer",
     "parse_ktype",
     "parse_label",
     "parse_rational",

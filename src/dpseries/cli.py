@@ -1,7 +1,9 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 input error (message names the offending flag),
-2 verification FAIL from the ``verify`` subcommand.  Output is deterministic
+Exit codes: 0 success, 1 input error (message names the offending flag) or
+standard output closed early, 2 verification FAIL from the ``verify``
+subcommand.  Integer flags take ASCII digits with an optional sign, and
+``--sigma`` takes ``a`` or ``a/b`` in the same digits.  Output is deterministic
 for identical inputs; no color is ever emitted, so NO_COLOR needs no special
 handling.
 """
@@ -10,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -19,6 +22,7 @@ from .parameters import (
     classify,
     derived,
     format_rational,
+    parse_integer,
     parse_rational,
 )
 from . import ktypes
@@ -63,7 +67,7 @@ def _add_format_flag(p: argparse.ArgumentParser, dot: bool = False) -> None:
 def _int_flag(args, name: str) -> int:
     raw = getattr(args, name)
     try:
-        return int(raw)
+        return parse_integer(raw)
     except ValueError:
         raise CLIError(f"--{name}: not an integer: {raw!r}") from None
 
@@ -163,10 +167,19 @@ def _cmd_unitary(args) -> int:
     params = _params_from(args)
     if classify(params) is CaseTag.IRREDUCIBLE:
         ok = complementary_series(params)
-        if ok:
+        witness = None if ok else nonunitarity_witness(params)
+        if args.format == "json":
+            # sigma = 0 is irreducible only when n + alpha is even
+            reason = "complementary-series" + ("" if ok else ": needs n+alpha even and |sigma|<1/2")
+            payload = {
+                "unitarizable": ok,
+                "reason": reason,
+                "witness": None if witness is None else {"lambda": list(witness[0]), "j": witness[1]},
+            }
+            print(json.dumps(payload, indent=2, sort_keys=True))
+        elif ok:
             print(f"{params}: irreducible, unitarizable (complementary-series)")
         else:
-            witness = nonunitarity_witness(params)
             detail = ""
             if witness is not None:
                 lam, j = witness
@@ -286,9 +299,9 @@ def _parse_range(raw: str, flag: str) -> list[int]:
     try:
         if ":" in raw:
             lo, hi = raw.split(":")
-            values = list(range(int(lo), int(hi) + 1))
+            values = list(range(parse_integer(lo), parse_integer(hi) + 1))
         else:
-            values = [int(part) for part in raw.split(",")]
+            values = [parse_integer(part) for part in raw.split(",")]
     except ValueError:
         raise CLIError(f"--{flag}: expected A:B or a comma list, got {raw!r}") from None
     if not values:
@@ -318,7 +331,7 @@ def _cmd_verify(args) -> int:
     fixed = None  # the window radius, None for each point's auto_lmax
     if args.lmax != "auto":
         try:
-            fixed = int(args.lmax)
+            fixed = parse_integer(args.lmax)
         except ValueError:
             raise CLIError(f"--lmax: expected 'auto' or an integer, got {args.lmax!r}") from None
         if fixed < 1:
@@ -428,7 +441,16 @@ def run(argv: list[str]) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early (e.g. ``dpseries verify | head -1``);
+        # point stdout at devnull so the flush at interpreter exit cannot
+        # raise again, and exit quietly
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -31,6 +31,7 @@ from __future__ import annotations
 import functools
 from bisect import bisect_left
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .parameters import CaseTag, DerivedConstants, InducedRepParams, classify, derived
 from .ktypes import KType, check_ktype
@@ -51,17 +52,31 @@ _INF = "+inf"
 _NEG_INF = "-inf"
 
 
-@dataclass(frozen=True, order=True)
-class ConstituentLabel:
+class _LabelFields(NamedTuple):
     family: str  # "R" (Cases 1) or "L" (Cases 2)
     i: int
     j: int
 
-    def __post_init__(self) -> None:
-        if self.family not in ("R", "L"):
-            raise ValueError(f"family must be 'R' or 'L', got {self.family!r}")
-        if self.i < 0 or self.j < 0:
-            raise ValueError(f"label indices must be >= 0, got ({self.i},{self.j})")
+
+class ConstituentLabel(_LabelFields):
+    """A constituent's label ``R(i,j)`` or ``L(i,j)``.
+
+    A tuple, so hashing, equality and ordering run on its fields in that
+    order; it equals the plain tuple ``(family, i, j)``.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, family: str, i: int, j: int) -> ConstituentLabel:
+        if family not in ("R", "L"):
+            raise ValueError(f"family must be 'R' or 'L', got {family!r}")
+        if i < 0 or j < 0:
+            raise ValueError(f"label indices must be >= 0, got ({i},{j})")
+        return super().__new__(cls, family, i, j)
+
+    @classmethod
+    def _make(cls, iterable) -> ConstituentLabel:  # _replace builds through _make
+        return cls(*iterable)
 
     def __str__(self) -> str:
         return f"{self.family}({self.i},{self.j})"
@@ -212,6 +227,7 @@ class _Point:
     labels: tuple[ConstituentLabel, ...]  # the theorem window, nonempty by proof, sorted
     label_set: frozenset[ConstituentLabel]
     regions: tuple[Region, ...]  # regions[x] belongs to labels[x]
+    row_starts: tuple[int, ...]  # labels[row_starts[i]:row_starts[i + 1]] have first index i
 
 
 # Points kept in the memo.  The views of one point all read its record, so a
@@ -238,7 +254,8 @@ def _point(params: InducedRepParams) -> _Point:
     window, bound = _theorem_range(params, case, branch, d)
     labels = tuple(window)
     regions = tuple(_build_region(params, case, branch, d, lab) for lab in labels)
-    return _Point(case, branch, d, bound, labels, frozenset(labels), regions)
+    rows = tuple(bisect_left(labels, (case.family, i)) for i in range(labels[-1].i + 2))
+    return _Point(case, branch, d, bound, labels, frozenset(labels), regions, rows)
 
 
 def sign_branch(params: InducedRepParams) -> str:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .parameters import InducedRepParams, format_rational, is_integer
+from .parameters import InducedRepParams, format_rational, is_integer, parse_integer
 
 __all__ = [
     "Barrier",
@@ -58,7 +58,7 @@ def check_ktype(lam: Iterable[int]) -> KType:
 def parse_ktype(text: str) -> KType:
     """Parse comma-separated integers like ``"1,0,-2"`` into a K-type index."""
     try:
-        entries = tuple(int(part.strip()) for part in text.split(","))
+        entries = tuple(parse_integer(part) for part in text.split(","))
     except ValueError:
         raise ValueError(f"not a comma-separated integer tuple: {text!r}") from None
     return check_ktype(entries)

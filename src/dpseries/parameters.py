@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 __all__ = [
@@ -34,16 +34,27 @@ __all__ = [
     "derived",
     "format_rational",
     "is_integer",
+    "parse_integer",
     "parse_rational",
 ]
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
+# ASCII digits only: int() and Fraction() would also take "1_0" and "\uff12"
+_INTEGER_RE = re.compile(r"[+-]?[0-9]+")
+_RATIONAL_RE = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
+
+
+def parse_integer(text: str) -> int:
+    """Parse an integer written as ASCII digits with an optional sign (e.g. ``"-3"``)."""
+    s = text.strip()
+    if not _INTEGER_RE.fullmatch(s):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(s)
 
 
 def parse_rational(text: str) -> Fraction:
     """Parse an exact rational written as ``"a"`` or ``"a/b"`` (e.g. ``"-3/2"``)."""
     s = text.strip()
-    if not _RATIONAL_RE.match(s):
+    if not _RATIONAL_RE.fullmatch(s):
         raise ValueError(f"not a rational of the form a or a/b: {text!r}")
     if "/" in s and int(s.split("/")[1]) == 0:
         raise ValueError(f"zero denominator in rational: {text!r}")
@@ -62,11 +73,15 @@ def is_integer(value: Fraction) -> bool:
     return value.denominator == 1
 
 
+_FAMILY = {"Case1a": "R", "Case1b": "R", "Case2a": "L", "Case2b": "L"}
+
+
 class CaseTag(enum.Enum):
     """Reducibility case of ``I^alpha(sigma)``.
 
     Rows by parity of ``sigma_tilde`` (odd -> a, even -> b), columns by parity
-    of ``n + alpha`` (odd -> 1, even -> 2).
+    of ``n + alpha`` (odd -> 1, even -> 2).  ``family`` is the constituent
+    family letter: "R" in Cases 1, "L" in Cases 2, None when irreducible.
     """
 
     IRREDUCIBLE = "Irreducible"
@@ -75,14 +90,8 @@ class CaseTag(enum.Enum):
     CASE_2A = "Case2a"
     CASE_2B = "Case2b"
 
-    @property
-    def family(self) -> str | None:
-        """Constituent family letter: "R" in Cases 1, "L" in Cases 2."""
-        if self in (CaseTag.CASE_1A, CaseTag.CASE_1B):
-            return "R"
-        if self in (CaseTag.CASE_2A, CaseTag.CASE_2B):
-            return "L"
-        return None
+    def __init__(self, value: str) -> None:
+        self.family: str | None = _FAMILY.get(value)
 
 
 @dataclass(frozen=True)
@@ -91,12 +100,15 @@ class InducedRepParams:
 
     ``sigma`` may be given as a ``Fraction``, an ``int``, or a string in
     ``"a"``/``"a/b"`` syntax; it is normalized to a ``Fraction``.  Instances
-    are immutable and hashable.
+    are immutable and hashable; ``sigma_tilde`` and the hash are computed once,
+    as every closed-form view reads them.
     """
 
     n: int
     alpha: int
     sigma: Fraction
+    sigma_tilde: Fraction = field(init=False, repr=False, compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         # type(), not isinstance(): bool is an int subclass, and True is no rank
@@ -114,15 +126,16 @@ class InducedRepParams:
         elif not isinstance(sigma, Fraction):
             raise ValueError(f"sigma must be rational, got {sigma!r}")
         object.__setattr__(self, "sigma", sigma)
+        object.__setattr__(self, "sigma_tilde", sigma + Fraction(self.n + 1 + self.alpha, 2))
+        object.__setattr__(self, "_hash", hash((self.n, self.alpha, sigma)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def rho(self) -> Fraction:
         """Half sum of positive roots along the relevant torus: (n+1)/2."""
         return Fraction(self.n + 1, 2)
-
-    @property
-    def sigma_tilde(self) -> Fraction:
-        return self.sigma + Fraction(self.n + 1 + self.alpha, 2)
 
     def __str__(self) -> str:
         return f"I^{self.alpha}({format_rational(self.sigma)})"

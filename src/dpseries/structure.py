@@ -22,6 +22,7 @@ adjacent layers.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .parameters import CaseTag, InducedRepParams
@@ -112,6 +113,9 @@ def generated_submodule(params: InducedRepParams, label: ConstituentLabel) -> Su
     With ``(a, b) = _grading`` and the generator at ``(s, t)``, it keeps the
     nonempty constituents x with ``a*(x.i - s) <= 0`` and ``b*(x.j - t) <= 0``;
     at sigma = 0 the grading is (0, 0) and it keeps the generator alone.
+    Otherwise a and b are +-1, so the members are, row by row (rows i <= s
+    when a = 1, i >= s when a = -1), the part of the row's slice of the
+    sorted labels with j <= t (b = 1) or j >= t (b = -1), cut by bisection.
     """
     pt = _point(params)
     if label not in pt.label_set:
@@ -119,9 +123,16 @@ def generated_submodule(params: InducedRepParams, label: ConstituentLabel) -> Su
     a, b = _grading(pt)
     if (a, b) == (0, 0):
         return Submodule(generator=label, members=(label,))
-    s, t = label.i, label.j
-    members = tuple(x for x in pt.labels if a * (x.i - s) <= 0 and b * (x.j - t) <= 0)
-    return Submodule(generator=label, members=members)
+    f, s, t = label
+    labels, rows = pt.labels, pt.row_starts
+    members: list[ConstituentLabel] = []
+    for i in range(s + 1) if a == 1 else range(s, len(rows) - 1):
+        lo, hi = rows[i], rows[i + 1]
+        if b == 1:
+            members += labels[lo : bisect_left(labels, (f, i, t + 1), lo, hi)]
+        else:
+            members += labels[bisect_left(labels, (f, i, t), lo, hi) : hi]
+    return Submodule(generator=label, members=tuple(members))
 
 
 def irreducible_submodules(params: InducedRepParams) -> tuple[ConstituentLabel, ...]:

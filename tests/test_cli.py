@@ -90,6 +90,23 @@ def test_unitary_text(capsys):
     assert len(out) == 3
 
 
+def test_unitary_json_at_an_irreducible_point(capsys):
+    point = ["--n", "3", "--alpha", "1", "--sigma", "1/3"]
+    assert run(["unitary", *point, "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload == {"unitarizable": True, "reason": "complementary-series", "witness": None}
+    point = ["--n", "3", "--alpha", "1", "--sigma", "7/3"]
+    assert run(["unitary", *point, "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload == {
+        "unitarizable": False,
+        "reason": "complementary-series: needs n+alpha even and |sigma|<1/2",
+        "witness": {"lambda": [6, 6, 0], "j": 3},
+    }
+    assert run(["unitary", *point]) == 0
+    assert capsys.readouterr().out == "I^1(7/3): irreducible, not unitarizable; witness lambda=6,6,0, j=3\n"
+
+
 def test_embeddings(capsys):
     assert run(["embeddings", "--n", "2", "--alpha", "0", "--sigma", "1/2"]) == 0
     assert capsys.readouterr().out.split() == ["(0,4)", "(2,2)", "(4,0)"]
@@ -122,6 +139,28 @@ def test_non_integer_rank_and_alpha_name_their_flag(capsys):
     assert capsys.readouterr().err == "error: --n: not an integer: 'x'\n"
     assert run(["classify", "--n", "2", "--alpha", "y", "--sigma", "0"]) == 1
     assert capsys.readouterr().err == "error: --alpha: not an integer: 'y'\n"
+
+
+def test_integer_flags_take_ascii_digits_only(capsys):
+    point = ["--n", "2", "--alpha", "0", "--sigma", "1"]
+    for argv, flag in [
+        (["classify", "--n", "1_0", "--alpha", "0", "--sigma", "1"], "--n"),
+        (["classify", "--n", "\uff12", "--alpha", "0", "--sigma", "1"], "--n"),
+        (["classify", "--n", "2", "--alpha", "\uff10", "--sigma", "1"], "--alpha"),
+        (["classify", "--n", "2", "--alpha", "0", "--sigma", "\uff11"], "--sigma"),
+        (["classify", "--n", "2", "--alpha", "0", "--sigma", "1_0"], "--sigma"),
+        (["omega", "--p", "1_0", "--q", "0", "--n", "2"], "--p"),
+        (["ktype", *point, "--lambda", "1_0,0"], "--lambda"),
+        (["ktype", *point, "--lambda", "\uff11,0"], "--lambda"),
+        (["verify", "--n-range", "2_0:2_0"], "--n-range"),
+        (["verify", "--n-range", "2,\uff13"], "--n-range"),
+        (["verify", "--alpha-set", "0,1_0"], "--alpha-set"),
+        (["verify", "--sigma-tilde-range", "-1_0:0"], "--sigma-tilde-range"),
+        (["verify", *point, "--lmax", "1_0"], "--lmax"),
+    ]:
+        assert run(argv) == 1, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(f"error: {flag}: "), (argv, captured.err)
 
 
 def test_out_of_range_rank_and_alpha_name_their_flag(capsys):
@@ -261,3 +300,18 @@ def test_both_module_forms_run_the_cli():
         assert (proc.returncode, proc.stdout) == (0, "Case2b, sigma_tilde=2\n"), (module, proc.stderr)
         proc = subprocess.run([*args, "--bogus"], capture_output=True, text=True, env=env)
         assert proc.returncode == 1 and "--bogus" in proc.stderr, module
+
+
+def test_verify_exits_quietly_when_stdout_closes_early():
+    # as in `dpseries verify | head -1`: the reader goes away after one line
+    env = {**os.environ, "PYTHONPATH": str(Path(dpseries.__file__).parents[1])}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "dpseries", "verify"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+    )
+    assert json.loads(proc.stdout.readline())["ok"]
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert "Traceback" not in stderr and stderr == ""

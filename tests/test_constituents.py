@@ -1,3 +1,4 @@
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -162,6 +163,30 @@ def test_label_parse_and_str():
         parse_label("X(0,1)")
     with pytest.raises(ValueError):
         parse_label("L(0)")
+
+
+def test_label_semantics():
+    lab = ConstituentLabel("R", 1, 0)
+    assert str(lab) == "R(1,0)"
+    assert repr(lab) == "ConstituentLabel(family='R', i=1, j=0)"
+    assert (lab.family, lab.i, lab.j) == ("R", 1, 0)
+    assert ConstituentLabel(family="R", i=1, j=0) == lab
+    # a tuple of its fields: hashed, compared and ordered as one
+    assert hash(lab) == hash(("R", 1, 0))
+    assert lab == ("R", 1, 0)
+    labels = [ConstituentLabel(*t) for t in (("R", 1, 0), ("L", 2, 0), ("R", 0, 3), ("L", 0, 1))]
+    assert [str(x) for x in sorted(labels)] == ["L(0,1)", "L(2,0)", "R(0,3)", "R(1,0)"]
+    assert ConstituentLabel("L", 0, 1) < ConstituentLabel("L", 0, 2) < ConstituentLabel("L", 1, 0)
+    with pytest.raises(ValueError, match="family must be 'R' or 'L', got 'X'"):
+        ConstituentLabel("X", 0, 0)
+    for i, j in ((-1, 0), (0, -1)):
+        with pytest.raises(ValueError, match=rf"label indices must be >= 0, got \({i},{j}\)"):
+            ConstituentLabel("L", i, j)
+    with pytest.raises(ValueError, match="label indices"):
+        lab._replace(i=-1)
+    assert lab._replace(j=2) == ConstituentLabel("R", 1, 2)
+    copy = pickle.loads(pickle.dumps(lab))
+    assert copy == lab and type(copy) is ConstituentLabel
 
 
 def test_point_structure_is_built_once(monkeypatch):

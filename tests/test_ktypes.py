@@ -116,6 +116,9 @@ def test_ktype_parse_format():
         parse_ktype("0,1")
     with pytest.raises(ValueError):
         parse_ktype("1,a")
+    for bad in ("1_0,0", "\uff12,0", "1,0.0"):
+        with pytest.raises(ValueError, match="not a comma-separated integer tuple"):
+            parse_ktype(bad)
     with pytest.raises(ValueError, match="weakly decreasing"):
         check_ktype((0, 1))
 

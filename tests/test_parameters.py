@@ -9,6 +9,7 @@ from dpseries import (
     classify,
     derived,
     format_rational,
+    parse_integer,
     parse_rational,
 )
 
@@ -72,9 +73,40 @@ def test_rational_parsing():
     assert parse_rational("-3/2") == Fraction(-3, 2)
     assert parse_rational(" 7 ") == Fraction(7)
     assert format_rational(Fraction(4, 2)) == "2"
-    for bad in ("1.5", "a/b", "1/0", "1/00", "-3/000", "2/-3", ""):
+    for bad in ("1.5", "a/b", "1/0", "1/00", "-3/000", "2/-3", "", "1_0", "\uff12", "1/\uff12"):
         with pytest.raises(ValueError):
             parse_rational(bad)
+
+
+def test_integer_parsing():
+    assert parse_integer("-3") == -3
+    assert parse_integer(" +7 ") == 7
+    assert parse_integer("007") == 7
+    for bad in ("1_0", "\uff12", "\u0663", "1.0", "", "+", "0x10", "1 0", "--1"):
+        with pytest.raises(ValueError, match="not an integer"):
+            parse_integer(bad)
+
+
+def test_params_from_any_sigma_form_share_hash_and_sigma_tilde():
+    for n, alpha, forms in [
+        (4, 1, ("3/2", Fraction(3, 2), Fraction(6, 4))),
+        (5, 2, (-2, "-2", Fraction(-2), "-4/2")),
+        (2, 0, (0, "0", Fraction(0))),
+    ]:
+        points = [InducedRepParams(n, alpha, sigma) for sigma in forms]
+        sigma = points[0].sigma
+        for p in points:
+            assert p == points[0]
+            assert hash(p) == hash(points[0]) == hash((n, alpha, sigma))
+            assert p.sigma_tilde == sigma + Fraction(n + 1 + alpha, 2)
+            assert repr(p) == f"InducedRepParams(n={n}, alpha={alpha}, sigma={sigma!r})"
+        assert len(set(points)) == 1
+    assert InducedRepParams(4, 1, "3/2") != InducedRepParams(4, 1, "5/2")
+    assert InducedRepParams(4, 1, "3/2") != InducedRepParams(4, 3, "3/2")
+
+
+def test_case_families():
+    assert [tag.family for tag in CaseTag] == [None, "R", "R", "L", "L"]
 
 
 @given(st.fractions(max_denominator=12))

@@ -1,3 +1,6 @@
+import hashlib
+import itertools
+import json
 from fractions import Fraction
 
 import pytest
@@ -5,13 +8,16 @@ import pytest
 from dpseries import (
     ConstituentLabel,
     InducedRepParams,
+    derived,
     diagram_to_dot,
     diagram_to_json,
     enumerate_constituents,
     generated_submodule,
     irreducible_quotients,
     irreducible_submodules,
+    is_empty,
     module_diagram,
+    region_for,
     socle_series,
 )
 from dpseries.structure import diagram_from_json
@@ -153,3 +159,37 @@ def test_dot_is_deterministic():
     assert a == b
     assert a.count("->") == 2
     assert a.count("rank=same") == 2
+
+
+def test_closed_form_views_are_pinned():
+    # sha256 of every closed-form view over n 2..16, alpha 0..3, sigma_tilde
+    # -20..20: the point's repr, each grid label's repr, emptiness and region
+    # (window labels included), the diagram's edges, the socle layers and each
+    # generated submodule's members; recorded while labels were dataclasses
+    # and generated_submodule scanned every label
+    digest = hashlib.sha256()
+    for n in range(2, 17):
+        for alpha in range(4):
+            for st in range(-20, 21):
+                params = params_from_sigma_tilde(n, alpha, st)
+                cs = enumerate_constituents(params)
+                d = derived(params)
+                if cs.case.family == "R":
+                    grid = [(i, j) for i in range(d.k + 1) for j in range(d.k + 1 - i)]
+                else:
+                    grid = list(itertools.product(range((d.n1 + 3) // 2), range(d.n0 // 2 + 1)))
+                regions = []
+                for i, j in grid:
+                    lab = ConstituentLabel(cs.case.family, i, j)
+                    region = region_for(params, lab)
+                    regions.append([repr(lab), is_empty(params, lab), region.to_json(), region.describe()])
+                record = [
+                    repr(params),
+                    [str(x) for x in cs.labels],
+                    regions,
+                    [[str(u), str(v)] for u, v in module_diagram(params).edges],
+                    [[str(x) for x in layer] for layer in socle_series(params).layers],
+                    [[str(x) for x in generated_submodule(params, lab).members] for lab in cs.labels],
+                ]
+                digest.update(json.dumps(record).encode())
+    assert digest.hexdigest() == "fb5a964bd11a69255fa72e75d5ebf274bc16a15a2234babb7c60d127b62a226b"
