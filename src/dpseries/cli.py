@@ -295,39 +295,41 @@ def _cmd_ktype(args) -> int:
     return 0
 
 
-def _parse_range(raw: str, flag: str) -> list[int]:
+def _parse_range(raw: str, flag: str) -> tuple[range | list[int], int, int]:
+    """The values of ``A:B`` (a lazy ``range``) or of a comma list, with their min and max."""
     try:
         if ":" in raw:
             lo, hi = raw.split(":")
-            values = list(range(parse_integer(lo), parse_integer(hi) + 1))
+            values = range(parse_integer(lo), parse_integer(hi) + 1)
         else:
             values = [parse_integer(part) for part in raw.split(",")]
     except ValueError:
         raise CLIError(f"--{flag}: expected A:B or a comma list, got {raw!r}") from None
     if not values:
         raise CLIError(f"--{flag}: empty range {raw!r} (need A <= B)")
-    return values
+    if isinstance(values, range):
+        return values, values[0], values[-1]
+    return values, min(values), max(values)
 
 
 def _cmd_verify(args) -> int:
     if args.n is not None or args.alpha is not None or args.sigma is not None:
         if None in (args.n, args.alpha, args.sigma):
             raise CLIError("--n/--alpha/--sigma must be given together")
-        points = [_params_from(args)]
+        point = _params_from(args)
+        points = lambda: [point]
     else:
-        ns = _parse_range(args.n_range, "n-range")
-        if min(ns) < 2:
+        ns, n_min, _ = _parse_range(args.n_range, "n-range")
+        if n_min < 2:
             raise CLIError("--n-range: rank below supported range (need n >= 2)")
-        alphas = _parse_range(args.alpha_set, "alpha-set")
-        if not set(alphas) <= {0, 1, 2, 3}:
+        alphas, alpha_min, alpha_max = _parse_range(args.alpha_set, "alpha-set")
+        if alpha_min < 0 or alpha_max > 3:
             raise CLIError(f"--alpha-set: alpha must be one of 0, 1, 2, 3, got {args.alpha_set!r}")
-        sigma_tildes = _parse_range(args.sigma_tilde_range, "sigma-tilde-range")
-        points = []
-        for n in ns:
-            for alpha in alphas:
-                for st in sigma_tildes:
-                    sigma = Fraction(st) - Fraction(n + 1 + alpha, 2)
-                    points.append(InducedRepParams(n=n, alpha=alpha, sigma=sigma))
+        sigma_tildes, _, _ = _parse_range(args.sigma_tilde_range, "sigma-tilde-range")
+        points = lambda: (  # generated anew for the pre-check and for the run
+            InducedRepParams(n=n, alpha=a, sigma=Fraction(st) - Fraction(n + 1 + a, 2))
+            for n in ns for a in alphas for st in sigma_tildes
+        )
     fixed = None  # the window radius, None for each point's auto_lmax
     if args.lmax != "auto":
         try:
@@ -338,14 +340,14 @@ def _cmd_verify(args) -> int:
             raise CLIError(f"--lmax: window radius must be >= 1, got {fixed}")
     # refuse an oversized window before any point runs
     flag = "--lmax" if args.lmax != "auto" else "--n" if args.n is not None else "--n-range"
-    for params in points:
+    for params in points():
         try:
             oracle.check_window(params.n, fixed or oracle.auto_lmax(params))
         except ValueError as e:
             raise CLIError(f"{flag}: {e}") from None
 
     all_ok = True
-    for params in points:
+    for params in points():
         verdict = oracle.compare(params, fixed)
         all_ok &= verdict.ok
         record = {

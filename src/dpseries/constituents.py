@@ -21,9 +21,9 @@ box intersected with the dominance cone, so greedily assigning each
 coordinate the largest even value allowed by its upper bound and its
 predecessor is a feasibility witness iff one exists.
 
-A point's case, sign branch, window and regions are built once and kept in a
-bounded memo; every public function here, and the views in ``structure``,
-``unitarity`` and ``howe``, read that one record.
+A point's case, sign branch and window are computed once and kept in a
+bounded memo, which every function here and the views in ``structure``,
+``unitarity`` and ``howe`` read; a region is built only when asked for.
 """
 
 from __future__ import annotations
@@ -226,18 +226,18 @@ class _Point:
     index_bound: tuple[str, int] | None
     labels: tuple[ConstituentLabel, ...]  # the theorem window, nonempty by proof, sorted
     label_set: frozenset[ConstituentLabel]
-    regions: tuple[Region, ...]  # regions[x] belongs to labels[x]
     row_starts: tuple[int, ...]  # labels[row_starts[i]:row_starts[i + 1]] have first index i
 
 
 # Points kept in the memo.  The views of one point all read its record, so a
-# few suffice; a record at n = 16 holds about 26 kB.
+# few suffice.  A record holds labels only, no regions: the largest at n = 16
+# (53 labels) holds about 8 kB.
 _POINTS_KEPT = 32
 
 
 @functools.lru_cache(maxsize=_POINTS_KEPT)
 def _point(params: InducedRepParams) -> _Point:
-    """The point's case, sign branch, theorem window and its regions, built once.
+    """The point's case, sign branch and theorem window, computed once.
 
     The window's labels are the constituents as they stand: each region in it
     is nonempty and each grid label outside it has an empty region, as
@@ -253,9 +253,8 @@ def _point(params: InducedRepParams) -> _Point:
     branch = "neg" if sigma < 0 else "zero" if sigma == 0 else "pos"
     window, bound = _theorem_range(params, case, branch, d)
     labels = tuple(window)
-    regions = tuple(_build_region(params, case, branch, d, lab) for lab in labels)
     rows = tuple(bisect_left(labels, (case.family, i)) for i in range(labels[-1].i + 2))
-    return _Point(case, branch, d, bound, labels, frozenset(labels), regions, rows)
+    return _Point(case, branch, d, bound, labels, frozenset(labels), rows)
 
 
 def sign_branch(params: InducedRepParams) -> str:
@@ -336,8 +335,6 @@ def region_for(params: InducedRepParams, label: ConstituentLabel) -> Region:
     ValueError.  The resulting region may be empty.
     """
     pt = _point(params)
-    if label in pt.label_set:
-        return pt.regions[bisect_left(pt.labels, label)]
     _require_definable(params, pt, label)
     return _build_region(params, pt.case, pt.branch, pt.derived, label)
 
@@ -450,8 +447,7 @@ def label_of(params: InducedRepParams, lam: KType) -> ConstituentLabel:
     lam = check_ktype(lam)
     if len(lam) != params.n:
         raise ValueError(f"K-type has length {len(lam)}, expected n={params.n}")
-    pt = _point(params)
-    hits = [lab for lab, region in zip(pt.labels, pt.regions) if region.contains(lam)]
+    hits = [lab for lab in _point(params).labels if region_for(params, lab).contains(lam)]
     if len(hits) != 1:
         raise RuntimeError(
             f"constituent partition violated at lambda={lam} for {params}: hits={hits}"

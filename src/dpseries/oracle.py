@@ -484,9 +484,6 @@ class OracleVerdict:
     witness: str | None
     warnings: tuple[str, ...] = field(default=())
 
-    def check(self, name: str) -> str:
-        return dict(self.checks)[name]
-
 
 def _partition(
     params: InducedRepParams, lattice: TruncatedLattice, labels: tuple[ConstituentLabel, ...]

@@ -315,3 +315,38 @@ def test_verify_exits_quietly_when_stdout_closes_early():
     proc.stderr.close()
     assert proc.wait(timeout=60) == 1
     assert "Traceback" not in stderr and stderr == ""
+
+
+def test_every_output_form_matches_golden(capsys):
+    # each command's text and json forms (and the omega input errors) at the
+    # cli_cold point I^2(-3/2), plus an irreducible unitarizable point and a
+    # point with no embeddings; one {"argv", "exit", "stdout", "stderr"} per line
+    golden = Path(__file__).parent / "golden" / "cli_forms.jsonl"
+    for line in golden.read_text().splitlines():
+        want = json.loads(line)
+        assert run(want["argv"]) == want["exit"], want["argv"]
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (want["stdout"], want["stderr"]), want["argv"]
+
+
+def test_verify_refuses_a_huge_sweep_before_building_it():
+    # each range spans about 10**9 values; under a 1 GB address-space cap the
+    # sweep must be refused by its flags, not built and then run out of memory
+    import resource
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    env = {**os.environ, "PYTHONPATH": str(Path(dpseries.__file__).parents[1])}
+    for flag, raw, phrase in (
+        ("--alpha-set", "0:1000000000", "--alpha-set"),
+        ("--n-range", "2:1000000000", "budget"),
+        ("--sigma-tilde-range", "-1000000000:1000000000", "budget"),
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-m", "dpseries", "verify", flag, raw],
+            capture_output=True, text=True, env=env, preexec_fn=cap_memory, timeout=60,
+        )
+        assert proc.returncode == 1, (flag, proc.stderr[-300:])
+        assert proc.stderr.startswith("error: ") and phrase in proc.stderr, (flag, proc.stderr[-300:])
+        assert "Traceback" not in proc.stderr and proc.stdout == "", flag

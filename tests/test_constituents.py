@@ -229,6 +229,27 @@ def test_point_structure_is_built_once(monkeypatch):
     assert (info.misses, info.currsize, len(windows)) == (1, 1, 1)
 
 
+def test_point_record_holds_labels_not_regions():
+    # the socle series reads labels only, so the record it leaves in the memo
+    # grows with the label count; keeping every region (two n-tuples per
+    # label) would take about 5 kB per label here
+    import tracemalloc
+
+    from dpseries import socle_series
+
+    params = InducedRepParams(n=300, alpha=1, sigma=Fraction(-150))
+    _point.cache_clear()
+    tracemalloc.start()
+    try:
+        socle_series(params)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    labels = len(_point(params).labels)
+    assert labels == 11476
+    assert held < 400 * labels, held
+
+
 def _index_grid(params):
     """The case's full label grid: 0 <= i+j <= k for family R, the rectangle S(n) for L."""
     d = derived(params)

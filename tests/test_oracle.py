@@ -491,11 +491,25 @@ def _split_by_first_coordinate(params, label):
     return Region(n=params.n, lower=lower, upper=upper)
 
 
+def _leave_l11_beyond_the_window(params, label):
+    # {lambda_1 <= -1} and {lambda_1 >= 0} partition the window, so every class
+    # lies in one region; L(1,1) = {lambda_1 >= 100} holds no window point, so
+    # two of the three classes map to one region.
+    bounds = {
+        "L(0,0)": ((None, None), (-2, None)),
+        "L(1,0)": ((0, None), (None, None)),
+        "L(1,1)": ((200, None), (None, None)),
+    }
+    lower, upper = bounds[str(label)]
+    return Region(n=params.n, lower=lower, upper=upper)
+
+
 @pytest.mark.parametrize(
     "fake, witness",
     [
         (_everything_region, "lambda=(-4,-4) lies in 3 regions"),
         (_split_by_first_coordinate, "class of lambda=(0,-4) spans regions L(0,0), L(1,0), L(1,1)"),
+        (_leave_l11_beyond_the_window, "two lattice classes map to one region"),
     ],
 )
 def test_compare_partition_failure_skips_the_other_checks(monkeypatch, fake, witness):
