@@ -18,13 +18,9 @@ from .parameters import (
     parse_rational,
 )
 from .ktypes import (
-    Barrier,
     barrier_minus,
     barrier_plus,
-    barriers,
-    effective_barriers,
     format_ktype,
-    gap,
     neighbors,
     parse_ktype,
     transition,
@@ -71,7 +67,6 @@ from .oracle import OracleVerdict, TruncatedLattice, auto_lmax, build, compare
 __version__ = "0.1.0"
 
 __all__ = [
-    "Barrier",
     "CaseTag",
     "ConstituentLabel",
     "ConstituentSet",
@@ -89,7 +84,6 @@ __all__ = [
     "auto_lmax",
     "barrier_minus",
     "barrier_plus",
-    "barriers",
     "build",
     "check_summary",
     "classify",
@@ -99,11 +93,9 @@ __all__ = [
     "derived",
     "diagram_to_dot",
     "diagram_to_json",
-    "effective_barriers",
     "enumerate_constituents",
     "format_ktype",
     "format_rational",
-    "gap",
     "generated_submodule",
     "induced_params",
     "irreducible_quotients",

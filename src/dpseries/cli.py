@@ -11,6 +11,7 @@ handling.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -94,6 +95,15 @@ def _require_reducible(params: InducedRepParams) -> None:
         )
 
 
+def _print_json(payload, sort_keys: bool = True) -> None:
+    """Print an indented JSON form in batches of encoder chunks, never as one
+    whole string, and with one write per batch even on unbuffered stdout."""
+    chunks = json.JSONEncoder(indent=2, sort_keys=sort_keys).iterencode(payload)
+    while batch := "".join(itertools.islice(chunks, 8192)):
+        sys.stdout.write(batch)
+    sys.stdout.write("\n")
+
+
 def _cmd_classify(args) -> int:
     params = _params_from(args)
     case = classify(params)
@@ -126,7 +136,7 @@ def _cmd_constituents(args) -> int:
                 for lab in cs.labels
             ],
         }
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        _print_json(payload)
     else:
         bound = "" if cs.index_bound is None else f", {cs.index_bound[0]}={cs.index_bound[1]}"
         print(f"{params}: {cs.case.value}{bound}, {len(cs.labels)} constituents")
@@ -176,7 +186,7 @@ def _cmd_unitary(args) -> int:
                 "reason": reason,
                 "witness": None if witness is None else {"lambda": list(witness[0]), "j": witness[1]},
             }
-            print(json.dumps(payload, indent=2, sort_keys=True))
+            _print_json(payload)
         elif ok:
             print(f"{params}: irreducible, unitarizable (complementary-series)")
         else:
@@ -196,7 +206,7 @@ def _cmd_unitary(args) -> int:
             {"label": str(lab), "unitarizable": v.unitarizable, "reason": v.reason}
             for lab, v in rows
         ]
-        print(json.dumps(payload, indent=2))
+        _print_json(payload, sort_keys=False)
     else:
         for lab, v in rows:
             word = "unitarizable" if v.unitarizable else "not unitarizable"
@@ -228,7 +238,7 @@ def _cmd_omega(args) -> int:
             "members": [str(x) for x in image.members],
             "generator_region": region.to_json(),
         }
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        _print_json(payload)
         return 0
     trivial = " (trivial representation)" if region.single_point() == (0,) * n else ""
     if image.shape == "single":
@@ -285,7 +295,7 @@ def _cmd_ktype(args) -> int:
         }
         if classify(params) is not CaseTag.IRREDUCIBLE:
             payload["constituent"] = str(label_of(params, lam))
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        _print_json(payload)
         return 0
     print(f"K-type lambda=({ktypes.format_ktype(lam)}) in {params}")
     if classify(params) is not CaseTag.IRREDUCIBLE:
@@ -318,6 +328,7 @@ def _cmd_verify(args) -> int:
             raise CLIError("--n/--alpha/--sigma must be given together")
         point = _params_from(args)
         points = lambda: [point]
+        ns = (point.n,)
     else:
         ns, n_min, _ = _parse_range(args.n_range, "n-range")
         if n_min < 2:
@@ -338,11 +349,16 @@ def _cmd_verify(args) -> int:
             raise CLIError(f"--lmax: expected 'auto' or an integer, got {args.lmax!r}") from None
         if fixed < 1:
             raise CLIError(f"--lmax: window radius must be >= 1, got {fixed}")
-    # refuse an oversized window before any point runs
-    flag = "--lmax" if args.lmax != "auto" else "--n" if args.n is not None else "--n-range"
-    for params in points():
+    # refuse an oversized window before any point runs; a fixed window's
+    # size depends on n alone, so each n is checked once
+    if fixed is not None:
+        flag, windows = "--lmax", ((n, fixed) for n in ns)
+    else:
+        flag = "--n/--sigma" if args.n is not None else "--n-range/--sigma-tilde-range"
+        windows = ((params.n, oracle.auto_lmax(params)) for params in points())
+    for n, lmax in windows:
         try:
-            oracle.check_window(params.n, fixed or oracle.auto_lmax(params))
+            oracle.check_window(n, lmax)
         except ValueError as e:
             raise CLIError(f"{flag}: {e}") from None
 

@@ -45,7 +45,6 @@ __all__ = [
     "label_of",
     "parse_label",
     "region_for",
-    "sign_branch",
 ]
 
 _INF = "+inf"
@@ -255,15 +254,6 @@ def _point(params: InducedRepParams) -> _Point:
     labels = tuple(window)
     rows = tuple(bisect_left(labels, (case.family, i)) for i in range(labels[-1].i + 2))
     return _Point(case, branch, d, bound, labels, frozenset(labels), rows)
-
-
-def sign_branch(params: InducedRepParams) -> str:
-    """Which sign branch of the case theorems applies: "neg", "zero" or "pos".
-
-    Cases 1 have integer sigma (branches sigma <= -1, sigma == 0, sigma >= 1);
-    Cases 2 have half-integer sigma (branches sigma <= -1/2, sigma >= 1/2).
-    """
-    return _point(params).branch
 
 
 def _require_definable(params: InducedRepParams, pt: _Point, label: ConstituentLabel) -> None:

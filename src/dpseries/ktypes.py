@@ -21,22 +21,17 @@ Coefficients are exact rationals; "blocked" always means exactly zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .parameters import InducedRepParams, format_rational, is_integer, parse_integer
+from .parameters import InducedRepParams, is_integer, parse_integer
 
 __all__ = [
-    "Barrier",
     "barrier_minus",
     "barrier_plus",
-    "barriers",
     "blocked_positions",
     "check_ktype",
-    "effective_barriers",
     "format_ktype",
-    "gap",
     "neighbors",
     "parse_ktype",
     "transition",
@@ -78,11 +73,6 @@ def barrier_minus(params: InducedRepParams, j: int) -> Fraction:
     return params.sigma_tilde - (params.n + params.alpha) + j
 
 
-def gap(params: InducedRepParams) -> Fraction:
-    """Signed distance barrier_plus - barrier_minus, independent of j."""
-    return -2 * params.sigma - 2
-
-
 def transition(params: InducedRepParams, lam: KType, j: int, direction: str) -> Fraction:
     """Transition coefficient from the K-type at ``lam`` to ``lam +- e_j``.
 
@@ -120,34 +110,6 @@ def neighbors(lam: KType) -> list[tuple[KType, int, str]]:
     return out
 
 
-@dataclass(frozen=True)
-class Barrier:
-    """A barrier hyperplane ``x_j = position`` in the ``2*lam`` coordinates."""
-
-    coordinate: int
-    kind: str  # "plus" blocks up-moves, "minus" blocks down-moves
-    position: Fraction
-    effective: bool
-
-    def __str__(self) -> str:
-        sign = "+" if self.kind == "plus" else "-"
-        return f"l{sign}_{self.coordinate} at {format_rational(self.position)}"
-
-
-def barriers(params: InducedRepParams) -> tuple[Barrier, ...]:
-    """Both barriers for every coordinate 1..n, with effectiveness flags."""
-    out = []
-    for j in range(1, params.n + 1):
-        for kind, pos in (("plus", barrier_plus(params, j)), ("minus", barrier_minus(params, j))):
-            out.append(Barrier(j, kind, pos, is_integer(pos) and int(pos) % 2 == 0))
-    return tuple(out)
-
-
-def effective_barriers(params: InducedRepParams) -> tuple[Barrier, ...]:
-    """The barriers that cut the even lattice (empty when sigma_tilde is not an integer)."""
-    return tuple(b for b in barriers(params) if b.effective)
-
-
 def blocked_positions(
     params: InducedRepParams,
 ) -> tuple[tuple[int | None, ...], tuple[int | None, ...]]:
@@ -156,7 +118,7 @@ def blocked_positions(
     Returns ``(up, down)`` where ``up[j-1]`` is the even integer position at
     which the up-move in coordinate j is blocked (``transition == 0``), or
     None when no even lattice point is ever blocked; the oracle's vectorized
-    graph build consumes it.  These are the effective ``barriers`` in
+    graph build consumes it.  These are the effective barriers in
     integers: with st = sigma_tilde, ``up[j-1] = j-1-st`` and ``down[j-1] =
     st-(n+alpha)+j`` when even, and all None when st is not an integer.
     """

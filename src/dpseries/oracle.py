@@ -93,9 +93,6 @@ class TruncatedLattice:
         comp.setflags(write=False)
         return comp
 
-    def class_points(self, c: int) -> np.ndarray:
-        return self.points[self.comp == c]
-
 
 def check_window(n: int, lmax: int) -> int:
     """Number of dominant n-tuples with entries in [-lmax, lmax].

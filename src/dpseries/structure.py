@@ -50,14 +50,6 @@ class ModuleDiagram:
     nodes: tuple[ConstituentLabel, ...]
     edges: tuple[Edge, ...]  # (upper, lower), pointing toward the socle
 
-    def sinks(self) -> tuple[ConstituentLabel, ...]:
-        with_out = {u for u, _ in self.edges}
-        return tuple(x for x in self.nodes if x not in with_out)
-
-    def sources(self) -> tuple[ConstituentLabel, ...]:
-        with_in = {v for _, v in self.edges}
-        return tuple(x for x in self.nodes if x not in with_in)
-
 
 @dataclass(frozen=True)
 class SocleSeries:
@@ -136,13 +128,13 @@ def generated_submodule(params: InducedRepParams, label: ConstituentLabel) -> Su
 
 
 def irreducible_submodules(params: InducedRepParams) -> tuple[ConstituentLabel, ...]:
-    """Diagram sinks; equals the socle (layer 1)."""
-    return tuple(sorted(module_diagram(params).sinks()))
+    """The socle (layer 1): the grading's lowest level, which holds the diagram's sinks."""
+    return socle_series(params).layers[0]
 
 
 def irreducible_quotients(params: InducedRepParams) -> tuple[ConstituentLabel, ...]:
-    """Diagram sources; equals the top socle layer."""
-    return tuple(sorted(module_diagram(params).sources()))
+    """The top socle layer: the grading's highest level, which holds the diagram's sources."""
+    return socle_series(params).layers[-1]
 
 
 def diagram_to_json(diagram: ModuleDiagram, socle: SocleSeries) -> str:

@@ -13,9 +13,7 @@ interval ``|sigma| < 1/2`` in the even-parity case.
 
 Unitarizability of an individual constituent is decided by the explicit
 clauses of the case theorems (one clause for family R, one per band kind
-for family L); the verdict records exactly which clause applied.  The
-``region_sign_probe`` helper is an advisory-only diagnostic, not an
-independent proof.
+for family L); the verdict records exactly which clause applied.
 """
 
 from __future__ import annotations
@@ -26,7 +24,7 @@ from fractions import Fraction
 
 from .parameters import CaseTag, InducedRepParams
 from .ktypes import KType, check_ktype
-from .constituents import ConstituentLabel, _point, region_for
+from .constituents import ConstituentLabel, _point
 
 __all__ = [
     "UnitarityVerdict",
@@ -34,7 +32,6 @@ __all__ = [
     "constituent_unitarizable",
     "n_ratio",
     "nonunitarity_witness",
-    "region_sign_probe",
     "xi",
 ]
 
@@ -149,39 +146,3 @@ def constituent_unitarizable(
         return UnitarityVerdict(True, f"{tag}-(i-j=r2)")
     bound = f"sigma<={k1}-1/2" if branch == "pos" else f"sigma>=-{k1}+1/2"
     return UnitarityVerdict(False, f"{tag}: needs i=j, or {bound} and i-j=r2={r}")
-
-
-def region_sign_probe(
-    params: InducedRepParams, label: ConstituentLabel, radius: int = 6
-) -> dict:
-    """Advisory diagnostic: sign of n_ratio along steps inside one region.
-
-    Checks every up-step lam -> lam + e_j whose endpoints both lie in the
-    label's region, within the given window.  All-negative ratios are
-    consistent with (but do not prove) a positive invariant form on the
-    constituent; this is NOT authoritative, the theorem clauses are.
-    """
-    region = region_for(params, label)
-    n = params.n
-    values = range(radius, -radius - 1, -1)
-    violations = []
-    steps = 0
-    for lam in itertools.combinations_with_replacement(values, n):
-        if not region.contains(lam):
-            continue
-        for j in range(1, n + 1):
-            moved = lam[: j - 1] + (lam[j - 1] + 1,) + lam[j:]
-            if any(moved[a] < moved[a + 1] for a in range(n - 1)):
-                continue
-            if not region.contains(moved):
-                continue
-            steps += 1
-            x = xi(params, lam, j)
-            if -params.sigma + x == 0 or n_ratio(params, lam, j) >= 0:
-                violations.append({"lambda": lam, "j": j})
-    return {
-        "advisory": "advisory sign probe only; not an authoritative unitarity test",
-        "steps_checked": steps,
-        "all_negative": not violations,
-        "violations": violations[:5],
-    }

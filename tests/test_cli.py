@@ -1,5 +1,7 @@
+import contextlib
 import json
 import os
+import select
 import subprocess
 import sys
 import time
@@ -132,6 +134,9 @@ def test_input_errors_exit_1(capsys):
     assert "--sigma" in capsys.readouterr().err
     assert run(["diagram", "--n", "2", "--alpha", "0", "--sigma", "1/3"]) == 1
     assert "irreducible" in capsys.readouterr().err
+    assert run(["ktype", "--n", "3", "--alpha", "0", "--sigma", "0", "--lambda", "1,0"]) == 1
+    err = capsys.readouterr().err
+    assert "--lambda" in err and "Traceback" not in err
 
 
 def test_non_integer_rank_and_alpha_name_their_flag(capsys):
@@ -338,15 +343,51 @@ def test_verify_refuses_a_huge_sweep_before_building_it():
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
     env = {**os.environ, "PYTHONPATH": str(Path(dpseries.__file__).parents[1])}
-    for flag, raw, phrase in (
-        ("--alpha-set", "0:1000000000", "--alpha-set"),
-        ("--n-range", "2:1000000000", "budget"),
-        ("--sigma-tilde-range", "-1000000000:1000000000", "budget"),
+    for flag, raw, phrases in (
+        ("--alpha-set", "0:1000000000", ("--alpha-set",)),
+        ("--n-range", "2:1000000000", ("budget",)),
+        ("--sigma-tilde-range", "-1000000000:1000000000", ("budget", "--sigma-tilde-range")),
     ):
         proc = subprocess.run(
             [sys.executable, "-m", "dpseries", "verify", flag, raw],
             capture_output=True, text=True, env=env, preexec_fn=cap_memory, timeout=60,
         )
         assert proc.returncode == 1, (flag, proc.stderr[-300:])
-        assert proc.stderr.startswith("error: ") and phrase in proc.stderr, (flag, proc.stderr[-300:])
+        assert proc.stderr.startswith("error: "), (flag, proc.stderr[-300:])
+        assert all(phrase in proc.stderr for phrase in phrases), (flag, proc.stderr[-300:])
         assert "Traceback" not in proc.stderr and proc.stdout == "", flag
+
+
+def test_verify_with_a_fixed_window_starts_a_huge_sweep_at_once():
+    # a fixed --lmax window's size depends on n alone, so the pre-check must
+    # not visit each of the sweep's 8 * 10**9 points before the first record
+    env = {**os.environ, "PYTHONPATH": str(Path(dpseries.__file__).parents[1])}
+    argv = ["verify", "--lmax", "1", "--sigma-tilde-range", "-1000000000:1000000000"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "dpseries", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True, env=env,
+    )
+    try:
+        ready, _, _ = select.select([proc.stdout], [], [], 10)
+        assert ready, "no record within 10 s"
+        record = json.loads(proc.stdout.readline())
+        assert (record["n"], record["lmax"], record["sigma_tilde"]) == (2, 1, "-1000000000")
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stdout.close()
+
+
+def test_constituents_json_is_written_without_the_whole_document():
+    # n=300 prints about 7 MB of JSON; holding it as one string peaked at 80 MiB
+    import tracemalloc
+
+    argv = ["constituents", "--n", "300", "--alpha", "1", "--sigma", "1", "--format", "json"]
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+        tracemalloc.start()
+        try:
+            assert run(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 40 << 20, f"{peak / 2**20:.1f} MiB"

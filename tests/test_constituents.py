@@ -199,7 +199,7 @@ def test_point_structure_is_built_once(monkeypatch):
         possible_embeddings,
         socle_series,
     )
-    from dpseries.constituents import _point, sign_branch
+    from dpseries.constituents import _point
 
     windows = []  # one theorem window per record built
     theorem_range = constituents._theorem_range
@@ -220,7 +220,6 @@ def test_point_structure_is_built_once(monkeypatch):
         constituent_unitarizable(params, lab)
     module_diagram(params)
     socle_series(params)
-    sign_branch(params)
     label_of(params, (0,) * 9)
     assert possible_embeddings(params)
     for p, q in possible_embeddings(params):

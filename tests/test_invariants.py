@@ -5,6 +5,8 @@ own internals to make it fire.
 """
 
 import ast
+import importlib
+import pkgutil
 from fractions import Fraction
 from pathlib import Path
 
@@ -20,6 +22,22 @@ def test_no_assert_statements_in_the_package():
         tree = ast.parse(path.read_text())
         asserts = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
         assert not asserts, f"{path.name} asserts at lines {asserts}"
+
+
+def test_every_exported_name_resolves():
+    # dpseries.__main__ runs the command line on import and exports nothing
+    modules = [dpseries] + [
+        importlib.import_module(f"dpseries.{info.name}")
+        for info in pkgutil.iter_modules(dpseries.__path__)
+        if info.name != "__main__"
+    ]
+    checked = 0
+    for module in modules:
+        exported = getattr(module, "__all__", ())
+        missing = [name for name in exported if not hasattr(module, name)]
+        assert not missing, f"{module.__name__} exports missing names {missing}"
+        checked += bool(exported)
+    assert checked == 9
 
 
 def test_odd_region_chain_raises(monkeypatch):

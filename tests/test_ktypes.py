@@ -7,14 +7,12 @@ from dpseries import (
     InducedRepParams,
     barrier_minus,
     barrier_plus,
-    effective_barriers,
     format_ktype,
-    gap,
     neighbors,
     parse_ktype,
     transition,
 )
-from dpseries.ktypes import barriers, blocked_positions, check_ktype
+from dpseries.ktypes import blocked_positions, check_ktype
 from dpseries.oracle import auto_lmax
 
 from conftest import dominant_window, params_from_sigma_tilde
@@ -39,7 +37,7 @@ def test_barrier_positions_worked_points():
 )
 def test_gap_identity(n, alpha, sigma, j):
     p = InducedRepParams(n, alpha, sigma)
-    assert barrier_plus(p, j) - barrier_minus(p, j) == gap(p) == -2 * sigma - 2
+    assert barrier_plus(p, j) - barrier_minus(p, j) == -2 * sigma - 2
 
 
 def test_transition_worked_points():
@@ -67,15 +65,13 @@ def test_up_down_coefficients_sum_to_gap(n, alpha, sigma):
     lam = tuple(range(n, 0, -1))
     for j in range(1, n + 1):
         total = transition(p, lam, j, "up") + transition(p, lam, j, "down")
-        assert total == gap(p)
+        assert total == -2 * sigma - 2
 
 
 def test_effective_barriers_worked_points():
-    assert effective_barriers(InducedRepParams(2, 0, Fraction(0))) == ()
-    got = [(b.kind, b.coordinate, b.position) for b in effective_barriers(P_CASE1A)]
-    assert got == [("plus", 2, 0), ("minus", 2, 0)]
-    got = [(b.kind, b.coordinate, b.position) for b in effective_barriers(P_CASE2B)]
-    assert got == [("plus", 1, -2), ("minus", 2, 2)]
+    assert blocked_positions(InducedRepParams(2, 0, Fraction(0))) == ((None, None), (None, None))
+    assert blocked_positions(P_CASE1A) == ((None, 0), (None, 0))
+    assert blocked_positions(P_CASE2B) == ((-2, None), (None, 2))
 
 
 def test_effective_barrier_parity_laws():
@@ -83,16 +79,13 @@ def test_effective_barrier_parity_laws():
         for alpha in range(4):
             for st_val in range(-5, 6):
                 p = params_from_sigma_tilde(n, alpha, st_val)
-                by_coord = {}
-                for b in effective_barriers(p):
-                    by_coord.setdefault(b.coordinate, set()).add(b.kind)
-                if (n + alpha) % 2 == 1:
-                    # both barriers effective on a coordinate, or neither
-                    assert all(kinds == {"plus", "minus"} for kinds in by_coord.values())
-                else:
-                    # exactly one barrier effective on every coordinate
-                    assert set(by_coord) == set(range(1, n + 1))
-                    assert all(len(kinds) == 1 for kinds in by_coord.values())
+                for up, down in zip(*blocked_positions(p)):
+                    if (n + alpha) % 2 == 1:
+                        # both barriers effective on a coordinate, or neither
+                        assert (up is None) == (down is None)
+                    else:
+                        # exactly one barrier effective on every coordinate
+                        assert (up is None) != (down is None)
 
 
 def test_zero_coefficient_only_at_reducible_points():
@@ -141,9 +134,13 @@ def test_blocked_positions_and_auto_lmax_match_the_fraction_barriers():
         for alpha in range(4):
             for st in sigma_tildes:
                 p = params_from_sigma_tilde(n, alpha, st)
-                both = barriers(p)
-                up = tuple(int(b.position) if b.effective else None for b in both if b.kind == "plus")
-                down = tuple(int(b.position) if b.effective else None for b in both if b.kind == "minus")
+                up, down = (
+                    tuple(
+                        int(b) if b.denominator == 1 and b % 2 == 0 else None
+                        for b in (barrier(p, j) for j in range(1, n + 1))
+                    )
+                    for barrier in (barrier_plus, barrier_minus)
+                )
                 assert blocked_positions(p) == (up, down), p
-                far = max((abs(int(b.position)) for b in effective_barriers(p)), default=0)
+                far = max((abs(b) for b in up + down if b is not None), default=0)
                 assert auto_lmax(p) == (far + 1) // 2 + 3, p

@@ -40,10 +40,10 @@ def test_three_classes_case1a():
     sinks = set(range(lattice.n_classes)) - {a for a, _ in lattice.class_edges}
     assert len(sinks) == 1
     sink = sinks.pop()
-    pts = lattice.class_points(sink)
+    pts = lattice.points[lattice.comp == sink]
     assert set(pts[:, 1].tolist()) == {0}
     # the other two classes are lambda_2 >= 1 and lambda_2 <= -1
-    others = [lattice.class_points(c) for c in range(3) if c != sink]
+    others = [lattice.points[lattice.comp == c] for c in range(3) if c != sink]
     signs = sorted(int(np.sign(p[:, 1]).max()) for p in others)
     assert signs == [-1, 1]
 

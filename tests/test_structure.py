@@ -99,8 +99,11 @@ def test_socle_matches_longest_downward_paths(n, alpha, st_val):
 
     for lab in diagram.nodes:
         assert lab in socle.layers[longest(lab) - 1]
-    assert irreducible_submodules(params) == socle.layers[0]
-    assert irreducible_quotients(params) == socle.layers[-1]
+    # the socle's ends are the diagram's sinks and sources
+    sinks = tuple(x for x in diagram.nodes if all(u != x for u, _ in diagram.edges))
+    sources = tuple(x for x in diagram.nodes if all(v != x for _, v in diagram.edges))
+    assert irreducible_submodules(params) == socle.layers[0] == sinks
+    assert irreducible_quotients(params) == socle.layers[-1] == sources
 
 
 @pytest.mark.parametrize("st_val", [-4, -1, 1, 2, 4])

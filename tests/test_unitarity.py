@@ -13,9 +13,11 @@ from dpseries import (
     nonunitarity_witness,
     parse_label,
     possible_embeddings,
+    region_for,
     transition,
 )
-from dpseries.unitarity import region_sign_probe, xi
+from dpseries.ktypes import neighbors
+from dpseries.unitarity import xi
 
 from conftest import dominant_window, params_from_sigma_tilde
 
@@ -173,21 +175,38 @@ def test_case1a_verdicts_are_level_uniform():
                 assert all(len(v) == 1 for v in by_level.values())
 
 
+def _region_up_step_signs(params, label, radius=4):
+    """(steps, bad) over the up-steps lam -> lam + e_j with both ends in the
+    label's region and lam in the window; a step is bad where n_ratio >= 0 or
+    the form degenerates.  All-negative is consistent with, but does not
+    prove, a positive invariant form on the constituent."""
+    region = region_for(params, label)
+    steps, bad = 0, []
+    for lam in dominant_window(params.n, radius):
+        if not region.contains(lam):
+            continue
+        for moved, j, direction in neighbors(lam):
+            if direction != "up" or not region.contains(moved):
+                continue
+            steps += 1
+            if -params.sigma + xi(params, lam, j) == 0 or n_ratio(params, lam, j) >= 0:
+                bad.append((lam, j))
+    return steps, bad
+
+
 def test_region_sign_probe_is_advisory():
     p = InducedRepParams(2, 1, Fraction(-1))
-    probe = region_sign_probe(p, ConstituentLabel("R", 0, 0), radius=4)
-    assert probe["steps_checked"] > 0
-    assert "advisory" in probe["advisory"]
-    assert probe["all_negative"] is True
+    steps, bad = _region_up_step_signs(p, ConstituentLabel("R", 0, 0))
+    assert steps > 0
+    assert bad == []
 
 
 def test_region_sign_probe_flags_nonunitary_socle():
     # the boundary-gap socle: ratio degenerates to 0 on its wall
     p = InducedRepParams(2, 2, Fraction(-3, 2))
     assert not constituent_unitarizable(p, ConstituentLabel("L", 1, 0)).unitarizable
-    probe = region_sign_probe(p, ConstituentLabel("L", 1, 0), radius=4)
-    assert probe["all_negative"] is False
-    assert probe["violations"]
+    steps, bad = _region_up_step_signs(p, ConstituentLabel("L", 1, 0))
+    assert bad
 
 
 # One point per reason template of the n 2..6 grid; every template occurs at n <= 3.
