@@ -28,12 +28,7 @@ from .parameters import (
 )
 from . import ktypes
 from .constituents import enumerate_constituents, label_of, region_for
-from .structure import (
-    diagram_to_dot,
-    diagram_to_json,
-    module_diagram,
-    socle_series,
-)
+from .structure import _diagram_payload, diagram_to_dot, module_diagram, socle_series
 from .unitarity import (
     complementary_series,
     constituent_unitarizable,
@@ -95,6 +90,18 @@ def _require_reducible(params: InducedRepParams) -> None:
         )
 
 
+class _Entries(list):
+    """A JSON array whose entries are made only as the indented (pure Python)
+    encoder reaches them: it holds the sources and yields ``make(source)``."""
+
+    def __init__(self, sources, make) -> None:
+        super().__init__(sources)
+        self.make = make
+
+    def __iter__(self):
+        return map(self.make, super().__iter__())
+
+
 def _print_json(payload, sort_keys: bool = True) -> None:
     """Print an indented JSON form in batches of encoder chunks, never as one
     whole string, and with one write per batch even on unbuffered stdout."""
@@ -131,10 +138,9 @@ def _cmd_constituents(args) -> int:
         payload = {
             "case": cs.case.value,
             "index_bound": None if cs.index_bound is None else list(cs.index_bound),
-            "constituents": [
-                {"label": str(lab), "region": region_for(params, lab).to_json()}
-                for lab in cs.labels
-            ],
+            "constituents": _Entries(
+                cs.labels, lambda lab: {"label": str(lab), "region": region_for(params, lab).to_json()}
+            ),
         }
         _print_json(payload)
     else:
@@ -153,7 +159,7 @@ def _cmd_diagram(args) -> int:
     if args.format == "dot":
         sys.stdout.write(diagram_to_dot(diagram, socle))
     elif args.format == "json":
-        print(diagram_to_json(diagram, socle))
+        _print_json(_diagram_payload(diagram, socle))
     else:
         print(f"{params}: nodes " + " ".join(str(x) for x in diagram.nodes))
         for u, v in diagram.edges:
@@ -305,8 +311,10 @@ def _cmd_ktype(args) -> int:
     return 0
 
 
-def _parse_range(raw: str, flag: str) -> tuple[range | list[int], int, int]:
-    """The values of ``A:B`` (a lazy ``range``) or of a comma list, with their min and max."""
+def _parse_range(raw: str | None, flag: str, default: str) -> tuple[range | list[int], int, int]:
+    """The values of ``A:B`` (a lazy ``range``) or of a comma list (``default``
+    when the flag is not given), with their min and max."""
+    raw = default if raw is None else raw
     try:
         if ":" in raw:
             lo, hi = raw.split(":")
@@ -326,17 +334,20 @@ def _cmd_verify(args) -> int:
     if args.n is not None or args.alpha is not None or args.sigma is not None:
         if None in (args.n, args.alpha, args.sigma):
             raise CLIError("--n/--alpha/--sigma must be given together")
+        for name in ("n_range", "alpha_set", "sigma_tilde_range"):
+            if getattr(args, name) is not None:
+                raise CLIError(f"--{name.replace('_', '-')}: not used with --n/--alpha/--sigma")
         point = _params_from(args)
         points = lambda: [point]
         ns = (point.n,)
     else:
-        ns, n_min, _ = _parse_range(args.n_range, "n-range")
+        ns, n_min, _ = _parse_range(args.n_range, "n-range", "2:5")
         if n_min < 2:
             raise CLIError("--n-range: rank below supported range (need n >= 2)")
-        alphas, alpha_min, alpha_max = _parse_range(args.alpha_set, "alpha-set")
+        alphas, alpha_min, alpha_max = _parse_range(args.alpha_set, "alpha-set", "0,1,2,3")
         if alpha_min < 0 or alpha_max > 3:
             raise CLIError(f"--alpha-set: alpha must be one of 0, 1, 2, 3, got {args.alpha_set!r}")
-        sigma_tildes, _, _ = _parse_range(args.sigma_tilde_range, "sigma-tilde-range")
+        sigma_tildes, _, _ = _parse_range(args.sigma_tilde_range, "sigma-tilde-range", "-6:6")
         points = lambda: (  # generated anew for the pre-check and for the run
             InducedRepParams(n=n, alpha=a, sigma=Fraction(st) - Fraction(n + 1 + a, 2))
             for n in ns for a in alphas for st in sigma_tildes
@@ -421,9 +432,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--n", default=None)
     p.add_argument("--alpha", default=None)
     p.add_argument("--sigma", default=None)
-    p.add_argument("--n-range", dest="n_range", default="2:5")
-    p.add_argument("--alpha-set", dest="alpha_set", default="0,1,2,3")
-    p.add_argument("--sigma-tilde-range", dest="sigma_tilde_range", default="-6:6")
+    p.add_argument("--n-range", dest="n_range", help="sweep ranks, A:B or a list (default 2:5)")
+    p.add_argument("--alpha-set", dest="alpha_set", help="sweep alphas (default 0,1,2,3)")
+    p.add_argument("--sigma-tilde-range", dest="sigma_tilde_range", help="sweep sigma_tilde (default -6:6)")
     p.add_argument("--lmax", default="auto")
     p.set_defaults(fn=_cmd_verify)
     return parser

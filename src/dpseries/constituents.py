@@ -17,23 +17,26 @@ The decomposition theorems restrict the label grid to a window of levels
 labels are exactly the grid's labels with nonempty regions, as proved in
 ``_theorem_range``, so no label is tested for emptiness to build it.
 Emptiness of any other region is decided exactly: a region is a coordinate
-box intersected with the dominance cone, so greedily assigning each
-coordinate the largest even value allowed by its upper bound and its
-predecessor is a feasibility witness iff one exists.
+box intersected with the dominance cone, so normalizing its bounds by
+dominance (``Region``) gives its extreme members, and it is empty iff they
+cross.
 
-A point's case, sign branch and window are computed once and kept in a
-bounded memo, which every function here and the views in ``structure``,
-``unitarity`` and ``howe`` read; a region is built only when asked for.
+A point's case, the integers its theorems are stated in (the sign of
+sigma, ``floor(|sigma|)`` and the grid bound k) and its window are computed
+once and kept in a bounded memo, which every function here and the views in
+``structure``, ``unitarity`` and ``howe`` read; a region is built only when
+asked for.
 """
 
 from __future__ import annotations
 
 import functools
 from bisect import bisect_left
+from itertools import accumulate
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .parameters import CaseTag, DerivedConstants, InducedRepParams, classify, derived
+from .parameters import CaseTag, InducedRepParams, classify
 from .ktypes import KType, check_ktype
 
 __all__ = [
@@ -94,12 +97,23 @@ def parse_label(text: str) -> ConstituentLabel:
     raise ValueError(f"not a constituent label like R(1,0): {text!r}")
 
 
+def _running(bounds, pick) -> tuple[int | None, ...]:
+    """Running ``pick`` (min or max) of the bounds so far, skipping None."""
+    return tuple(accumulate(bounds, lambda a, b: b if a is None else a if b is None else pick(a, b)))
+
+
 @dataclass(frozen=True)
 class Region:
     """Per-coordinate bounds on ``2*lam``, intersected with the dominance cone.
 
     ``lower[c-1]``/``upper[c-1]`` bound coordinate c (even integers or None
-    for unbounded).
+    for unbounded).  Dominance normalizes the bounds into the extreme members:
+    coordinate c of the greatest is the least upper bound at or before c, and
+    of the least the greatest lower bound at or after c (None where there is
+    none).  The region is empty iff the two cross at some c, that is iff a
+    lower bound on some a exceeds an upper bound on some b <= a; otherwise the
+    greatest member, with the largest finite bound (or 0) in its unbounded
+    coordinates, is a member.
     """
 
     n: int
@@ -117,34 +131,16 @@ class Region:
                 return False
         return True
 
-    def _cap(self) -> int:
-        finite = [abs(b) for b in self.lower + self.upper if b is not None]
-        m = max(finite, default=0) + 2 * self.n + 4
-        return m + (m % 2)
-
     @functools.cached_property
-    def _extremes(self) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
-        # Greedy largest point (top-down) and smallest point (bottom-up); each
-        # exists iff the region meets the dominance cone at all.  Computed
-        # once per region: every view below reads it.
-        cap = self._cap()
-        prev = cap
-        top = []
-        for lo, hi in zip(self.lower, self.upper):
-            x = min(hi if hi is not None else cap, prev)
-            if lo is not None and x < lo:
-                return None
-            top.append(x)
-            prev = x
-        nxt = -cap
-        bot_rev = []
-        for lo, hi in zip(reversed(self.lower), reversed(self.upper)):
-            x = max(lo if lo is not None else -cap, nxt)
-            if hi is not None and x > hi:
-                return None
-            bot_rev.append(x)
-            nxt = x
-        return tuple(b // 2 for b in reversed(bot_rev)), tuple(t // 2 for t in top)
+    def _extremes(self) -> tuple[tuple[int | None, ...], tuple[int | None, ...]] | None:
+        # The least and the greatest member of the class docstring, in units
+        # of 2*lam; None when they cross.  Computed once per region: every
+        # view below reads it.
+        top = _running(self.upper, min)
+        bot = _running(self.lower[::-1], max)[::-1]
+        if any(b is not None and t is not None and b > t for b, t in zip(bot, top)):
+            return None
+        return bot, top
 
     def is_empty(self) -> bool:
         """True iff no dominant integer point satisfies the bounds."""
@@ -152,20 +148,18 @@ class Region:
 
     def single_point(self) -> KType | None:
         """The unique member K-type, if the region is a single lattice point."""
-        # When the greedy top and bottom agree, neither reached +-cap (cap
-        # exceeds every finite bound), so the point does not depend on cap.
         ext = self._extremes
-        if ext is None or ext[0] != ext[1]:
+        if ext is None or ext[0] != ext[1] or None in ext[0]:
             return None
-        return ext[0]
+        return tuple(x // 2 for x in ext[0])
 
     def describe(self) -> str:
         """Human-readable membership condition in lambda units."""
-        ext = self._extremes
-        if ext is None:
+        if self.is_empty():
             return "{empty}"
-        if ext[0] == ext[1]:
-            return "{lambda=(" + ",".join(str(x) for x in ext[0]) + ")}"
+        point = self.single_point()
+        if point is not None:
+            return "{lambda=(" + ",".join(str(x) for x in point) + ")}"
         parts = []
         for c, (lo, hi) in enumerate(zip(self.lower, self.upper), start=1):
             if lo is not None and hi is not None:
@@ -182,25 +176,17 @@ class Region:
         return "{" + ", ".join(parts) + "}"
 
     def to_json(self) -> list[dict]:
-        out = []
-        for c, (lo, hi) in enumerate(zip(self.lower, self.upper), start=1):
-            out.append(
-                {
-                    "coord": c,
-                    "lo": _NEG_INF if lo is None else lo,
-                    "hi": _INF if hi is None else hi,
-                }
-            )
-        return out
+        return [
+            {"coord": c, "lo": _NEG_INF if lo is None else lo, "hi": _INF if hi is None else hi}
+            for c, (lo, hi) in enumerate(zip(self.lower, self.upper), start=1)
+        ]
 
     @classmethod
     def from_json(cls, data: list[dict]) -> "Region":
-        lower = []
-        upper = []
-        for entry in sorted(data, key=lambda e: e["coord"]):
-            lower.append(None if entry["lo"] == _NEG_INF else int(entry["lo"]))
-            upper.append(None if entry["hi"] == _INF else int(entry["hi"]))
-        return cls(n=len(lower), lower=tuple(lower), upper=tuple(upper))
+        entries = sorted(data, key=lambda e: e["coord"])
+        lower = tuple(None if e["lo"] == _NEG_INF else int(e["lo"]) for e in entries)
+        upper = tuple(None if e["hi"] == _INF else int(e["hi"]) for e in entries)
+        return cls(n=len(entries), lower=lower, upper=upper)
 
 
 @dataclass(frozen=True)
@@ -220,8 +206,9 @@ class _Point:
     """Everything the closed-form views read at one reducible point."""
 
     case: CaseTag
-    branch: str
-    derived: DerivedConstants
+    sign: int  # of sigma: -1, 0 or 1
+    m: int  # floor(|sigma|): |sigma| in Cases 1, |sigma| - 1/2 in Cases 2
+    k: int  # the grid bound: n0/2 at odd sigma_tilde, (n1+1)/2 at even
     index_bound: tuple[str, int] | None
     labels: tuple[ConstituentLabel, ...]  # the theorem window, nonempty by proof, sorted
     label_set: frozenset[ConstituentLabel]
@@ -229,14 +216,14 @@ class _Point:
 
 
 # Points kept in the memo.  The views of one point all read its record, so a
-# few suffice.  A record holds labels only, no regions: the largest at n = 16
-# (53 labels) holds about 8 kB.
+# few suffice.  A record holds its integers and labels, no regions: the
+# largest at n = 16 (53 labels) holds about 8 kB.
 _POINTS_KEPT = 32
 
 
 @functools.lru_cache(maxsize=_POINTS_KEPT)
 def _point(params: InducedRepParams) -> _Point:
-    """The point's case, sign branch and theorem window, computed once.
+    """The point's case, sign, floor(|sigma|), k and theorem window, computed once.
 
     The window's labels are the constituents as they stand: each region in it
     is nonempty and each grid label outside it has an empty region, as
@@ -247,65 +234,60 @@ def _point(params: InducedRepParams) -> _Point:
         raise ValueError(
             "constituents are defined only at reducible points (sigma_tilde must be an integer)"
         )
-    d = derived(params)
     sigma = params.sigma
-    branch = "neg" if sigma < 0 else "zero" if sigma == 0 else "pos"
-    window, bound = _theorem_range(params, case, branch, d)
+    sign = (sigma > 0) - (sigma < 0)
+    m = abs(sigma.numerator) // sigma.denominator
+    k = (params.n + 1 - int(params.sigma_tilde) % 2) // 2
+    window, bound = _theorem_range(params, case, sign, m, k)
     labels = tuple(window)
     rows = tuple(bisect_left(labels, (case.family, i)) for i in range(labels[-1].i + 2))
-    return _Point(case, branch, d, bound, labels, frozenset(labels), rows)
+    return _Point(case, sign, m, k, bound, labels, frozenset(labels), rows)
 
 
 def _require_definable(params: InducedRepParams, pt: _Point, label: ConstituentLabel) -> None:
     """Raise ValueError unless the label lies in the case's full index grid."""
-    d = pt.derived
-    if label.family != pt.case.family:
-        definable = False
-    elif label.family == "R":
-        definable = 0 <= label.i + label.j <= d.k
+    if label.family == "R":
+        definable = label.i + label.j <= pt.k
     else:
-        definable = 0 <= label.i <= (d.n1 + 1) // 2 and 0 <= label.j <= d.n0 // 2
-    if not definable:
+        definable = label.i <= (params.n + 1) // 2 and label.j <= params.n // 2
+    if label.family != pt.case.family or not definable:
         raise ValueError(f"label undefined here: {label} at {params} ({pt.case.value})")
 
 
-def _chains(
-    params: InducedRepParams, case: CaseTag, branch: str, d: DerivedConstants, label: ConstituentLabel
-) -> list[tuple[int, int, int]]:
+def _chains(params: InducedRepParams, pt: _Point, label: ConstituentLabel) -> list[tuple[int, int, int]]:
     """The two defining chains (lo_coord, even value, hi_coord) of a region.
 
     Each chain sits on a barrier between coordinates a and a+2: its value is
     either ``barrier_plus(a+2) = a+1-st`` or ``barrier_minus(a) = st-(n+alpha)+a``.
-    The low coordinates are (2i, n0-2j) in Case 1a, (2i-1, n1-2j) in Case 1b
-    and (2i-1, 2j) in Cases 2a/2b; the first takes the plus barrier in Case 2b
-    and in family R at sigma < 0, the minus barrier otherwise.
+    The low coordinates are (2i, 2k-2j) in Case 1a, (2i-1, 2k-1-2j) in Case
+    1b and (2i-1, 2j) in Cases 2a/2b; the first takes the plus barrier in Case
+    2b and in family R at sigma < 0, the minus barrier otherwise.  2k is n0
+    in Case 1a, and 2k-1 is n1 in Case 1b.
 
-    On the index grid every chain has a <= n and a+2 >= 1: 0 <= 2i <= 2k = n0
-    and 0 <= n0-2j <= n0 in Case 1a, -1 <= 2i-1, n1-2j <= n1 in Case 1b (k =
-    (n1+1)/2), and -1 <= 2i-1 <= n1, 0 <= 2j <= n0 in Cases 2.  So a chain never
+    On the index grid every chain has a <= n and a+2 >= 1: 0 <= 2i <= 2k <= n
+    and 0 <= 2k-2j <= 2k in Case 1a, -1 <= 2i-1, 2k-1-2j <= 2k-1 <= n in Case
+    1b, and -1 <= 2i-1 <= n1, 0 <= 2j <= n0 in Cases 2.  So a chain never
     compares an infinite extended coordinate with its value from the wrong side.
     """
-    st = int(d.sigma_tilde)
-    i, j = label.i, label.j
+    st = int(params.sigma_tilde)
+    case, i, j = pt.case, label.i, label.j
     if case is CaseTag.CASE_1A:
-        first, second = 2 * i, d.n0 - 2 * j
+        first, second = 2 * i, 2 * (pt.k - j)
     elif case is CaseTag.CASE_1B:
-        first, second = 2 * i - 1, d.n1 - 2 * j
+        first, second = 2 * i - 1, 2 * (pt.k - j) - 1
     else:
         first, second = 2 * i - 1, 2 * j
     minus = st - (params.n + params.alpha)  # barrier_minus(a) = minus + a
-    if case is CaseTag.CASE_2B or (case.family == "R" and branch == "neg"):
+    if case is CaseTag.CASE_2B or (case.family == "R" and pt.sign < 0):
         return [(first, first + 1 - st, first + 2), (second, minus + second, second + 2)]
     return [(first, minus + first, first + 2), (second, second + 1 - st, second + 2)]
 
 
-def _build_region(
-    params: InducedRepParams, case: CaseTag, branch: str, d: DerivedConstants, label: ConstituentLabel
-) -> Region:
+def _build_region(params: InducedRepParams, pt: _Point, label: ConstituentLabel) -> Region:
     n = params.n
     lower: list[int | None] = [None] * n
     upper: list[int | None] = [None] * n
-    for lo_coord, value, hi_coord in _chains(params, case, branch, d, label):
+    for lo_coord, value, hi_coord in _chains(params, pt, label):
         if value % 2 != 0:
             raise RuntimeError(f"region chain of {label} at {params} sits on odd position {value}")
         if lo_coord >= 1:  # +inf >= value holds for lo_coord <= 0
@@ -326,7 +308,7 @@ def region_for(params: InducedRepParams, label: ConstituentLabel) -> Region:
     """
     pt = _point(params)
     _require_definable(params, pt, label)
-    return _build_region(params, pt.case, pt.branch, pt.derived, label)
+    return _build_region(params, pt, label)
 
 
 def is_empty(params: InducedRepParams, label: ConstituentLabel) -> bool:
@@ -344,7 +326,7 @@ def is_empty(params: InducedRepParams, label: ConstituentLabel) -> bool:
 
 
 def _theorem_range(
-    params: InducedRepParams, case: CaseTag, branch: str, d: DerivedConstants
+    params: InducedRepParams, case: CaseTag, sign: int, m: int, k: int
 ) -> tuple[list[ConstituentLabel], tuple[str, int] | None]:
     """Label window of the decomposition theorem for the case and sign of sigma.
 
@@ -361,11 +343,10 @@ def _theorem_range(
     bounds v1 on 2*lam_{f+2} and v2 on 2*lam_{s+2}, each dropped when its
     coordinate is <= 0 or > n.  Even bounds on the coordinates of a weakly
     decreasing even point can be met iff no lower bound on a coordinate a
-    exceeds an upper bound on a coordinate b <= a: if none does, the greedy
-    top-down point of ``Region._extremes`` meets them all.  The upper bounds
-    sit two places after their own chain's lower bound, so such a pair takes
-    one bound from each chain, and the region is empty iff the chains cross
-    the wrong way:
+    exceeds an upper bound on a coordinate b <= a, as the dominance
+    normalization in ``Region`` shows.  The upper bounds sit two places after
+    their own chain's lower bound, so such a pair takes one bound from each
+    chain, and the region is empty iff the chains cross the wrong way:
 
         f+2 <= s and v1 < v2,   or   s+2 <= f and v2 < v1.
 
@@ -376,9 +357,9 @@ def _theorem_range(
     have v1-v2 = -2*sigma - (s-f) and minus-first chains v1-v2 = 2*sigma -
     (s-f).
 
-    Family R, at level l = i+j.  s-f = 2(k-l) in Case 1a (f = 2i, s = n0-2j,
-    k = n0/2) and in Case 1b (f = 2i-1, s = n1-2j, k = (n1+1)/2).  The grid
-    has l <= k, so s+2 <= f never holds, and f+2 <= s iff l <= k-1.
+    Family R, at level l = i+j.  s-f = 2(k-l) in Case 1a (f = 2i, s = 2k-2j)
+    and in Case 1b (f = 2i-1, s = 2k-1-2j).  The grid has l <= k, so s+2 <= f
+    never holds, and f+2 <= s iff l <= k-1.
       - sigma < 0: plus-first, v1-v2 = 2(|sigma| - (k-l)), which is < 0 iff
         l < k-|sigma| (and then l <= k-1, as |sigma| >= 1).
       - sigma >= 0: minus-first, v1-v2 = 2(sigma - (k-l)), which is < 0 iff
@@ -386,33 +367,32 @@ def _theorem_range(
     So the nonempty levels are l >= k-|sigma|; on the grid (l >= 0) that is
     the band r <= l <= k, and level k alone at sigma = 0.
 
-    Family L, at level m = j-i.  f = 2i-1 and s = 2j, so s-f = 2m+1 is odd:
-    f+2 <= s iff m >= 1, and s+2 <= f iff m <= -2; levels -1 and 0 never
+    Family L, at level l = j-i.  f = 2i-1 and s = 2j, so s-f = 2l+1 is odd:
+    f+2 <= s iff l >= 1, and s+2 <= f iff l <= -2; levels -1 and 0 never
     cross.  Put t = sigma in Case 2a (minus-first) and t = -sigma in Case 2b
-    (plus-first); then v1-v2 = 2t - 2m - 1 in both, with t a half-integer.
-      - m >= 1: empty iff v1 < v2, that is iff m > t-1/2.
-      - m <= -2: empty iff v2 < v1, that is iff m < t-1/2.
-      - t > 0 (Case 2a at sigma > 0, Case 2b at sigma < 0): no m <= -2 is
-        >= t-1/2, so the nonempty levels are -1 <= m <= |sigma|-1/2.
-      - t < 0 (the other two): no m >= 1 is <= t-1/2 < 0, so the nonempty
-        levels are -(|sigma|+1/2) <= m <= 0.
+    (plus-first); then v1-v2 = 2t - 2l - 1 in both, with t a half-integer.
+      - l >= 1: empty iff v1 < v2, that is iff l > t-1/2.
+      - l <= -2: empty iff v2 < v1, that is iff l < t-1/2.
+      - t > 0 (Case 2a at sigma > 0, Case 2b at sigma < 0): no l <= -2 is
+        >= t-1/2, so the nonempty levels are -1 <= l <= |sigma|-1/2 = m.
+      - t < 0 (the other two): no l >= 1 is <= t-1/2 < 0, so the nonempty
+        levels are -(|sigma|+1/2) = -(m+1) <= l <= 0.
     The grid 0 <= i <= (n1+1)/2, 0 <= j <= n0/2 has j-i <= n0/2 = n//2 and
     i-j <= (n1+1)/2 = (n+1)//2, which cuts these to the r1 and r2 bands.  So
     the band holds every nonempty label of the grid and no empty one.
     """
     if case.family == "R":
-        i_max = j_max = hi = d.k
-        lo = max(d.k - abs(params.sigma.numerator), 0)  # sigma is an integer here
-        bound = None if branch == "zero" else ("r1" if branch == "neg" else "r2", lo)
+        i_max = j_max = hi = k
+        lo = max(k - m, 0)  # m = |sigma| here
+        bound = None if sign == 0 else ("r1" if sign < 0 else "r2", lo)
         slope = -1  # j = level - i
     else:
-        i_max, j_max = (d.n1 + 1) // 2, d.n0 // 2
-        m = abs(params.sigma.numerator) // 2  # |sigma| - 1/2
-        if (case is CaseTag.CASE_2A) == (branch == "pos"):
-            bound = ("r1", min(m, params.n // 2))
+        i_max, j_max = (params.n + 1) // 2, params.n // 2
+        if (case is CaseTag.CASE_2A) == (sign > 0):  # m = |sigma| - 1/2 here
+            bound = ("r1", min(m, j_max))
             lo, hi = -1, bound[1]
         else:
-            bound = ("r2", min(m + 1, (params.n + 1) // 2))
+            bound = ("r2", min(m + 1, i_max))
             lo, hi = -bound[1], 0
         slope = 1  # j = level + i
     labels = [

@@ -65,8 +65,7 @@ class Submodule:
 def _grading(pt: _Point) -> tuple[int, int]:
     """(a, b) such that the level a*i + b*j drops by one along every edge."""
     if pt.case.family == "R":
-        sign = {"neg": 1, "zero": 0, "pos": -1}[pt.branch]
-        return sign, sign
+        return -pt.sign, -pt.sign
     return (-1, 1) if pt.case is CaseTag.CASE_2A else (1, -1)
 
 
@@ -137,13 +136,17 @@ def irreducible_quotients(params: InducedRepParams) -> tuple[ConstituentLabel, .
     return socle_series(params).layers[-1]
 
 
-def diagram_to_json(diagram: ModuleDiagram, socle: SocleSeries) -> str:
-    payload = {
+def _diagram_payload(diagram: ModuleDiagram, socle: SocleSeries) -> dict:
+    """The JSON document of a diagram and its socle series, before encoding."""
+    return {
         "nodes": [str(x) for x in diagram.nodes],
         "edges": [[str(u), str(v)] for u, v in diagram.edges],
         "layers": [[str(x) for x in layer] for layer in socle.layers],
     }
-    return json.dumps(payload, indent=2, sort_keys=True)
+
+
+def diagram_to_json(diagram: ModuleDiagram, socle: SocleSeries) -> str:
+    return json.dumps(_diagram_payload(diagram, socle), indent=2, sort_keys=True)
 
 
 def diagram_from_json(text: str) -> tuple[ModuleDiagram, SocleSeries]:

@@ -107,28 +107,24 @@ def constituent_unitarizable(
     pt = _point(params)
     if label not in pt.label_set:
         raise ValueError(f"label is not a nonempty constituent here: {label} at {params}")
-    case = pt.case
-    branch = pt.branch
-    sigma = params.sigma
+    case, m, k = pt.case, pt.m, pt.k
     i, j = label.i, label.j
-    if branch == "zero":  # family R alone has sigma = 0
+    if pt.sign == 0:  # family R alone has sigma = 0
         return UnitarityVerdict(True, f"{case.value}-sigma=0-direct-sum")
     band, r = pt.index_bound
+    unit = "1" if case.family == "R" else "1/2"  # the least |sigma| off the unitary axis
+    tag = f"{case.value}-sigma<=-{unit}" if pt.sign < 0 else f"{case.value}-sigma>={unit}"
 
-    if case.family == "R":
-        k = pt.derived.k
-        s = abs(sigma.numerator)  # |sigma|, an integer here; r = max(k-s, 0)
-        tag = f"{case.value}-sigma<=-1" if branch == "neg" else f"{case.value}-sigma>=1"
-        if s <= k and i + j == r:
+    if case.family == "R":  # m = |sigma| here, and r = max(k-m, 0)
+        if m <= k and i + j == r:
             return UnitarityVerdict(True, f"{tag}-(i+j={band})")
         # n odd makes alpha even in Case 1, and k = (n+1)/2 in Case 1b
         if case is CaseTag.CASE_1B and params.n % 2 == 1 and (i, j) in ((k, 0), (0, k)):
             return UnitarityVerdict(True, "Case1b-exceptional-(n odd, alpha in {0,2})")
-        bounds = f"-{k}<=sigma<=-1" if branch == "neg" else f"1<=sigma<={k}"
+        bounds = f"-{k}<=sigma<=-1" if pt.sign < 0 else f"1<=sigma<={k}"
         return UnitarityVerdict(False, f"{tag}: needs {bounds} and i+j={band}={r}")
 
-    tag = f"{case.value}-sigma>=1/2" if branch == "pos" else f"{case.value}-sigma<=-1/2"
-    m = abs(sigma.numerator) // 2  # |sigma| - 1/2, sigma being a half-integer
+    # m = |sigma| - 1/2 here, sigma being a half-integer
     if band == "r1":
         # band -1 <= j-i <= r1, r1 = min(|sigma|-1/2, k0)
         if i == j + 1:
@@ -136,7 +132,7 @@ def constituent_unitarizable(
         k0 = params.n // 2  # largest i with an i<->i barrier pair in family L
         if m <= k0 and j - i == r:
             return UnitarityVerdict(True, f"{tag}-(j-i=r1)")
-        bound = f"sigma<={k0}+1/2" if branch == "pos" else f"sigma>=-{k0}-1/2"
+        bound = f"sigma<={k0}+1/2" if pt.sign > 0 else f"sigma>=-{k0}-1/2"
         return UnitarityVerdict(False, f"{tag}: needs i=j+1, or {bound} and j-i=r1={r}")
     # band 0 <= i-j <= r2, r2 = min(|sigma|+1/2, k1)
     if i == j:
@@ -144,5 +140,5 @@ def constituent_unitarizable(
     k1 = (params.n + 1) // 2
     if m + 1 <= k1 and i - j == r:
         return UnitarityVerdict(True, f"{tag}-(i-j=r2)")
-    bound = f"sigma<={k1}-1/2" if branch == "pos" else f"sigma>=-{k1}+1/2"
+    bound = f"sigma<={k1}-1/2" if pt.sign > 0 else f"sigma>=-{k1}+1/2"
     return UnitarityVerdict(False, f"{tag}: needs i=j, or {bound} and i-j=r2={r}")

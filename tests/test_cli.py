@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import json
 import os
 import select
@@ -41,9 +42,11 @@ def test_omega_generated(capsys):
 def test_omega_runs_the_greedy_extremes_once(monkeypatch, capsys):
     from dpseries import constituents
 
-    cap = constituents.Region._cap
-    greedy_runs = []  # one entry per greedy evaluation, which reads the cap once
-    monkeypatch.setattr(constituents.Region, "_cap", lambda self: greedy_runs.append(self) or cap(self))
+    extremes = constituents.Region.__dict__["_extremes"].func
+    greedy_runs = []  # one entry per evaluation of a region's extreme members
+    counted = functools.cached_property(lambda self: greedy_runs.append(self) or extremes(self))
+    counted.__set_name__(constituents.Region, "_extremes")
+    monkeypatch.setattr(constituents.Region, "_extremes", counted)
     for argv, out in [
         (
             ["--p", "0", "--q", "0", "--n", "2"],
@@ -228,6 +231,12 @@ def test_verify_bad_flags(capsys):
     assert "--lmax" in capsys.readouterr().err
     assert run(["verify", "--n", "2"]) == 1
     assert "together" in capsys.readouterr().err
+    # a sweep flag beside a single point is refused, not silently ignored
+    point = ["--n", "2", "--alpha", "0", "--sigma", "1/2"]
+    for flag, raw in (("--n-range", "3:4"), ("--alpha-set", "1"), ("--sigma-tilde-range", "-1:1")):
+        assert run(["verify", *point, flag, raw]) == 1, flag
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {flag}: not used with --n/--alpha/--sigma\n" and captured.out == ""
 
 
 def test_verify_out_of_range_flags_name_the_flag(capsys):
@@ -324,8 +333,9 @@ def test_verify_exits_quietly_when_stdout_closes_early():
 
 def test_every_output_form_matches_golden(capsys):
     # each command's text and json forms (and the omega input errors) at the
-    # cli_cold point I^2(-3/2), plus an irreducible unitarizable point and a
-    # point with no embeddings; one {"argv", "exit", "stdout", "stderr"} per line
+    # cli_cold point I^2(-3/2), plus an irreducible unitarizable point, a
+    # point with no embeddings, a verify at an irreducible point and a verify
+    # refusing a sweep flag; one {"argv", "exit", "stdout", "stderr"} per line
     golden = Path(__file__).parent / "golden" / "cli_forms.jsonl"
     for line in golden.read_text().splitlines():
         want = json.loads(line)
@@ -380,14 +390,34 @@ def test_verify_with_a_fixed_window_starts_a_huge_sweep_at_once():
 
 def test_constituents_json_is_written_without_the_whole_document():
     # n=300 prints about 7 MB of JSON; holding it as one string peaked at 80 MiB
+    peak = _json_peak(["constituents", "--n", "300", "--alpha", "1", "--sigma", "1", "--format", "json"])
+    assert peak < 40 << 20, f"{peak / 2**20:.1f} MiB"
+
+
+def _json_peak(argv):
+    """The tracemalloc peak of one command, its output going to the null device."""
     import tracemalloc
 
-    argv = ["constituents", "--n", "300", "--alpha", "1", "--sigma", "1", "--format", "json"]
+    from dpseries import constituents
+
+    constituents._point.cache_clear()  # the record is built within the measurement
     with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
         tracemalloc.start()
         try:
             assert run(argv) == 0
-            peak = tracemalloc.get_traced_memory()[1]
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    assert peak < 40 << 20, f"{peak / 2**20:.1f} MiB"
+
+
+def test_constituents_json_makes_each_entry_as_it_is_written():
+    # n=150 prints about 2 MB of JSON; its entries built up front peaked near 5 MiB
+    peak = _json_peak(["constituents", "--n", "150", "--alpha", "1", "--sigma", "1", "--format", "json"])
+    assert peak < 2 << 20, f"{peak / 2**20:.1f} MiB"
+
+
+def test_diagram_json_is_written_without_the_whole_document():
+    # 11,476 nodes; the text form peaks near 5.3 MiB, and the whole JSON
+    # string on top of its payload peaked near 18 MiB
+    peak = _json_peak(["diagram", "--n", "300", "--alpha", "1", "--sigma", "-150", "--format", "json"])
+    assert peak < 14 << 20, f"{peak / 2**20:.1f} MiB"

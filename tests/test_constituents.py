@@ -1,3 +1,4 @@
+import math
 import pickle
 from fractions import Fraction
 
@@ -271,7 +272,7 @@ def test_every_chain_bounds_a_coordinate_of_the_rank():
         params = params_from_sigma_tilde(n, alpha, st_val)
         pt = _point(params)
         for lab in _index_grid(params):
-            for lo_coord, _, hi_coord in _chains(params, pt.case, pt.branch, pt.derived, lab):
+            for lo_coord, _, hi_coord in _chains(params, pt, lab):
                 assert lo_coord <= n and hi_coord >= 1, (params, lab, lo_coord, hi_coord)
 
 
@@ -281,7 +282,7 @@ def test_theorem_window_is_exactly_the_nonempty_grid():
     for n, alpha, st_val in GRID:
         params = params_from_sigma_tilde(n, alpha, st_val)
         pt = _point(params)
-        window, _ = _theorem_range(params, pt.case, pt.branch, pt.derived)
+        window, _ = _theorem_range(params, pt.case, pt.sign, pt.m, pt.k)
         nonempty = {lab for lab in _index_grid(params) if not region_for(params, lab).is_empty()}
         assert set(window) == nonempty, params
 
@@ -294,9 +295,37 @@ def test_constituents_are_the_window_and_nonempty_beyond_grid(n, alpha, st_val):
     # it is empty.
     params = params_from_sigma_tilde(n, alpha, st_val)
     pt = _point(params)
-    window, _ = _theorem_range(params, pt.case, pt.branch, pt.derived)
+    window, _ = _theorem_range(params, pt.case, pt.sign, pt.m, pt.k)
     labels = enumerate_constituents(params).labels
     assert labels == tuple(window)
     assert all(not region_for(params, lab).is_empty() for lab in labels)
     outside = set(_index_grid(params)) - set(labels)
     assert all(region_for(params, lab).is_empty() for lab in outside)
+
+
+WINDOWS = {n: dominant_window(n, 6) for n in range(1, 5)}
+BOUND = st.one_of(st.none(), st.integers(-4, 4).map(lambda x: 2 * x))
+
+
+@settings(deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(st.tuples(*[BOUND] * n), st.tuples(*[BOUND] * n))))
+def test_region_emptiness_and_single_point_match_a_scan(bounds):
+    # every bound lies within 4 of 0 in lambda units, so a nonempty region has
+    # a member in the radius-6 window, and an unbounded coordinate of a member
+    # can move by one inside it: the scan sees emptiness and uniqueness exactly
+    lower, upper = bounds
+    region = Region(len(lower), lower, upper)
+    hits = [lam for lam in WINDOWS[region.n] if region.contains(lam)]
+    assert region.is_empty() == (not hits), bounds
+    assert region.single_point() == (hits[0] if len(hits) == 1 else None), bounds
+
+
+def test_point_record_holds_the_theorems_integers():
+    for n in range(2, 17):
+        for alpha in range(4):
+            for st_val in range(-20, 21):
+                params = params_from_sigma_tilde(n, alpha, st_val)
+                pt, sigma = _point(params), params.sigma
+                assert pt.k == derived(params).k, params
+                assert pt.m == math.floor(abs(sigma)), params
+                assert pt.sign == (sigma > 0) - (sigma < 0), params

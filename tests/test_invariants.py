@@ -44,9 +44,7 @@ def test_odd_region_chain_raises(monkeypatch):
     params = InducedRepParams(2, 1, Fraction(-1))
     monkeypatch.setattr(constituents, "_chains", lambda *args: [(1, 3, 2)])
     with pytest.raises(RuntimeError, match="odd position 3"):
-        constituents._build_region(
-            params, CaseTag.CASE_1A, "neg", dpseries.derived(params), ConstituentLabel("R", 0, 0)
-        )
+        constituents._build_region(params, constituents._point(params), ConstituentLabel("R", 0, 0))
 
 
 def test_omega_image_target_checks_raise(monkeypatch):
