@@ -4,9 +4,12 @@ This module knows nothing about the closed-form region/diagram/socle
 formulas.  Its window is every dominant tuple with entries in [-lmax, lmax].
 It draws a directed edge for each one-step move with a nonzero transition
 coefficient (the zero locus comes from ``ktypes.blocked_positions``, which is
-definitionally the zero set of ``ktypes.transition``), and computes strongly
-connected components, their Hasse diagram under reachability, longest-path
-layers, and reachability closures.
+definitionally the zero set of ``ktypes.transition``).  Its strongly
+connected classes are the nonempty cells, where a cell fixes each
+coordinate's interval between its cut values: ``build`` labels the points by
+their cells, verifies the labels exactly against the mutual moves, and finds
+the classes' Hasse diagram under reachability, longest-path layers, and
+reachability closures.
 
 ``build`` never enumerates the window point by point.  It enumerates the
 prefixes lam_1..lam_{n-1} and derives in closed form the runs: the maximal
@@ -43,16 +46,20 @@ from .structure import generated_submodule, module_diagram, socle_series
 __all__ = ["OracleVerdict", "TruncatedLattice", "auto_lmax", "build", "check_window", "compare"]
 
 # Largest window build() accepts, in points.  compare() in a fresh process
-# peaks (ru_maxrss) at 91 MB for 3.11 M points (n=8), at 217 MB for 10.0 M and
-# 366 MB for 20.2 M (n=9), and, with the budget raised for the run, at 586 MB
-# for 30.0 M (n=10): under 20 bytes per point, so a window at the budget
-# needs about 0.6 GB.
+# peaks (ru_maxrss) at 91 MB for 3.11 M points (n=8), at 225 MB for 10.0 M and
+# 330 MB for 20.2 M (n=9), and, with the budget raised for the run, at 530 MB
+# for 30.0 M (n=10): under 24 bytes per point from 10 M points up, so a window
+# at the budget needs about 0.55 GB.
 MAX_WINDOW_POINTS = 30_000_000
 
 
 def auto_lmax(params: InducedRepParams) -> int:
     """Window radius: max effective-barrier |position|/2, rounded up, plus 3."""
-    up, down = blocked_positions(params)
+    return _auto_lmax(*blocked_positions(params))
+
+
+def _auto_lmax(up: tuple[int | None, ...], down: tuple[int | None, ...]) -> int:
+    """``auto_lmax`` from the point's ``blocked_positions``."""
     positions = [abs(b) for b in up + down if b is not None]
     return (max(positions, default=0) + 1) // 2 + 3
 
@@ -175,76 +182,45 @@ def _set_bits(words) -> list[int]:
     return out
 
 
-def _movable(lam: list[np.ndarray], j: int, lmax: int, cut: Iterable[int] = ()) -> np.ndarray:
-    """Mask of the points (columns ``lam``) whose +e_j move stays dominant and in the window.
+def _partners(j: int, here: np.ndarray, lam, steps, prefix, offset, sub) -> np.ndarray:
+    """Runs holding x + e_j for the last points x (columns ``lam``) of the runs ``here``.
 
-    With the cut values of coordinate j as ``cut``, it masks the points whose
-    pair with x + e_j is mutual: lam_j also avoids every value in ``cut``.
+    Run r is run ``sub[r]`` of the prefix numbered ``prefix[r]``, whose first
+    run is ``offset[prefix[r]]`` (see ``build``).
     """
-    mask = lam[j] < lmax
-    if j > 0:
-        mask &= lam[j - 1] > lam[j]
-    for at in cut:
-        mask &= lam[j] != at
-    return mask
+    if j == len(lam) - 1:
+        return here + 1  # the point after a run's last point starts the next run
+    return np.add(offset[prefix[here] + steps[j][lam[j][here]]], sub[here], dtype=np.intp)
 
 
-class _RunMoves:
-    """Each coordinate's moves between runs, rebuilt from the runs' last points on every pass.
+def connected_components(label: np.ndarray, pairs: Iterable[tuple[np.ndarray, np.ndarray]]) -> tuple[int, np.ndarray]:
+    """Verify that ``label`` gives the connected components of a graph, and number them.
 
-    ``lam`` holds the coordinates of each run's last point; run r is run
-    ``sub[r]`` of the prefix lam_1..lam_{n-1} numbered ``prefix[r]``, whose
-    first run is ``offset[prefix[r]]`` (see ``build``).  Iterating yields
-    the mutual run pairs of each coordinate but the last, so no pair array
-    outlives one step of a round.
+    The graph is on 0..len(label)-1 with an edge a[i]-b[i], a[i] < b[i], per
+    (a, b) in ``pairs``, which is iterated once.  ``label[x]`` claims the
+    smallest index of x's component, and every other point must have an
+    edge down, to a smaller index (``build``'s cells give both).  The claim
+    is accepted only if (a) no edge joins two labels and (b) every point with
+    no edge down is its own label.  That proves it: a walk down from x stays
+    in x's label by (a) and ends at the label's own point by (b), so each
+    label is a whole component, and its smallest point, with no edge down,
+    is the label.  Returns the number of components and each point's int32
+    component, numbered by smallest index; raises AssertionError otherwise.
     """
-
-    def __init__(self, lam, steps, cuts, lmax, prefix, offset, sub):
-        self.lam, self.steps, self.cuts, self.lmax = lam, steps, cuts, lmax
-        self.prefix, self.offset, self.sub = prefix, offset, sub
-
-    def partners(self, j: int, here: np.ndarray) -> np.ndarray:
-        """Runs holding x + e_j for the last points x of the runs ``here``."""
-        if j == len(self.lam) - 1:
-            return here + 1  # the point after a run's last point starts the next run
-        return self.offset[self.prefix[here] + self.steps[j][self.lam[j][here]]] + self.sub[here]
-
-    def mutual(self, j: int) -> tuple[np.ndarray, np.ndarray]:
-        """The runs whose +e_j move is mutual, and the runs it reaches."""
-        here = np.flatnonzero(_movable(self.lam, j, self.lmax, self.cuts[j]))
-        return here, self.partners(j, here)
-
-    def __iter__(self):
-        return map(self.mutual, range(len(self.lam) - 1))
-
-
-def connected_components(size: int, pairs: Iterable[tuple[np.ndarray, np.ndarray]]) -> tuple[int, np.ndarray]:
-    """Connected components of the graph on 0..size-1 with an edge a[i]-b[i] per (a, b) in pairs.
-
-    ``pairs`` is iterated once per round, so it may rebuild its arrays on
-    each pass.  Shiloach-Vishkin hooking with pointer jumping (see FastSV,
-    Zhang, Azad and Hu, SIAM PP 2020).  Each round sets ``root[max] = min``
-    for every edge whose roots differ, then jumps pointers to a fixed point;
-    the rounds stop after one that merged nothing.  Roots only move to
-    smaller indices, so a component's root is its smallest index.  Returns
-    the number of components and each point's int32 component, numbered by
-    smallest index.
-    """
-    root = np.arange(size, dtype=np.int32)
-    merged = True
-    while merged:
-        merged = False
-        for a, b in pairs:
-            ra, rb = root[a], root[b]
-            differ = ra != rb
-            merged |= bool(differ.any())
-            ra, rb = ra[differ], rb[differ]
-            root[np.maximum(ra, rb)] = np.minimum(ra, rb)
-            del a, b, differ  # free them before the next pair is built
-        while not np.array_equal(up := root[root], root):
-            root = up
-    is_root = root == np.arange(size, dtype=np.int32)
-    return int(is_root.sum()), (np.cumsum(is_root, dtype=np.int32) - 1)[root]
+    has_down = np.zeros(len(label), dtype=bool)
+    for a, b in pairs:
+        if (a >= b).any():
+            raise ValueError("each pair must join a smaller index to a larger one")
+        if (label[a] != label[b]).any():
+            raise AssertionError("an edge joins two labels, so a label splits a component")
+        has_down[b] = True
+        del a, b  # free them before the next pair is built
+    roots = np.flatnonzero(~has_down)
+    if (label[roots] != roots).any():
+        raise AssertionError("a point with no edge down is not its own label, so a label merges components")
+    number = np.zeros(len(label), dtype=np.int32)
+    number[roots] = np.arange(len(roots), dtype=np.int32)
+    return len(roots), number[label]
 
 
 def build(params: InducedRepParams, lmax: int) -> TruncatedLattice:
@@ -256,6 +232,16 @@ def build(params: InducedRepParams, lmax: int) -> TruncatedLattice:
     TAOCP 4A, 7.2.1.3), so a one-step move is index arithmetic.  The
     classes are the connected components of the mutual pairs (both
     directions nonzero).
+
+    Cells.  Coordinate j has at most two cut values, up_at[j] and down_at[j]
+    from ``blocked_positions``, and a move x -> x + e_j in the window is
+    mutual iff lam_j is not one.  The cuts split lam_j's values into
+    intervals; a point's cell is the vector of its intervals, and no mutual
+    pair leaves it.  The cell's least point y has y_n = the floor of lam_n's
+    interval and y_j = max(floor of lam_j's interval, y_{j+1}) for j = n-1
+    down to 1; any point of the cell reaches y by mutual steps down, lowering
+    lam_n first.  So the classes are the nonempty cells, each numbered by the
+    run holding its least point, which is its first.
 
     Runs.  The window lists the points of a prefix p, ending in
     w = lam_{n-1}, consecutively with lam_n = -lmax..w.  The pair x, x + e_n
@@ -276,9 +262,12 @@ def build(params: InducedRepParams, lmax: int) -> TruncatedLattice:
     raises w, by one: the last run grows to w + 1, or, when w is a cut
     value, a run [w + 1, w + 1] follows it.  So run s of p' starts where
     run s of p starts and ends no lower: it holds every shifted point, and
-    the shifted pairs along the last coordinate stay mutual.
-    ``connected_components`` therefore reads one pair per run and
-    coordinate, and the class boxes are checked per run.
+    the shifted pairs along the last coordinate stay mutual.  So a run
+    lies in one cell, its last point stands for it in every move, and the
+    class boxes are checked per run.  One pass over each coordinate's
+    movable runs makes the run-shift check below, collects the one-way
+    edges, and hands the mutual run pairs to ``connected_components``,
+    which proves the labels are the classes.
 
     Two checks guard the enumeration.  A tiling check: the prefixes' ranks
     must count up from 0, so every prefix step lands on the prefix it
@@ -293,7 +282,8 @@ def build(params: InducedRepParams, lmax: int) -> TruncatedLattice:
     n = params.n
     size = check_window(n, lmax)
     warnings = []
-    auto = auto_lmax(params)
+    up_block, down_block = blocked_positions(params)
+    auto = _auto_lmax(up_block, down_block)
     if lmax < auto:
         warnings.append(f"window lmax={lmax} below auto margin {auto}; comparisons may fail")
 
@@ -312,11 +302,10 @@ def build(params: InducedRepParams, lmax: int) -> TruncatedLattice:
     rank = np.zeros(len(prefixes), dtype=np.int32)
     for i in range(n - 1):
         rank += rank_terms[n - 2 - i][lam[i]]
-    steps = pascal[n - 2 :: -1]  # steps[j] = pascal[n-2-j]
+    steps = pascal[n - 2 :: -1].astype(np.intp)  # steps[j] = pascal[n-2-j]; intp indexes without a cast
 
     # A pair x, x + e_j loses its up edge where 2*lam_j hits the up barrier
     # and its down edge where 2*lam_j + 2 hits the down barrier.
-    up_block, down_block = blocked_positions(params)
     up_at = [b // 2 if b is not None else None for b in up_block]
     down_at = [b // 2 - 1 if b is not None else None for b in down_block]
     cuts = [{u, d} - {None} for u, d in zip(up_at, down_at)]
@@ -341,39 +330,58 @@ def build(params: InducedRepParams, lmax: int) -> TruncatedLattice:
     if (rank != np.arange(len(prefixes), dtype=np.int32)).any() or covered != size:
         raise AssertionError("the window misses a dominant tuple, so a move leaves the enumerated window")
     del prefixes, lam, rank, counts
-    moves = _RunMoves(tail, steps, cuts, lmax, prefix, offset, sub)
-    # The run-shift lemma (see the docstring): a move along j < n shifts run
-    # (p, s) onto run (p', s).  The partner of every movable run confirms it.
-    for j in range(n - 1):
-        here = np.flatnonzero(_movable(tail, j, lmax))
-        there = moves.partners(j, here)
-        if (head[there] != head[here]).any() or (tail[-1][there] < tail[-1][here]).any():
-            raise AssertionError("a move along a fixed coordinate splits a run")
-    del here, there
 
-    # The one-way edges sit only at the cut values, so they are few.  Every
-    # point of a run moves into one run, so the run's last point stands for
-    # it, and along the last coordinate only a last point has a one-way edge.
+    # Label each run by the run holding its cell's least point (see the docstring).
+    values = np.arange(-lmax, lmax + 1)
+    least, rank = head, np.zeros(len(head), dtype=np.int32)
+    for j in range(n - 2, -1, -1):
+        # by value v: the floor of v's interval, one above the highest cut below v
+        floor = np.max([np.full(len(values), -lmax), *(np.where(values > c, c + 1, -lmax) for c in cuts[j])], axis=0)
+        least = np.maximum(_by_value(floor.astype(head.dtype), lmax)[tail[j]], least)
+        rank += rank_terms[n - 2 - j][least]
+    label = offset[rank]
+    label += sub
+    del least, rank
+
+    # The one-way edges sit only at the cut values, so they are few.  Along
+    # the last coordinate only a run's last point moves to another run.
     one_src = [np.zeros(0, dtype=np.intp)]
     one_dst = [np.zeros(0, dtype=np.intp)]
-    for j in range(n):
-        if up_at[j] == down_at[j]:  # no barrier, or a pair cut both ways: no one-way edge
-            continue
-        movable = _movable(tail, j, lmax)
-        if down_at[j] is not None:
-            only_up = np.flatnonzero(movable & (tail[j] == down_at[j]))
-            one_src.append(only_up)
-            one_dst.append(moves.partners(j, only_up))
-        if up_at[j] is not None:
-            only_down = np.flatnonzero(movable & (tail[j] == up_at[j]))
-            one_src.append(moves.partners(j, only_down))
-            one_dst.append(only_down)
-    # The weak components of the mutual pairs are strongly connected.  Every
-    # one-way edge crosses a cut lam_j = const, always in the same direction,
-    # so no cycle crosses a cut: these components are the strong components
-    # of the whole graph, and the acyclicity check below confirms it.
-    n_classes, run_comp = connected_components(len(head), moves)
-    del moves
+
+    def mutual_pairs() -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        for j in range(n):
+            movable = tail[j] < lmax  # the +e_j moves that stay in the window and dominant
+            if j > 0:
+                movable &= tail[j - 1] > tail[j]
+            across = np.zeros(len(head), dtype=bool)
+            for c in cuts[j]:
+                across |= tail[j] == c
+            across &= movable
+            movable ^= across  # now the mutual moves
+            mutual = int(np.count_nonzero(movable))
+            # the mutual moves first, then the few across a cut
+            here = np.concatenate((np.flatnonzero(movable), np.flatnonzero(across)))
+            del movable, across
+            there = _partners(j, here, tail, steps, prefix, offset, sub)
+            if j < n - 1 and ((head[there] != head[here]).any() or (tail[-1][there] < tail[-1][here]).any()):
+                raise AssertionError("a move along a fixed coordinate splits a run")
+            if up_at[j] != down_at[j]:  # else no barrier, or a pair cut both ways: no one-way edge
+                at = tail[j][here[mutual:]]
+                if down_at[j] is not None:
+                    one_src.append(here[mutual:][at == down_at[j]])
+                    one_dst.append(there[mutual:][at == down_at[j]])
+                if up_at[j] is not None:
+                    one_src.append(there[mutual:][at == up_at[j]])
+                    one_dst.append(here[mutual:][at == up_at[j]])
+            yield here[:mutual], there[:mutual]
+            del here, there
+
+    # The mutual pairs' components are strongly connected.  Every one-way
+    # edge crosses a cut lam_j = const, always in the same direction, so no
+    # cycle crosses a cut: these components are the strong components of the
+    # whole graph, and the acyclicity check below confirms it.
+    n_classes, run_comp = connected_components(label, mutual_pairs())
+    del label
 
     # One sort of the runs by class gives each class's bounding box and
     # interior flag; a run spans lam_n from its first point to its last.
@@ -396,7 +404,7 @@ def build(params: InducedRepParams, lmax: int) -> TruncatedLattice:
     unbounded = np.full((n_classes, 1), lmax + 1, dtype=np.int64)
     inside = _box_masks(
         [*tail[:-1], head, tail[-1]],
-        _by_value(np.arange(-lmax, lmax + 1), lmax),
+        _by_value(values, lmax),
         np.hstack((lo[:, :-1], -unbounded, lo[:, -1:])),
         np.hstack((hi, unbounded)),
     )
@@ -413,9 +421,7 @@ def build(params: InducedRepParams, lmax: int) -> TruncatedLattice:
     odst = run_comp[np.concatenate(one_dst)].astype(np.int64)
     cross = osrc != odst
     pair_codes = osrc[cross] * n_classes + odst[cross]
-    class_edges = tuple(
-        (int(pc) // n_classes, int(pc) % n_classes) for pc in np.unique(pair_codes)
-    )
+    class_edges = tuple((int(pc) // n_classes, int(pc) % n_classes) for pc in np.unique(pair_codes))
 
     succ = {c: sorted({b for a, b in class_edges if a == c}) for c in range(n_classes)}
 
@@ -435,13 +441,7 @@ def build(params: InducedRepParams, lmax: int) -> TruncatedLattice:
         if a in closures[b]:
             raise AssertionError("class generation order contains a cycle")
 
-    hasse = tuple(
-        sorted(
-            (a, b)
-            for a, b in class_edges
-            if not any(w != b and b in closures[w] for w in succ[a])
-        )
-    )
+    hasse = tuple(sorted((a, b) for a, b in class_edges if not any(w != b and b in closures[w] for w in succ[a])))
 
     layers_arr = [0] * n_classes
     for c in sorted(range(n_classes), key=lambda c: len(closures[c])):

@@ -305,9 +305,11 @@ SIGMA_TILDES = [Fraction(s) for s in range(-6, 7)] + [Fraction(-7, 2), Fraction(
 
 
 # At n=4 the runs along the last coordinate are cut by dominance and by its
-# barriers, and a class spans many runs.
+# barriers, and a class spans many runs.  At n=5 and 6 the least point of a
+# cell lifts up to 4 and 5 coordinates in a row to the one after them.
 @pytest.mark.parametrize(
-    "lmax, n", [(lmax, n) for lmax in (1, 2, 3, 4) for n in (2, 3)] + [(lmax, 4) for lmax in (1, 2, 3)]
+    "lmax, n",
+    [(lmax, n) for lmax in (1, 2, 3, 4) for n in (2, 3)] + [(lmax, 4) for lmax in (1, 2, 3)] + [(1, 5), (2, 5), (2, 6)],
 )
 def test_build_matches_scalar_reference(n, lmax):
     for alpha in range(4):
@@ -386,18 +388,58 @@ def test_barriers_are_computed_once_per_point(monkeypatch):
     assert blocked_positions(params) == ((2, None, 4, None, 6), (None, -6, None, -4, None))
 
 
-class _CountedPairs(list):
-    """Edge list that counts the rounds ``connected_components`` makes over it."""
+def test_build_reads_the_barriers_once(monkeypatch):
+    # build derives its warning margin from the positions it holds; compare
+    # reads them once more only to size an auto window
+    calls = []
 
-    rounds = 0
+    def counted(params):
+        calls.append(params)
+        return blocked_positions(params)
+
+    monkeypatch.setattr(oracle, "blocked_positions", counted)
+    params = params_from_sigma_tilde(4, 1, -2)
+    lattice = build(params, 2)
+    assert len(calls) == 1
+    assert lattice.warnings[0].startswith("window lmax=2 below auto margin 6")
+    calls.clear()
+    assert compare(params).ok
+    assert len(calls) == 2
+    calls.clear()
+    assert compare(params, 6).ok
+    assert len(calls) == 1
+
+
+def test_build_finds_each_coordinates_partners_once(monkeypatch):
+    # one pass over the moves checks the run shifts, collects the one-way
+    # edges and verifies the cells, so no second walk over the partners
+    walked = []
+    partners = oracle._partners
+
+    def counted(j, *args):
+        walked.append(j)
+        return partners(j, *args)
+
+    monkeypatch.setattr(oracle, "_partners", counted)
+    for n, alpha, sigma_tilde in [(2, 0, Fraction(1, 2)), (4, 1, -2), (5, 3, 0), (6, 2, -6)]:
+        params = params_from_sigma_tilde(n, alpha, sigma_tilde)
+        walked.clear()
+        assert compare(params).ok
+        assert sorted(walked) == list(range(n)), (n, alpha, sigma_tilde)
+
+
+class _CountedPairs(list):
+    """Edge list that counts the passes ``connected_components`` makes over it."""
+
+    passes = 0
 
     def __iter__(self):
-        self.rounds += 1
+        self.passes += 1
         return super().__iter__()
 
 
-def _union_find_labels(size, pairs):
-    """Component labels by plain union-find, numbered by each component's smallest index."""
+def _least_index_labels(size, pairs):
+    """Each point's component by plain union-find, named by the component's smallest index."""
     parent = list(range(size))
 
     def find(x):
@@ -409,49 +451,75 @@ def _union_find_labels(size, pairs):
         for x, y in zip(a.tolist(), b.tolist()):
             rx, ry = find(x), find(y)
             parent[max(rx, ry)] = min(rx, ry)
-    number = {}
-    return [number.setdefault(find(x), len(number)) for x in range(size)]
+    return np.array([find(x) for x in range(size)], dtype=np.int32)
 
 
 def _edges(*pairs):
     return (np.array([a for a, _ in pairs], dtype=np.int32), np.array([b for _, b in pairs], dtype=np.int32))
 
 
-def test_connected_components_matches_union_find():
+def test_connected_components_accepts_the_least_index_labels():
     rng = np.random.default_rng(6)
     for size in (1, 2, 7, 40, 300):
         for density in (0.0, 0.3, 1.0, 2.0):
             pairs = []
             for _ in range(rng.integers(1, 5)):
-                edges = rng.integers(0, size, (2, int(density * size / 2)), dtype=np.int32)
-                pairs.append((edges[0], edges[1]))
-            n_classes, comp = oracle.connected_components(size, pairs)
-            expected = _union_find_labels(size, pairs)
+                ends = rng.integers(0, size, (2, int(density * size / 2)), dtype=np.int32)
+                ends = np.sort(ends[:, ends[0] != ends[1]], axis=0)  # each edge from smaller to larger
+                pairs.append((ends[0], ends[1]))
+            label = _least_index_labels(size, pairs)
+            # give every point but its component's least an edge down, as the cells do
+            down = np.zeros(size, dtype=bool)
+            for a, b in pairs:
+                down[b] = True
+            lone = np.flatnonzero(~down & (label != np.arange(size)))
+            pairs = _CountedPairs([*pairs, (label[lone], lone.astype(np.int32))])
+            n_classes, comp = oracle.connected_components(label, pairs)
+            number = {}
+            expected = [number.setdefault(int(x), len(number)) for x in label]
             assert comp.tolist() == expected, (size, density)
-            assert n_classes == len(set(expected))
+            assert n_classes == len(number)
+            assert pairs.passes == 1
 
 
-def test_connected_components_repeats_rounds_until_nothing_merges():
-    # A star whose centre has the largest index: every edge hooks the centre,
-    # one write wins per round, so each round merges one more leaf.  A path
-    # visited out of index order also needs a second round.
-    star = _CountedPairs([_edges(*((leaf, 5) for leaf in range(5)))])
-    path = _CountedPairs([_edges((0, 4), (4, 1)), _edges((1, 3), (3, 2))])
-    for size, pairs in ((6, star), (7, path)):
-        n_classes, comp = oracle.connected_components(size, pairs)
-        assert pairs.rounds >= 3  # two merging rounds, then one that merges nothing
-        expected = _union_find_labels(size, pairs)
-        assert (n_classes, comp.tolist()) == (len(set(expected)), expected)
-    # each class is numbered by its smallest index, so labels first appear in order
-    n_classes, comp = oracle.connected_components(6, [_edges((5, 1), (4, 0), (3, 5))])
-    assert (n_classes, comp.tolist()) == (3, [0, 1, 2, 1, 0, 1])
+def test_connected_components_refuses_a_label_that_splits_a_component():
+    # 0-1-2 and 3-4: naming 2 its own label splits the first component
+    pairs = [_edges((0, 1), (3, 4)), _edges((1, 2))]
+    with pytest.raises(AssertionError, match="splits a component"):
+        oracle.connected_components(np.array([0, 0, 2, 3, 3], dtype=np.int32), pairs)
+    # a label that names no point of its component splits it too
+    with pytest.raises(AssertionError, match="splits a component"):
+        oracle.connected_components(np.array([0, 0, 0, 3, 1], dtype=np.int32), pairs)
+
+
+def test_connected_components_refuses_a_label_that_merges_two_components():
+    pairs = [_edges((0, 1), (3, 4)), _edges((1, 2))]
+    with pytest.raises(AssertionError, match="merges components"):
+        oracle.connected_components(np.array([0, 0, 0, 0, 0], dtype=np.int32), pairs)
+    # the merged label may also name a point that is not the smallest
+    with pytest.raises(AssertionError, match="merges components"):
+        oracle.connected_components(np.array([1, 1, 1, 1, 1], dtype=np.int32), [_edges((0, 1), (1, 2))])
+    assert oracle.connected_components(np.array([0, 0, 0, 3, 3], dtype=np.int32), pairs)[0] == 2
+
+
+def test_connected_components_needs_an_edge_down_from_all_but_the_least():
+    # 0-2-1 is one component, but 1 has no edge down, so (b) refuses its true label
+    with pytest.raises(AssertionError, match="merges components"):
+        oracle.connected_components(np.array([0, 0, 0], dtype=np.int32), [_edges((0, 2), (1, 2))])
 
 
 def test_connected_components_of_an_edgeless_graph():
     empty = np.zeros(0, dtype=np.int32)
     for pairs in ([], [(empty, empty)] * 3):
-        n_classes, comp = oracle.connected_components(4, pairs)
+        n_classes, comp = oracle.connected_components(np.arange(4, dtype=np.int32), pairs)
         assert (n_classes, comp.tolist()) == (4, [0, 1, 2, 3])
+    with pytest.raises(AssertionError, match="merges components"):
+        oracle.connected_components(np.zeros(4, dtype=np.int32), [])
+
+
+def test_connected_components_refuses_an_edge_that_points_down():
+    with pytest.raises(ValueError, match="smaller index to a larger one"):
+        oracle.connected_components(np.array([0, 0], dtype=np.int32), [_edges((1, 0))])
 
 
 def test_cli_and_build_import_numpy_only():
@@ -611,16 +679,16 @@ def test_compare_irreducible_point_with_several_classes_fails(monkeypatch):
     assert verdict.checks == tuple((name, failed) for name in names)
 
 
-def _merge_last_class_into_first(moves, n_classes, comp):
+def _merge_last_class_into_first(runs, n_classes, comp):
     # the union of the first and last classes boxes in the class between them
     return 2, np.where(comp == 2, 0, comp)
 
 
-def _split_at_the_cut(moves, n_classes, comp):
+def _split_at_the_cut(runs, n_classes, comp):
     # class 1 takes lambda_1 = 1 and the runs of lambda_1 = 2 below the cut at
     # lambda_2 = 1, so its box is lambda_2 <= 1.  The run lambda_1 = 2,
     # lambda_2 in [1, 2] meets that box only through its first point.
-    lam1, lam2 = moves.lam  # each run's last point
+    lam1, lam2 = runs  # each run's last point
     below = (lam1 == 1) | ((lam1 == 2) & (lam2 <= 0))
     return 4, np.select([lam1 <= 0, below, lam1 == 2], [0, 1, 2], 3)
 
@@ -630,12 +698,15 @@ def _split_at_the_cut(moves, n_classes, comp):
     [(P_SW, _merge_last_class_into_first, 0), (InducedRepParams(2, 1, Fraction(-1)), _split_at_the_cut, 1)],
 )
 def test_build_refuses_a_class_that_is_not_a_box(monkeypatch, params, relabel, bad):
-    labelled = oracle.connected_components
+    # the cell labels pass their verification; a class numbering handed on
+    # from it that is not a union of boxes must still fail the box check
+    runs = build(params, 4).run_lam
+    verified = oracle.connected_components
 
-    def relabelled(size, pairs):
-        n_classes, comp = labelled(size, pairs)
+    def relabelled(label, pairs):
+        n_classes, comp = verified(label, pairs)
         assert n_classes == 3
-        n_classes, comp = relabel(pairs, n_classes, comp)
+        n_classes, comp = relabel(runs, n_classes, comp)
         return n_classes, comp.astype(np.int32)
 
     monkeypatch.setattr(oracle, "connected_components", relabelled)
