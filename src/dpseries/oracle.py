@@ -9,7 +9,8 @@ connected classes are the nonempty cells, where a cell fixes each
 coordinate's interval between its cut values: ``build`` labels the points by
 their cells, verifies the labels exactly against the mutual moves, and finds
 the classes' Hasse diagram under reachability, longest-path layers, and
-reachability closures.
+reachability closures.  A cell is the window cut by a product of intervals,
+so each class is its bounding box cut to the window.
 
 ``build`` never enumerates the window point by point.  It enumerates the
 prefixes lam_1..lam_{n-1} and derives in closed form the runs: the maximal
@@ -46,10 +47,10 @@ from .structure import generated_submodule, module_diagram, socle_series
 __all__ = ["OracleVerdict", "TruncatedLattice", "auto_lmax", "build", "check_window", "compare"]
 
 # Largest window build() accepts, in points.  compare() in a fresh process
-# peaks (ru_maxrss) at 91 MB for 3.11 M points (n=8), at 225 MB for 10.0 M and
-# 330 MB for 20.2 M (n=9), and, with the budget raised for the run, at 530 MB
+# peaks (ru_maxrss) at 92 MB for 3.11 M points (n=8), at 225 MB for 10.0 M and
+# 317 MB for 20.2 M (n=9), and, with the budget raised for the run, at 496 MB
 # for 30.0 M (n=10): under 24 bytes per point from 10 M points up, so a window
-# at the budget needs about 0.55 GB.
+# at the budget needs about 0.5 GB.
 MAX_WINDOW_POINTS = 30_000_000
 
 
@@ -263,11 +264,16 @@ def build(params: InducedRepParams, lmax: int) -> TruncatedLattice:
     value, a run [w + 1, w + 1] follows it.  So run s of p' starts where
     run s of p starts and ends no lower: it holds every shifted point, and
     the shifted pairs along the last coordinate stay mutual.  So a run
-    lies in one cell, its last point stands for it in every move, and the
-    class boxes are checked per run.  One pass over each coordinate's
-    movable runs makes the run-shift check below, collects the one-way
-    edges, and hands the mutual run pairs to ``connected_components``,
-    which proves the labels are the classes.
+    lies in one cell and its last point stands for it in every move.  One
+    pass over each coordinate's movable runs makes the run-shift check
+    below, collects the one-way edges, and hands the mutual run pairs to
+    ``connected_components``, which proves the labels are the classes.
+
+    Boxes.  A cell within the window is the window cut by a product of
+    intervals, so it equals its bounding box intersected with the window
+    (the box lies in the product).  So each class is such a box once each
+    run lies in the class of its cell's least run and the cells' least runs
+    carry the class numbers 0, 1, ... in window order, as checked below.
 
     Two checks guard the enumeration.  A tiling check: the prefixes' ranks
     must count up from 0, so every prefix step lands on the prefix it
@@ -380,42 +386,26 @@ def build(params: InducedRepParams, lmax: int) -> TruncatedLattice:
     # edge crosses a cut lam_j = const, always in the same direction, so no
     # cycle crosses a cut: these components are the strong components of the
     # whole graph, and the acyclicity check below confirms it.
-    n_classes, run_comp = connected_components(label, mutual_pairs())
+    run_comp = connected_components(label, mutual_pairs())[1]
+
+    # Each class must be one cell, so a box, numbered by its first run.
+    split = np.flatnonzero(run_comp != run_comp[label])
+    if len(split):
+        raise AssertionError(f"SCC class {run_comp[split[0]]} is not an order-convex box within the window")
+    cells = run_comp[label == np.arange(len(label), dtype=label.dtype)]
+    wrong = np.flatnonzero(cells != np.arange(len(cells)))
+    if len(wrong):
+        raise AssertionError(
+            f"SCC class {cells[wrong[0]]} is not an order-convex box within the window,"
+            " or the classes are not numbered by first point"
+        )
+    n_classes = len(cells)
     del label
 
-    # One sort of the runs by class gives each class's bounding box and
-    # interior flag; a run spans lam_n from its first point to its last.
-    order = np.argsort(run_comp, kind="stable")
-    sizes = np.bincount(run_comp)
-    starts = np.cumsum(sizes) - sizes
-    lo = np.empty((n_classes, n), dtype=np.int64)
-    hi = np.empty((n_classes, n), dtype=np.int64)
-    for j, (low, high) in enumerate(zip([*tail[:-1], head], tail)):
-        lo[:, j] = np.minimum.reduceat(low[order], starts)
-        hi[:, j] = np.maximum.reduceat(high[order], starts)
     # lam_1 is fixed on a run (n >= 2) and lam_n peaks at its last point, so
     # a run has a point with lam_1 < lmax and lam_n > -lmax iff that one does.
-    interior = np.logical_or.reduceat(((tail[0] < lmax) & (tail[-1] > -lmax))[order], starts)
-    del order
-
-    # Each class must be exactly its bounding box intersected with the window:
-    # the structural signature of barrier-cut regions.  A run meets a box when
-    # its fixed coordinates lie in it and its lam_n interval overlaps it.
-    unbounded = np.full((n_classes, 1), lmax + 1, dtype=np.int64)
-    inside = _box_masks(
-        [*tail[:-1], head, tail[-1]],
-        _by_value(values, lmax),
-        np.hstack((lo[:, :-1], -unbounded, lo[:, -1:])),
-        np.hstack((hi, unbounded)),
-    )
-    crowded = np.flatnonzero(np.bitwise_count(inside).sum(axis=0) > 1)
-    if len(crowded):
-        stray = inside[:, crowded]
-        own = run_comp[crowded]
-        stray[own // 64, np.arange(len(crowded))] &= ~(np.uint64(1) << (own % 64).astype(np.uint64))
-        bad = _set_bits(np.bitwise_or.reduce(stray, axis=1))
-        raise AssertionError(f"SCC class {bad[0]} is not an order-convex box within the window")
-    del inside
+    interior = np.zeros(n_classes, dtype=bool)
+    interior[run_comp[(tail[0] < lmax) & (tail[-1] > -lmax)]] = True
 
     osrc = run_comp[np.concatenate(one_src)].astype(np.int64)
     odst = run_comp[np.concatenate(one_dst)].astype(np.int64)

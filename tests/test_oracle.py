@@ -123,12 +123,39 @@ def test_mutual_symmetry_of_opposing_coefficients():
                 assert source_both == (-2 * params.sigma - 2 == 0)
 
 
+def _small_grid(lmaxes):
+    """(params, lmax, lattice) over n 2..5, alpha 0..3, sigma_tilde -8..n+9 and the given windows."""
+    for n in range(2, 6):
+        for alpha in range(4):
+            for st_val in range(-8, n + 10):
+                params = params_from_sigma_tilde(n, alpha, st_val)
+                for lmax in lmaxes:
+                    lmax = lmax or auto_lmax(params)
+                    yield params, lmax, build(params, lmax)
+
+
 def test_classes_are_boxes():
-    # structural assertion built into build(); exercise it on a few points
-    for st_val in (-3, 1, 4):
-        for n, alpha in [(2, 0), (3, 1), (4, 2)]:
-            params = params_from_sigma_tilde(n, alpha, st_val)
-            build(params, auto_lmax(params))
+    # build() proves it from the cells; here it is checked point by point:
+    # each class's bounding box, cut to the window, holds that class alone
+    for params, lmax, lattice in _small_grid((2, None)):
+        points, comp = lattice.points, lattice.comp
+        for c in range(lattice.n_classes):
+            own = points[comp == c]
+            inside = ((points >= own.min(axis=0)) & (points <= own.max(axis=0))).all(axis=1)
+            assert (comp[inside] == c).all(), (params, lmax, c)
+
+
+def test_interior_warning_names_the_classes_with_no_interior_point():
+    # an interior point has lam_1 < lmax and lam_n > -lmax
+    warned = 0
+    for params, lmax, lattice in _small_grid((1, 2)):
+        points, comp = lattice.points, lattice.comp
+        inner = (points[:, 0] < lmax) & (points[:, -1] > -lmax)
+        bare = set(range(lattice.n_classes)) - set(comp[inner].tolist())
+        said = {int(w.split()[1]) for w in lattice.warnings if w.endswith("owns no interior point; enlarge the window")}
+        assert said == bare, (params, lmax)
+        warned += bool(said)
+    assert warned == 266
 
 
 def test_compare_matches_sweep_row():
@@ -700,6 +727,23 @@ def _split_at_the_cut(runs, n_classes, comp):
 def test_build_refuses_a_class_that_is_not_a_box(monkeypatch, params, relabel, bad):
     # the cell labels pass their verification; a class numbering handed on
     # from it that is not a union of boxes must still fail the box check
+    with pytest.raises(AssertionError, match=f"SCC class {bad} is not an order-convex box"):
+        _build_relabelled(monkeypatch, params, relabel)
+
+
+def _swap_the_last_two_numbers(runs, n_classes, comp):
+    # every class is still a box, but class 2 now starts before class 1
+    return n_classes, np.array([0, 2, 1])[comp]
+
+
+def test_build_refuses_classes_not_numbered_by_first_point(monkeypatch):
+    # TruncatedLattice numbers its classes by first point
+    with pytest.raises(AssertionError, match="SCC class 2 .* the classes are not numbered by first point"):
+        _build_relabelled(monkeypatch, P_SW, _swap_the_last_two_numbers)
+
+
+def _build_relabelled(monkeypatch, params, relabel):
+    """build() with the verified class numbering replaced by ``relabel``'s."""
     runs = build(params, 4).run_lam
     verified = oracle.connected_components
 
@@ -710,5 +754,4 @@ def test_build_refuses_a_class_that_is_not_a_box(monkeypatch, params, relabel, b
         return n_classes, comp.astype(np.int32)
 
     monkeypatch.setattr(oracle, "connected_components", relabelled)
-    with pytest.raises(AssertionError, match=f"SCC class {bad} is not an order-convex box"):
-        build(params, 4)
+    build(params, 4)
