@@ -23,21 +23,20 @@ cross.
 
 A point's case, the integers its theorems are stated in (the sign of
 sigma, ``floor(|sigma|)`` and the grid bound k) and its window are computed
-once and kept in a bounded memo, which every function here and the views in
-``structure``, ``unitarity`` and ``howe`` read; a region is built only when
-asked for.
+once and kept in bounded memos, which every function here and the views in
+``structure``, ``unitarity`` and ``howe`` read; a region reads only the
+integers, and is built only when asked for.
 """
 
 from __future__ import annotations
 
 import functools
 from bisect import bisect_left
-from itertools import accumulate
 from dataclasses import dataclass
 from typing import NamedTuple
 
 from .parameters import CaseTag, InducedRepParams, classify
-from .ktypes import KType, check_ktype
+from .ktypes import KType, check_ktype, dominant_extremes
 
 __all__ = [
     "ConstituentLabel",
@@ -97,23 +96,16 @@ def parse_label(text: str) -> ConstituentLabel:
     raise ValueError(f"not a constituent label like R(1,0): {text!r}")
 
 
-def _running(bounds, pick) -> tuple[int | None, ...]:
-    """Running ``pick`` (min or max) of the bounds so far, skipping None."""
-    return tuple(accumulate(bounds, lambda a, b: b if a is None else a if b is None else pick(a, b)))
-
-
 @dataclass(frozen=True)
 class Region:
     """Per-coordinate bounds on ``2*lam``, intersected with the dominance cone.
 
     ``lower[c-1]``/``upper[c-1]`` bound coordinate c (even integers or None
-    for unbounded).  Dominance normalizes the bounds into the extreme members:
-    coordinate c of the greatest is the least upper bound at or before c, and
-    of the least the greatest lower bound at or after c (None where there is
-    none).  The region is empty iff the two cross at some c, that is iff a
-    lower bound on some a exceeds an upper bound on some b <= a; otherwise the
-    greatest member, with the largest finite bound (or 0) in its unbounded
-    coordinates, is a member.
+    for unbounded).  Dominance normalizes the bounds into the extreme members
+    (``ktypes.dominant_extremes``).  The region is empty iff the two cross at
+    some c, that is iff a lower bound on some a exceeds an upper bound on
+    some b <= a; otherwise the greatest member, with the largest finite bound
+    (or 0) in its unbounded coordinates, is a member.
     """
 
     n: int
@@ -136,11 +128,7 @@ class Region:
         # The least and the greatest member of the class docstring, in units
         # of 2*lam; None when they cross.  Computed once per region: every
         # view below reads it.
-        top = _running(self.upper, min)
-        bot = _running(self.lower[::-1], max)[::-1]
-        if any(b is not None and t is not None and b > t for b, t in zip(bot, top)):
-            return None
-        return bot, top
+        return dominant_extremes(self.lower, self.upper)
 
     def is_empty(self) -> bool:
         """True iff no dominant integer point satisfies the bounds."""
@@ -202,33 +190,34 @@ class ConstituentSet:
 
 
 @dataclass(frozen=True)
-class _Point:
-    """Everything the closed-form views read at one reducible point."""
+class _Integers:
+    """The integers a reducible point's theorems are stated in, and its case."""
 
     case: CaseTag
     sign: int  # of sigma: -1, 0 or 1
     m: int  # floor(|sigma|): |sigma| in Cases 1, |sigma| - 1/2 in Cases 2
     k: int  # the grid bound: n0/2 at odd sigma_tilde, (n1+1)/2 at even
+
+
+@dataclass(frozen=True)
+class _Point(_Integers):
+    """Everything the closed-form views read at one reducible point: its integers and theorem window."""
+
     index_bound: tuple[str, int] | None
     labels: tuple[ConstituentLabel, ...]  # the theorem window, nonempty by proof, sorted
     label_set: frozenset[ConstituentLabel]
     row_starts: tuple[int, ...]  # labels[row_starts[i]:row_starts[i + 1]] have first index i
 
 
-# Points kept in the memo.  The views of one point all read its record, so a
+# Points kept in each memo.  The views of one point all read its record, so a
 # few suffice.  A record holds its integers and labels, no regions: the
 # largest at n = 16 (53 labels) holds about 8 kB.
 _POINTS_KEPT = 32
 
 
 @functools.lru_cache(maxsize=_POINTS_KEPT)
-def _point(params: InducedRepParams) -> _Point:
-    """The point's case, sign, floor(|sigma|), k and theorem window, computed once.
-
-    The window's labels are the constituents as they stand: each region in it
-    is nonempty and each grid label outside it has an empty region, as
-    ``_theorem_range`` proves case by case, so no region is tested here.
-    """
+def _integers(params: InducedRepParams) -> _Integers:
+    """The point's case, sign, floor(|sigma|) and k, computed once: all that ``region_for`` reads."""
     case = classify(params)
     if case is CaseTag.IRREDUCIBLE:
         raise ValueError(
@@ -238,13 +227,24 @@ def _point(params: InducedRepParams) -> _Point:
     sign = (sigma > 0) - (sigma < 0)
     m = abs(sigma.numerator) // sigma.denominator
     k = (params.n + 1 - int(params.sigma_tilde) % 2) // 2
-    window, bound = _theorem_range(params, case, sign, m, k)
-    labels = tuple(window)
-    rows = tuple(bisect_left(labels, (case.family, i)) for i in range(labels[-1].i + 2))
-    return _Point(case, sign, m, k, bound, labels, frozenset(labels), rows)
+    return _Integers(case, sign, m, k)
 
 
-def _require_definable(params: InducedRepParams, pt: _Point, label: ConstituentLabel) -> None:
+@functools.lru_cache(maxsize=_POINTS_KEPT)
+def _point(params: InducedRepParams) -> _Point:
+    """The point's integers and theorem window, about n**2/8 labels, computed once.
+
+    The window's labels are the constituents as they stand: each region in it
+    is nonempty and each grid label outside it has an empty region, as
+    ``_theorem_range`` proves case by case, so no region is tested here.
+    """
+    pt = _integers(params)
+    labels, bound = _theorem_range(params, pt.case, pt.sign, pt.m, pt.k)
+    rows = tuple(bisect_left(labels, (pt.case.family, i)) for i in range(labels[-1].i + 2))
+    return _Point(pt.case, pt.sign, pt.m, pt.k, bound, labels, frozenset(labels), rows)
+
+
+def _require_definable(params: InducedRepParams, pt: _Integers, label: ConstituentLabel) -> None:
     """Raise ValueError unless the label lies in the case's full index grid."""
     if label.family == "R":
         definable = label.i + label.j <= pt.k
@@ -254,7 +254,7 @@ def _require_definable(params: InducedRepParams, pt: _Point, label: ConstituentL
         raise ValueError(f"label undefined here: {label} at {params} ({pt.case.value})")
 
 
-def _chains(params: InducedRepParams, pt: _Point, label: ConstituentLabel) -> list[tuple[int, int, int]]:
+def _chains(params: InducedRepParams, pt: _Integers, label: ConstituentLabel) -> list[tuple[int, int, int]]:
     """The two defining chains (lo_coord, even value, hi_coord) of a region.
 
     Each chain sits on a barrier between coordinates a and a+2: its value is
@@ -283,7 +283,7 @@ def _chains(params: InducedRepParams, pt: _Point, label: ConstituentLabel) -> li
     return [(first, minus + first, first + 2), (second, second + 1 - st, second + 2)]
 
 
-def _build_region(params: InducedRepParams, pt: _Point, label: ConstituentLabel) -> Region:
+def _build_region(params: InducedRepParams, pt: _Integers, label: ConstituentLabel) -> Region:
     n = params.n
     lower: list[int | None] = [None] * n
     upper: list[int | None] = [None] * n
@@ -306,7 +306,7 @@ def region_for(params: InducedRepParams, label: ConstituentLabel) -> Region:
     family R, the rectangle S(n) for family L); labels outside the grid raise
     ValueError.  The resulting region may be empty.
     """
-    pt = _point(params)
+    pt = _integers(params)
     _require_definable(params, pt, label)
     return _build_region(params, pt, label)
 
@@ -327,7 +327,7 @@ def is_empty(params: InducedRepParams, label: ConstituentLabel) -> bool:
 
 def _theorem_range(
     params: InducedRepParams, case: CaseTag, sign: int, m: int, k: int
-) -> tuple[list[ConstituentLabel], tuple[str, int] | None]:
+) -> tuple[tuple[ConstituentLabel, ...], tuple[str, int] | None]:
     """Label window of the decomposition theorem for the case and sign of sigma.
 
     The window is a band lo <= level <= hi of the grid, in sorted order.  In
@@ -400,7 +400,7 @@ def _theorem_range(
         for i in range(i_max + 1)
         for j in range(max(lo + slope * i, 0), min(hi + slope * i, j_max) + 1)
     ]
-    return labels, bound
+    return tuple(labels), bound
 
 
 def enumerate_constituents(params: InducedRepParams) -> ConstituentSet:

@@ -22,7 +22,8 @@ Coefficients are exact rationals; "blocked" always means exactly zero.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable
+from itertools import accumulate
+from typing import Iterable, Sequence
 
 from .parameters import InducedRepParams, is_integer, parse_integer
 
@@ -31,6 +32,7 @@ __all__ = [
     "barrier_plus",
     "blocked_positions",
     "check_ktype",
+    "dominant_extremes",
     "format_ktype",
     "neighbors",
     "parse_ktype",
@@ -61,6 +63,25 @@ def parse_ktype(text: str) -> KType:
 
 def format_ktype(lam: KType) -> str:
     return ",".join(str(x) for x in lam)
+
+
+def dominant_extremes(lower: Sequence[int | None], upper: Sequence[int | None]) -> tuple[tuple, tuple] | None:
+    """The least and the greatest weakly decreasing x with lower <= x <= upper (None bounds nothing).
+
+    Coordinate c of the greatest is the least upper bound at or before c, and
+    of the least the greatest lower bound at or after c (None where there is
+    none).  Every such x lies between the two, and there is one iff they
+    cross at no c; otherwise this returns None.
+    """
+
+    def running(bounds, pick):
+        return tuple(accumulate(bounds, lambda a, b: b if a is None else a if b is None else pick(a, b)))
+
+    greatest = running(upper, min)
+    least = running(lower[::-1], max)[::-1]
+    if any(b is not None and t is not None and b > t for b, t in zip(least, greatest)):
+        return None
+    return least, greatest
 
 
 def barrier_plus(params: InducedRepParams, j: int) -> Fraction:
@@ -121,6 +142,10 @@ def blocked_positions(
     graph build consumes it.  These are the effective barriers in
     integers: with st = sigma_tilde, ``up[j-1] = j-1-st`` and ``down[j-1] =
     st-(n+alpha)+j`` when even, and all None when st is not an integer.
+
+    Hermitian duality: at -sigma, st' = n+1+alpha-st makes ``down'[j-1] =
+    up[j-1] + 2`` and ``up'[j-1] = down[j-1] - 2``, so the two cut values of
+    each coordinate (``oracle.build``) swap roles and every one-way edge turns.
     """
     n, st = params.n, params.sigma_tilde
     if not is_integer(st):

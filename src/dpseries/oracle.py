@@ -17,10 +17,9 @@ prefixes lam_1..lam_{n-1} and derives in closed form the runs: the maximal
 stretches of consecutive points joined by mutual pairs along the last
 coordinate, each a prefix times an interval of lam_n between the last
 coordinate's cut values.  Its run-shift lemma makes labelling the runs
-exact, and ``compare`` tests region membership once per run, walking the
-points of a run only when the run fails.  ``compare`` checks the
-closed-form side against this from-first-principles picture and reports the
-first witness on any mismatch.
+exact.  ``compare`` checks the closed-form side against this
+from-first-principles picture, matching each class's box with a region's,
+and reports the first witness on any mismatch.
 
 Edge direction convention: an edge A -> B between classes means B lies in the
 submodule generated by A, matching the module diagrams' downward edges.
@@ -35,12 +34,13 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import combinations
 from math import comb
 
 import numpy as np
 
 from .parameters import CaseTag, InducedRepParams, classify
-from .ktypes import blocked_positions
+from .ktypes import KType, blocked_positions, dominant_extremes
 from .constituents import ConstituentLabel, enumerate_constituents, region_for
 from .structure import generated_submodule, module_diagram, socle_series
 
@@ -101,6 +101,16 @@ class TruncatedLattice:
         comp.setflags(write=False)
         return comp
 
+    @cached_property
+    def class_boxes(self) -> tuple[tuple[KType, KType], ...]:
+        """Per class, its least and greatest point; the class is the window's points between them (``build``)."""
+        runs = np.arange(len(self.run_comp))
+        first, last = np.full(self.n_classes, len(runs)), np.zeros(self.n_classes, dtype=runs.dtype)
+        np.minimum.at(first, self.run_comp, runs)
+        np.maximum.at(last, self.run_comp, runs)
+        least = [*(col[first].tolist() for col in self.run_lam[:-1]), self.run_start[first].tolist()]
+        return tuple(zip(zip(*least), zip(*(col[last].tolist() for col in self.run_lam))))
+
 
 def check_window(n: int, lmax: int) -> int:
     """Number of dominant n-tuples with entries in [-lmax, lmax].
@@ -146,41 +156,6 @@ def _by_value(table: np.ndarray, lmax: int) -> np.ndarray:
     coordinates index the table without a shifted copy of the points.
     """
     return np.concatenate((table[..., lmax:], table[..., :lmax]), axis=-1)
-
-
-def _box_masks(cols: list[np.ndarray], values: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Per point, the bitmask of the boxes that contain it.
-
-    Coordinate j of a point is ``values[cols[j]]``; box b holds the point when
-    ``lo[b, j] <= values[cols[j]] <= hi[b, j]`` for every j.  Each coordinate
-    maps every value to the bitmask of the boxes whose slab holds it, and the
-    tables are ANDed across coordinates.  Returns a (ceil(B/64), P) uint64
-    array; box b is bit b % 64 of word b // 64.
-    """
-    boxes = len(lo)
-    words = np.empty(((boxes + 63) // 64, len(cols[0])), dtype=np.uint64)
-    for w in range(len(words)):
-        sl = slice(64 * w, min(64 * w + 64, boxes))
-        bits = np.uint64(1) << np.arange(sl.stop - sl.start, dtype=np.uint64)
-        # tables[j, v]: the boxes whose slab of coordinate j holds the value v
-        inside = (values[:, None] >= lo[sl].T[:, None, :]) & (values[:, None] <= hi[sl].T[:, None, :])
-        tables = np.bitwise_or.reduce(np.where(inside, bits, np.uint64(0)), axis=2)
-        words[w] = tables[0][cols[0]]
-        for table, col in zip(tables[1:], cols[1:]):
-            words[w] &= table[col]
-    return words
-
-
-def _set_bits(words) -> list[int]:
-    """Indices of the set bits of a sequence of 64-bit words, ascending."""
-    out = []
-    for w, word in enumerate(words):
-        word = int(word)
-        while word:
-            low = word & -word
-            out.append(64 * w + low.bit_length() - 1)
-            word ^= low
-    return out
 
 
 def _partners(j: int, here: np.ndarray, lam, steps, prefix, offset, sub) -> np.ndarray:
@@ -472,72 +447,67 @@ class OracleVerdict:
     warnings: tuple[str, ...] = field(default=())
 
 
+def _meet(a: tuple[KType, KType], b: tuple[KType, KType]) -> tuple[KType, KType] | None:
+    """The intersection of two boxes of weakly decreasing tuples, or None if it is empty."""
+    return dominant_extremes(tuple(map(max, a[0], b[0])), tuple(map(min, a[1], b[1])))
+
+
+def _in_any(lows: list[np.ndarray], highs: list[np.ndarray], boxes: list[tuple[KType, KType]]) -> np.ndarray:
+    """Per entry, whether some box's least point is <= lows and its greatest >= highs in every column."""
+    out = np.zeros(len(lows[0]), dtype=bool)
+    for least, greatest in boxes:
+        out |= np.logical_and.reduce([(lo >= a) & (hi <= b) for lo, hi, a, b in zip(lows, highs, least, greatest)])
+    return out
+
+
 def _partition(
     params: InducedRepParams, lattice: TruncatedLattice, labels: tuple[ConstituentLabel, ...]
 ) -> list[ConstituentLabel] | str:
     """Each class's region label, or the witness of the first partition failure.
 
-    Fails, in this order, where a point lies in a number of regions other
-    than 1, where the class count is not the label count, where a class
-    spans several regions, and where two classes map to one region.  Region
-    membership is tested once per run of the window; only the points of a
-    run that does not lie in exactly one region are walked, in window order,
-    to name the first point in none or several.
+    A region cut to the window is the window's points between the extremes of
+    its bounds clipped to +-lmax (``dominant_extremes``), as a class is those
+    between its ``class_boxes``.  The classes tile the window, so the regions
+    partition it, one class each, iff the class boxes are those of distinct
+    regions, as many as the labels.  Otherwise the witness is, in this order,
+    the first point in a number of regions other than 1, the class count, a
+    class spanning regions, or two classes in one region.  The first point in
+    two regions is the least of a pairwise intersection of boxes; a point in
+    none lies in a class whose box is no region's, so only those classes'
+    runs are walked, and the points of a run only if no region holds it all.
     """
-    n, lmax = params.n, lattice.lmax
-    # Each region's box in lam units (2*lam >= lower iff lam >= ceil(lower/2))
-    # over the run columns lam_1..lam_{n-1}, first lam_n, last lam_n.  A run
-    # meets the box when its fixed coordinates lie in it, its first lam_n is
-    # at most the box's top (hi[:, n-1]) and its last lam_n at least the
-    # box's bottom (lo[:, n]); the other two bounds stay beyond the window.
-    lo = np.full((len(labels), n + 1), -lmax - 1, dtype=np.int64)
-    hi = np.full((len(labels), n + 1), lmax + 1, dtype=np.int64)
-    for a, lab in enumerate(labels):
-        region = region_for(params, lab)
-        for c in range(n):
-            if region.lower[c] is not None:
-                lo[a, c if c < n - 1 else n] = -(-region.lower[c] // 2)
-            if region.upper[c] is not None:
-                hi[a, c] = region.upper[c] // 2
-    *fixed, last = lattice.run_lam
-    first = lattice.run_start
-    values = _by_value(np.arange(-lmax, lmax + 1), lmax)
-    meet = _box_masks([*fixed, first, last], values, lo, hi)
-    # The box holds all of the run when also its first lam_n is at least the
-    # bottom and its last at most the top: the lam_n columns swapped.
-    hold = meet & _box_masks([last, first], values, lo[:, n - 1 :], hi[:, n - 1 :])
-    # A run's points each lie in exactly one region iff it meets one region that holds it all.
-    alone = (np.bitwise_count(meet).sum(axis=0) == 1) & (meet == hold).all(axis=0)
+    lmax = lattice.lmax
+    boxes = []
+    for lab in labels:
+        region = region_for(params, lab)  # bounds on 2*lam: 2*lam >= b iff lam >= ceil(b/2)
+        lo = [-lmax if b is None else max(-(-b // 2), -lmax) for b in region.lower]
+        boxes.append(dominant_extremes(lo, [lmax if b is None else min(b // 2, lmax) for b in region.upper]))
+    by_box = {box: lab for box, lab in zip(boxes, labels) if box}
+    label_for_class = [by_box.get(box) for box in lattice.class_boxes]
+    if None not in label_for_class and len(set(label_for_class)) == len(labels) == lattice.n_classes:
+        return label_for_class
 
-    def point_str(run: int, lam_n: int) -> str:
-        return "lambda=(" + ",".join(str(int(x)) for x in (*(col[run] for col in fixed), lam_n)) + ")"
-
-    other = np.flatnonzero(~alone)
-    if len(other):
-        lengths = last[other].astype(np.intp) - first[other] + 1
-        at = np.repeat(other, lengths)
-        x = first[at] + (np.arange(len(at)) - np.repeat(np.cumsum(lengths) - lengths, lengths))
-        counts = np.bitwise_count(meet[:, at] & _box_masks([x], values, lo[:, n:], hi[:, n - 1 : n])).sum(axis=0)
-        crowded = np.flatnonzero(counts != 1)
-        if len(crowded):
-            i = int(crowded[0])
-            return f"{point_str(at[i], x[i])} lies in {int(counts[i])} regions"
+    live = [box for box in boxes if box]
+    crowded = min((m[0] for a, b in combinations(live, 2) if (m := _meet(a, b))), default=None)
+    (*fixed, last), first = lattice.run_lam, lattice.run_start
+    runs = np.flatnonzero(np.array([lab is None for lab in label_for_class])[lattice.run_comp])
+    cols = [col[runs] for col in fixed]
+    runs = runs[~_in_any([*cols, first[runs]], [*cols, last[runs]], live)]
+    lengths = last[runs].astype(np.intp) - first[runs] + 1
+    at = np.repeat(runs, lengths)
+    points = [col[at] for col in fixed]
+    points.append(first[at] + np.arange(len(at)) - np.repeat(np.cumsum(lengths) - lengths, lengths))
+    gap = tuple(int(col[i]) for i in np.flatnonzero(~_in_any(points, points, live))[:1] for col in points)
+    if witness := min(filter(None, (crowded, gap)), default=None):
+        count = sum(_meet((witness, witness), box) is not None for box in live)
+        return f"lambda=({','.join(map(str, witness))}) lies in {count} regions"
     if lattice.n_classes != len(labels):
         return f"{lattice.n_classes} lattice classes vs {len(labels)} closed-form constituents"
-    # regions met by each class: OR of its runs' masks
-    class_regions = np.zeros((len(meet), lattice.n_classes), dtype=np.uint64)
-    for word, acc in zip(meet, class_regions):
-        np.bitwise_or.at(acc, lattice.run_comp, word)
-    label_for_class = []
-    for c in range(lattice.n_classes):
-        ids = _set_bits(class_regions[:, c])
-        if len(ids) != 1:
-            bad = int(np.argmax(lattice.run_comp == c))  # the class's first run holds its first point
-            return f"class of {point_str(bad, first[bad])} spans regions " + ", ".join(str(labels[i]) for i in ids)
-        label_for_class.append(labels[ids[0]])
-    if len(set(label_for_class)) != len(labels):
-        return "two lattice classes map to one region"
-    return label_for_class
+    for box in lattice.class_boxes:
+        met = [lab for lab, region in zip(labels, boxes) if region and _meet(box, region)]
+        if len(met) != 1:
+            return f"class of lambda=({','.join(map(str, box[0]))}) spans regions " + ", ".join(map(str, met))
+    return "two lattice classes map to one region"
 
 
 def _structure_mismatches(

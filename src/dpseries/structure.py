@@ -16,7 +16,8 @@ restricted to surviving (nonempty) nodes.  Every edge lowers the level by
 exactly one, so the diagram is graded: no edge is implied by a longer path.
 The socle series is the same grading: layer l holds the nodes l-1 levels
 above the lowest, so layer 1 is the set of sinks and every edge joins
-adjacent layers.
+adjacent layers.  At -sigma (Hermitian duality) the same regions carry the
+reversed diagram.
 """
 
 from __future__ import annotations

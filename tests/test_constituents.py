@@ -229,6 +229,23 @@ def test_point_structure_is_built_once(monkeypatch):
     assert (info.misses, info.currsize, len(windows)) == (1, 1, 1)
 
 
+def test_one_label_views_list_no_window(monkeypatch, capsys):
+    # region_for, and so the single-shape omega, reads the point's integers
+    # alone; the window holds about n**2/8 labels
+    from dpseries import constituents
+    from dpseries.cli import run
+
+    def refuse(*args):
+        raise AssertionError("the theorem window was listed")
+
+    monkeypatch.setattr(constituents, "_theorem_range", refuse)
+    _point.cache_clear()
+    params = params_from_sigma_tilde(9, 2, 4)
+    assert region_for(params, ConstituentLabel(classify(params).family, 0, 0)).n == 9
+    assert run(["omega", "--p", "0", "--q", "0", "--n", "2000"]) == 0
+    assert "(trivial representation)" in capsys.readouterr().out
+
+
 def test_point_record_holds_labels_not_regions():
     # the socle series reads labels only, so the record it leaves in the memo
     # grows with the label count; keeping every region (two n-tuples per

@@ -143,6 +143,82 @@ def test_classes_are_boxes():
             own = points[comp == c]
             inside = ((points >= own.min(axis=0)) & (points <= own.max(axis=0))).all(axis=1)
             assert (comp[inside] == c).all(), (params, lmax, c)
+        least = [tuple(points[comp == c].min(axis=0).tolist()) for c in range(lattice.n_classes)]
+        greatest = [tuple(points[comp == c].max(axis=0).tolist()) for c in range(lattice.n_classes)]
+        assert lattice.class_boxes == tuple(zip(least, greatest)), (params, lmax)
+
+
+def _partition_by_points(lattice, labels, regions):
+    """``oracle._partition``'s result, read point by point from ``points`` and ``comp``."""
+    points, comp = lattice.points.astype(np.int64) * 2, lattice.comp  # in the regions' units
+    inside = np.ones((len(labels), len(points)), dtype=bool)
+    for a, region in enumerate(regions):
+        for c, (lo, hi) in enumerate(zip(region.lower, region.upper)):
+            if lo is not None:
+                inside[a] &= points[:, c] >= lo
+            if hi is not None:
+                inside[a] &= points[:, c] <= hi
+    counts = inside.sum(axis=0)
+    lam = lambda p: "lambda=(" + ",".join(str(x // 2) for x in p) + ")"
+    bad = np.flatnonzero(counts != 1)
+    if len(bad):
+        return f"{lam(points[bad[0]])} lies in {counts[bad[0]]} regions"
+    if lattice.n_classes != len(labels):
+        return f"{lattice.n_classes} lattice classes vs {len(labels)} closed-form constituents"
+    label_for_class = []
+    for c in range(lattice.n_classes):
+        met = [lab for lab, row in zip(labels, inside) if row[comp == c].any()]
+        if len(met) != 1:
+            return f"class of {lam(points[comp == c][0])} spans regions " + ", ".join(map(str, met))
+        label_for_class += met
+    if len(set(label_for_class)) != len(labels):
+        return "two lattice classes map to one region"
+    return label_for_class
+
+
+def test_partition_matches_a_point_by_point_reference():
+    failures = {}
+    for params, lmax, lattice in _small_grid((1, 2, 4, None)):
+        labels = dpseries.enumerate_constituents(params).labels
+        result = oracle._partition(params, lattice, labels)
+        expected = _partition_by_points(lattice, labels, [dpseries.region_for(params, lab) for lab in labels])
+        assert result == expected, (params, lmax)
+        if isinstance(result, str):
+            kind = "count" if result.endswith("closed-form constituents") else result
+            failures[kind] = failures.get(kind, 0) + 1
+    assert failures == {"count": 724}
+
+
+def test_partition_matches_the_reference_on_random_regions(monkeypatch):
+    # Each region is the true one with some bounds moved or dropped, so the
+    # trials reach every failure and its witness in window order.
+    rng = np.random.default_rng(21)
+    lattices = {}
+    kinds = set()
+    for _ in range(3000):
+        n, alpha, lmax = int(rng.integers(2, 5)), int(rng.integers(4)), int(rng.integers(1, 4))
+        params = params_from_sigma_tilde(n, alpha, int(rng.integers(-4, n + 6)))
+        if (params, lmax) not in lattices:
+            lattices[params, lmax] = build(params, lmax)
+        lattice = lattices[params, lmax]
+        labels = dpseries.enumerate_constituents(params).labels
+        regions = []
+        for lab in labels:
+            bounds = [list(getattr(dpseries.region_for(params, lab), side)) for side in ("lower", "upper")]
+            for _ in range(int(rng.integers(1, 3)) if rng.random() < 1 / 3 else 0):
+                side, c = bounds[rng.integers(2)], rng.integers(n)
+                side[c] = None if rng.random() < 0.3 else 2 * int(rng.integers(-lmax - 1, lmax + 2))
+            regions.append(Region(n, *map(tuple, bounds)))
+        fake = dict(zip(labels, regions))
+        monkeypatch.setattr(oracle, "region_for", lambda params, lab: fake[lab])
+        result = oracle._partition(params, lattice, labels)
+        assert result == _partition_by_points(lattice, labels, regions), (params, lmax, regions)
+        if isinstance(result, list):
+            kinds.add("pass")
+        else:
+            kinds.add(result.split(" lies in ")[-1] if " lies in " in result else result.split(" ")[-1])
+    # a point in none, two or three regions; the class count; two classes in one region
+    assert {"pass", "0 regions", "2 regions", "3 regions", "constituents", "region"} <= kinds
 
 
 def test_interior_warning_names_the_classes_with_no_interior_point():
@@ -364,20 +440,6 @@ def test_oversized_window_is_refused_before_enumeration(monkeypatch):
     assert oracle.check_window(8, 9) == 1562275
     with pytest.raises(ValueError, match="budget"):
         oracle.check_window(9, 12)
-
-
-def test_box_masks_past_64_boxes():
-    rng = np.random.default_rng(0)
-    values = np.arange(-5, 6)
-    cols = [rng.integers(0, len(values), 50) for _ in range(3)]
-    lo = rng.integers(-6, 3, (70, 3))
-    hi = lo + rng.integers(0, 8, (70, 3))
-    words = oracle._box_masks(cols, values, lo, hi)
-    assert words.shape == (2, 50)
-    for p in range(50):
-        x = np.array([values[col[p]] for col in cols])
-        inside = [b for b in range(70) if ((lo[b] <= x) & (x <= hi[b])).all()]
-        assert oracle._set_bits(words[:, p]) == inside
 
 
 def test_build_uses_nothing_from_the_closed_form_modules(monkeypatch):
@@ -620,6 +682,21 @@ def test_compare_partition_failure_skips_the_other_checks(monkeypatch, fake, wit
     )
 
 
+def _leave_r10_empty(params, label):
+    # R(0,1) = {lambda_1 >= -1, lambda_1 <= 1, lambda_2 <= 1} holds the whole
+    # lmax=1 window, and R(1,0) = {lambda_1 >= 0, 1 <= lambda_2 <= 0} holds no
+    # point, so the two classes map to R(0,1); no class meets the empty R(1,0).
+    lower, upper = {"R(0,1)": ((-2, None), (2, 2)), "R(1,0)": ((0, 2), (None, 0))}[str(label)]
+    return Region(n=params.n, lower=lower, upper=upper)
+
+
+def test_compare_partition_names_no_empty_region_a_class_spans(monkeypatch):
+    monkeypatch.setattr(oracle, "region_for", _leave_r10_empty)
+    verdict = compare(InducedRepParams(2, 1, 0), 1)
+    assert verdict.witness == "two lattice classes map to one region"
+    assert verdict.checks[0] == ("partition", "FAIL: two lattice classes map to one region")
+
+
 def _lose_the_top_row_of_l10(params, label):
     # L(1,0) keeps lambda_2 <= -1 only, so lambda_2 = 0 with lambda_1 >= 0 lies
     # in no region.  The run lambda_1 = 0, lambda_2 in [-4, 0] meets L(1,0)
@@ -755,3 +832,23 @@ def _build_relabelled(monkeypatch, params, relabel):
 
     monkeypatch.setattr(oracle, "connected_components", relabelled)
     build(params, 4)
+
+
+def test_hermitian_duality_keeps_the_classes_and_reverses_the_edges():
+    # at -sigma, sigma_tilde' = n+1+alpha-sigma_tilde: each coordinate's two
+    # cut values swap roles (see blocked_positions)
+    pairs = 0
+    for n in range(2, 7):
+        for alpha in range(4):
+            for st in range((n + 1 + alpha) // 2 + 1, n + 10):
+                params = params_from_sigma_tilde(n, alpha, st)
+                dual = params_from_sigma_tilde(n, alpha, n + 1 + alpha - st)
+                lmax = max(auto_lmax(params), auto_lmax(dual))
+                if n == 6 and lmax > 6:
+                    continue
+                here, there = build(params, lmax), build(dual, lmax)
+                assert np.array_equal(here.run_comp, there.run_comp), (params, lmax)
+                assert {(b, a) for a, b in here.class_edges} == set(there.class_edges), (params, lmax)
+                assert {(b, a) for a, b in here.hasse} == set(there.hasse), (params, lmax)
+                pairs += 1
+    assert pairs == 168

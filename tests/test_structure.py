@@ -196,3 +196,37 @@ def test_closed_form_views_are_pinned():
                 ]
                 digest.update(json.dumps(record).encode())
     assert digest.hexdigest() == "fb5a964bd11a69255fa72e75d5ebf274bc16a15a2234babb7c60d127b62a226b"
+
+
+def _dual_pairs(ns):
+    """(P, P') over sigma > 0 with sigma_tilde up to n+9: P' at -sigma, sigma_tilde' = n+1+alpha-sigma_tilde."""
+    for n in ns:
+        for alpha in range(4):
+            for st in range((n + 1 + alpha) // 2 + 1, n + 10):
+                yield params_from_sigma_tilde(n, alpha, st), params_from_sigma_tilde(n, alpha, n + 1 + alpha - st)
+
+
+def test_hermitian_duality_reverses_the_diagram_and_keeps_unitarity():
+    from dpseries import constituent_unitarizable
+    from dpseries.ktypes import dominant_extremes
+
+    def by_extremes(params):
+        regions = {lab: region_for(params, lab) for lab in enumerate_constituents(params).labels}
+        return {dominant_extremes(r.lower, r.upper): lab for lab, r in regions.items()}
+
+    pairs = verdicts = 0
+    for params, dual in _dual_pairs(range(2, 17)):
+        assert dual.sigma == -params.sigma
+        here, there = by_extremes(params), by_extremes(dual)
+        assert here.keys() == there.keys() and len(here) == len(enumerate_constituents(params).labels), params
+        match = {here[box]: there[box] for box in here}
+        edges = {(match[b], match[a]) for a, b in module_diagram(params).edges}
+        assert edges == set(module_diagram(dual).edges), params
+        for lab, image in match.items():
+            assert (
+                constituent_unitarizable(params, lab).unitarizable
+                == constituent_unitarizable(dual, image).unitarizable
+            ), (params, lab)
+        pairs += 1
+        verdicts += len(match)
+    assert (pairs, verdicts) == (750, 16091)
