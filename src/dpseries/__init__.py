@@ -5,6 +5,10 @@ irreducible constituents as K-type lattice regions, module diagrams, socle
 series, unitarizability, and the theta-lift images Omega^{p,q} sitting inside
 them, with every closed-form answer cross-checkable against a brute-force
 lattice oracle.
+
+Every value record (``InducedRepParams``, ``Region``, ``OracleVerdict`` and
+the rest) is a NamedTuple: immutable, compared and hashed by its fields, and
+equal to the plain tuple of them.
 """
 
 from .parameters import (

@@ -39,6 +39,14 @@ from . import oracle
 
 __all__ = ["main", "run"]
 
+# Largest --n that omega accepts.  Its costliest image there, a submodule
+# generated over a window of about n**2/8 labels, ran in 2.2 s and peaked at
+# 140 MB (ru_maxrss, fresh process); the cost grows as n**2.
+MAX_OMEGA_RANK = 2_000
+# Largest p + q = 2*sigma + n + 1 whose (p+q)/4 signatures embeddings lists:
+# 1.1 s and 94 MB at the cap (155 MB as JSON), growing linearly.
+MAX_SIGNATURE_SIZE = 1_000_000
+
 
 class CLIError(Exception):
     pass
@@ -228,6 +236,8 @@ def _cmd_omega(args) -> int:
         raise CLIError("--p/--q: signature entries must be >= 0")
     if n < 2:
         raise CLIError("--n: rank below supported range (need n >= 2)")
+    if n > MAX_OMEGA_RANK:
+        raise CLIError(f"--n: rank {n} exceeds omega's cap of {MAX_OMEGA_RANK}")
     image = omega_image(p, q, n)
     region = region_for(image.target, image.generator)
     if args.format == "json":
@@ -264,6 +274,9 @@ def _cmd_omega(args) -> int:
 def _cmd_embeddings(args) -> int:
     params = _params_from(args)
     _require_reducible(params)
+    size = 2 * params.sigma + params.n + 1
+    if size > MAX_SIGNATURE_SIZE:
+        raise CLIError(f"--n/--sigma: signature size p+q = 2*sigma+n+1 = {size} exceeds {MAX_SIGNATURE_SIZE}")
     pairs = possible_embeddings(params)
     if args.format == "json":
         print(json.dumps([list(pq) for pq in pairs]))

@@ -32,10 +32,9 @@ from __future__ import annotations
 
 import functools
 from bisect import bisect_left
-from dataclasses import dataclass
 from typing import NamedTuple
 
-from .parameters import CaseTag, InducedRepParams, classify
+from .parameters import CaseTag, InducedRepParams, _Frozen, classify
 from .ktypes import KType, check_ktype, dominant_extremes
 
 __all__ = [
@@ -96,8 +95,13 @@ def parse_label(text: str) -> ConstituentLabel:
     raise ValueError(f"not a constituent label like R(1,0): {text!r}")
 
 
-@dataclass(frozen=True)
-class Region:
+class _RegionFields(NamedTuple):
+    n: int
+    lower: tuple[int | None, ...]
+    upper: tuple[int | None, ...]
+
+
+class Region(_RegionFields, _Frozen):
     """Per-coordinate bounds on ``2*lam``, intersected with the dominance cone.
 
     ``lower[c-1]``/``upper[c-1]`` bound coordinate c (even integers or None
@@ -107,10 +111,6 @@ class Region:
     some b <= a; otherwise the greatest member, with the largest finite bound
     (or 0) in its unbounded coordinates, is a member.
     """
-
-    n: int
-    lower: tuple[int | None, ...]
-    upper: tuple[int | None, ...]
 
     def contains(self, lam: KType) -> bool:
         lam = check_ktype(lam)
@@ -177,8 +177,7 @@ class Region:
         return cls(n=len(entries), lower=lower, upper=upper)
 
 
-@dataclass(frozen=True)
-class ConstituentSet:
+class ConstituentSet(NamedTuple):
     """The constituents at a reducible point, in lexicographic order.
 
     ``labels`` is the theorem window, nonempty by ``_theorem_range``'s proof.
@@ -189,8 +188,7 @@ class ConstituentSet:
     index_bound: tuple[str, int] | None  # ("r1"|"r2", value), None on the unitary axis
 
 
-@dataclass(frozen=True)
-class _Integers:
+class _Integers(NamedTuple):
     """The integers a reducible point's theorems are stated in, and its case."""
 
     case: CaseTag
@@ -199,10 +197,13 @@ class _Integers:
     k: int  # the grid bound: n0/2 at odd sigma_tilde, (n1+1)/2 at even
 
 
-@dataclass(frozen=True)
-class _Point(_Integers):
+class _Point(NamedTuple):
     """Everything the closed-form views read at one reducible point: its integers and theorem window."""
 
+    case: CaseTag  # case, sign, m and k as in _Integers
+    sign: int
+    m: int
+    k: int
     index_bound: tuple[str, int] | None
     labels: tuple[ConstituentLabel, ...]  # the theorem window, nonempty by proof, sorted
     label_set: frozenset[ConstituentLabel]
@@ -241,7 +242,7 @@ def _point(params: InducedRepParams) -> _Point:
     pt = _integers(params)
     labels, bound = _theorem_range(params, pt.case, pt.sign, pt.m, pt.k)
     rows = tuple(bisect_left(labels, (pt.case.family, i)) for i in range(labels[-1].i + 2))
-    return _Point(pt.case, pt.sign, pt.m, pt.k, bound, labels, frozenset(labels), rows)
+    return _Point(*pt, bound, labels, frozenset(labels), rows)
 
 
 def _require_definable(params: InducedRepParams, pt: _Integers, label: ConstituentLabel) -> None:

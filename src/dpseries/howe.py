@@ -18,8 +18,8 @@ and reach every irreducible quotient.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .parameters import CaseTag, InducedRepParams, classify, format_rational, is_integer
 from .constituents import ConstituentLabel
@@ -61,8 +61,7 @@ def possible_embeddings(params: InducedRepParams) -> tuple[tuple[int, int], ...]
     )
 
 
-@dataclass(frozen=True)
-class OmegaImage:
+class OmegaImage(NamedTuple):
     """The image of one coinvariant space inside its target module.
 
     ``shape`` is "single" (the image is the constituent ``generator``) or
@@ -118,15 +117,13 @@ def omega_image(p: int, q: int, n: int) -> OmegaImage:
     return OmegaImage(p, q, target, "generated", label, generated_submodule(target, label).members)
 
 
-@dataclass(frozen=True)
-class ClauseCheck:
+class ClauseCheck(NamedTuple):
     name: str
     ok: bool
     detail: str
 
 
-@dataclass(frozen=True)
-class SummaryReport:
+class SummaryReport(NamedTuple):
     params: InducedRepParams
     regime: str  # "negative", "axis", or "positive"
     checks: tuple[ClauseCheck, ...]

@@ -32,14 +32,14 @@ split by the truncation.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
 from math import comb
+from typing import NamedTuple
 
 import numpy as np
 
-from .parameters import CaseTag, InducedRepParams, classify
+from .parameters import CaseTag, InducedRepParams, _Frozen, classify
 from .ktypes import KType, blocked_positions, dominant_extremes
 from .constituents import ConstituentLabel, enumerate_constituents, region_for
 from .structure import generated_submodule, module_diagram, socle_series
@@ -65,16 +65,7 @@ def _auto_lmax(up: tuple[int | None, ...], down: tuple[int | None, ...]) -> int:
     return (max(positions, default=0) + 1) // 2 + 3
 
 
-@dataclass(frozen=True)
-class TruncatedLattice:
-    """Transition graph and SCC analysis of a window of the K-type lattice.
-
-    The window is held as its runs along the last coordinate, in window
-    order (see ``build``): ``run_lam`` is each run's last point and
-    ``run_start`` lam_n at its first point.  ``points`` and ``comp`` are
-    per-point views built from them on first use.
-    """
-
+class _LatticeFields(NamedTuple):
     params: InducedRepParams
     lmax: int
     run_lam: tuple[np.ndarray, ...]  # n columns, int8 (wider when lmax >= 128): each run's last point
@@ -85,7 +76,17 @@ class TruncatedLattice:
     hasse: tuple[tuple[int, int], ...]  # transitive reduction of class_edges
     layers: tuple[int, ...]  # per class: 1 + longest downward path length
     closures: tuple[frozenset[int], ...]  # per class: reachable classes incl. self
-    warnings: tuple[str, ...] = field(default=())
+    warnings: tuple[str, ...] = ()
+
+
+class TruncatedLattice(_LatticeFields, _Frozen):
+    """Transition graph and SCC analysis of a window of the K-type lattice.
+
+    The window is held as its runs along the last coordinate, in window
+    order (see ``build``): ``run_lam`` is each run's last point and
+    ``run_start`` lam_n at its first point.  ``points`` and ``comp`` are
+    per-point views built from them on first use.
+    """
 
     @cached_property
     def points(self) -> np.ndarray:
@@ -437,14 +438,13 @@ def build(params: InducedRepParams, lmax: int) -> TruncatedLattice:
 CHECKS = ("partition", "diagram", "socle", "generated")
 
 
-@dataclass(frozen=True)
-class OracleVerdict:
+class OracleVerdict(NamedTuple):
     ok: bool
     lmax: int
     case: str
     checks: tuple[tuple[str, str], ...]  # (name, "PASS" | "FAIL: ...") per name in CHECKS
     witness: str | None
-    warnings: tuple[str, ...] = field(default=())
+    warnings: tuple[str, ...] = ()
 
 
 def _meet(a: tuple[KType, KType], b: tuple[KType, KType]) -> tuple[KType, KType] | None:

@@ -23,8 +23,8 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 __all__ = [
     "CaseTag",
@@ -94,8 +94,25 @@ class CaseTag(enum.Enum):
         self.family: str | None = _FAMILY.get(value)
 
 
-@dataclass(frozen=True)
-class InducedRepParams:
+class _Frozen:
+    """Base of a NamedTuple subclass that caches state in its ``__dict__``, which
+    no assignment or deletion reaches: the record stays immutable."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+
+class _ParamsFields(NamedTuple):
+    n: int
+    alpha: int
+    sigma: Fraction
+
+
+class InducedRepParams(_ParamsFields, _Frozen):
     """The parameter triple (n, alpha, sigma) of ``I^alpha(sigma)``.
 
     ``sigma`` may be given as a ``Fraction``, an ``int``, or a string in
@@ -104,30 +121,25 @@ class InducedRepParams:
     as every closed-form view reads them.
     """
 
-    n: int
-    alpha: int
-    sigma: Fraction
-    sigma_tilde: Fraction = field(init=False, repr=False, compare=False)
-    _hash: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
+    def __new__(cls, n: int, alpha: int, sigma: Fraction | int | str) -> InducedRepParams:
         # type(), not isinstance(): bool is an int subclass, and True is no rank
-        if type(self.n) is not int or self.n < 2:
-            raise ValueError(
-                f"rank below supported range: n must be an integer >= 2, got {self.n!r}"
-            )
-        if type(self.alpha) is not int or self.alpha not in (0, 1, 2, 3):
-            raise ValueError(f"alpha must be one of 0, 1, 2, 3, got {self.alpha!r}")
-        sigma = self.sigma
+        if type(n) is not int or n < 2:
+            raise ValueError(f"rank below supported range: n must be an integer >= 2, got {n!r}")
+        if type(alpha) is not int or alpha not in (0, 1, 2, 3):
+            raise ValueError(f"alpha must be one of 0, 1, 2, 3, got {alpha!r}")
         if isinstance(sigma, str):
             sigma = parse_rational(sigma)
         elif isinstance(sigma, int):
             sigma = Fraction(sigma)
         elif not isinstance(sigma, Fraction):
             raise ValueError(f"sigma must be rational, got {sigma!r}")
-        object.__setattr__(self, "sigma", sigma)
-        object.__setattr__(self, "sigma_tilde", sigma + Fraction(self.n + 1 + self.alpha, 2))
-        object.__setattr__(self, "_hash", hash((self.n, self.alpha, sigma)))
+        self = super().__new__(cls, n, alpha, sigma)
+        self.__dict__.update(sigma_tilde=sigma + Fraction(n + 1 + alpha, 2), _hash=hash((n, alpha, sigma)))
+        return self
+
+    @classmethod
+    def _make(cls, iterable) -> InducedRepParams:  # _replace builds through _make
+        return cls(*iterable)
 
     def __hash__(self) -> int:
         return self._hash
@@ -141,8 +153,7 @@ class InducedRepParams:
         return f"I^{self.alpha}({format_rational(self.sigma)})"
 
 
-@dataclass(frozen=True)
-class DerivedConstants:
+class DerivedConstants(NamedTuple):
     """Constants derived from the parameter triple.
 
     ``n0``/``n1`` are the largest even/odd integers <= n.  The index bound

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .parameters import CaseTag, InducedRepParams
 from .constituents import ConstituentLabel, _Point, _point, parse_label
@@ -46,19 +46,16 @@ __all__ = [
 Edge = tuple[ConstituentLabel, ConstituentLabel]
 
 
-@dataclass(frozen=True)
-class ModuleDiagram:
+class ModuleDiagram(NamedTuple):
     nodes: tuple[ConstituentLabel, ...]
     edges: tuple[Edge, ...]  # (upper, lower), pointing toward the socle
 
 
-@dataclass(frozen=True)
-class SocleSeries:
+class SocleSeries(NamedTuple):
     layers: tuple[tuple[ConstituentLabel, ...], ...]  # layers[0] is the socle
 
 
-@dataclass(frozen=True)
-class Submodule:
+class Submodule(NamedTuple):
     generator: ConstituentLabel
     members: tuple[ConstituentLabel, ...]
 

@@ -19,8 +19,8 @@ for family L); the verdict records exactly which clause applied.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .parameters import CaseTag, InducedRepParams
 from .ktypes import KType, check_ktype
@@ -89,8 +89,7 @@ def nonunitarity_witness(
     return None
 
 
-@dataclass(frozen=True)
-class UnitarityVerdict:
+class UnitarityVerdict(NamedTuple):
     unitarizable: bool
     reason: str  # names the exact clause that decided the verdict
 

@@ -117,6 +117,29 @@ def test_embeddings(capsys):
     assert capsys.readouterr().out.split() == ["(0,4)", "(2,2)", "(4,0)"]
 
 
+def test_omega_refuses_an_oversized_rank_at_once(capsys):
+    # n=99999999 would build a region of two n-tuples, about 14 GB
+    t0 = time.perf_counter()
+    assert run(["omega", "--p", "0", "--q", "0", "--n", "99999999"]) == 1
+    assert time.perf_counter() - t0 < 5
+    captured = capsys.readouterr()
+    assert captured.err == "error: --n: rank 99999999 exceeds omega's cap of 2000\n"
+    assert captured.out == ""
+
+
+def test_embeddings_refuses_an_oversized_signature_list_at_once(capsys):
+    # p+q = 100000004 would list 25,000,001 signatures; a huge sigma at
+    # small n is refused the same way
+    t0 = time.perf_counter()
+    points = (["--n", "100000000", "--alpha", "1", "--sigma", "1"], ["--n", "2", "--alpha", "1", "--sigma", "50000001"])
+    for point in points:
+        assert run(["embeddings", *point]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: --n/--sigma: signature size p+q = 2*sigma+n+1 = 10000000")
+        assert "Traceback" not in captured.err and captured.out == ""
+    assert time.perf_counter() - t0 < 5
+
+
 def test_ktype(capsys):
     assert run(["ktype", "--n", "2", "--alpha", "1", "--sigma", "-1", "--lambda", "1,0"]) == 0
     out = capsys.readouterr().out

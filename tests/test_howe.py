@@ -243,3 +243,29 @@ def test_check_summary_reports_are_pinned():
                 reports += 1
     assert reports == 880
     assert digest.hexdigest() == "42f8c0b0751bcd24dd49565618790bf85efd047c2e831f7b8f8dccd896589224"
+
+
+def test_compact_images_rejected_by_the_unitarity_clauses_are_the_case_1_corners():
+    # The theta lift of the trivial representation of a compact O(p) is
+    # unitary (it sits in the Fock model), yet the closed-form clauses reject
+    # exactly these images: n even, p odd with p >= n + 3 (so sigma >= 1 and
+    # alpha odd), at the corner R(n/2, 0) for (p, 0) and R(0, n/2) for (0, p).
+    # This pins that open contradiction: any change to the set fails here.
+    rejected, count = {}, 0
+    for n in range(2, 17):
+        for p in range(1, 2 * n + 12):
+            for pq in ((p, 0), (0, p)):
+                image = omega_image(*pq, n)
+                count += 1
+                assert image.members == (image.generator,), (pq, n)
+                if not constituent_unitarizable(image.target, image.generator).unitarizable:
+                    rejected[(*pq, n)] = image.generator
+    expected = {}
+    for n in range(2, 17, 2):
+        for p in range(n + 3, 2 * n + 12, 2):
+            expected[(p, 0, n)] = R(n // 2, 0)
+            expected[(0, p, n)] = R(0, n // 2)
+    assert count == 870
+    assert len(expected) == 152
+    assert rejected == expected
+    assert all(induced_params(*key).alpha % 2 == 1 and induced_params(*key).sigma >= 1 for key in rejected)
