@@ -27,7 +27,7 @@ from .parameters import (
     parse_rational,
 )
 from . import ktypes
-from .constituents import enumerate_constituents, label_of, region_for
+from .constituents import _window_size, enumerate_constituents, label_of, region_for
 from .structure import _diagram_payload, diagram_to_dot, module_diagram, socle_series
 from .unitarity import (
     complementary_series,
@@ -46,6 +46,14 @@ MAX_OMEGA_RANK = 2_000
 # Largest p + q = 2*sigma + n + 1 whose (p+q)/4 signatures embeddings lists:
 # 1.1 s and 94 MB at the cap (155 MB as JSON), growing linearly.
 MAX_SIGNATURE_SIZE = 1_000_000
+# Largest window, in labels, that diagram, socle, unitary and ktype read.  The
+# costliest form there, diagram --format json, took 3.2-3.6 s and peaked at
+# 131 MB at 99,681 labels (fresh process); the cost grows linearly.
+MAX_WINDOW_LABELS = 100_000
+# Largest window, in labels times n, whose bounds constituents writes.  Its
+# costlier form, --format json, took 2.1-2.3 s at 299,756 bounds (0.4 s as
+# text), growing linearly; it streams, so it peaks near 30 MB at any size.
+MAX_WINDOW_BOUNDS = 300_000
 
 
 class CLIError(Exception):
@@ -98,6 +106,19 @@ def _require_reducible(params: InducedRepParams) -> None:
         )
 
 
+def _require_window(params: InducedRepParams, bounds: bool = False) -> None:
+    """Refuse, before it is listed, a reducible point's window of more than
+    MAX_WINDOW_LABELS labels, or with ``bounds`` of more than MAX_WINDOW_BOUNDS
+    bounds, n per label."""
+    labels = _window_size(params)
+    if labels > MAX_WINDOW_LABELS:
+        raise CLIError(f"--n/--sigma: {labels} constituents exceed the cap of {MAX_WINDOW_LABELS}")
+    if bounds and labels * params.n > MAX_WINDOW_BOUNDS:
+        raise CLIError(
+            f"--n/--sigma: {labels} constituents of {params.n} bounds each exceed the cap of {MAX_WINDOW_BOUNDS}"
+        )
+
+
 class _Entries(list):
     """A JSON array whose entries are made only as the indented (pure Python)
     encoder reaches them: it holds the sources and yields ``make(source)``."""
@@ -141,6 +162,7 @@ def _cmd_classify(args) -> int:
 def _cmd_constituents(args) -> int:
     params = _params_from(args)
     _require_reducible(params)
+    _require_window(params, bounds=True)
     cs = enumerate_constituents(params)
     if args.format == "json":
         payload = {
@@ -162,6 +184,7 @@ def _cmd_constituents(args) -> int:
 def _cmd_diagram(args) -> int:
     params = _params_from(args)
     _require_reducible(params)
+    _require_window(params)
     diagram = module_diagram(params)
     socle = socle_series(params)
     if args.format == "dot":
@@ -178,6 +201,7 @@ def _cmd_diagram(args) -> int:
 def _cmd_socle(args) -> int:
     params = _params_from(args)
     _require_reducible(params)
+    _require_window(params)
     socle = socle_series(params)
     if args.format == "json":
         print(json.dumps([[str(x) for x in layer] for layer in socle.layers]))
@@ -210,6 +234,7 @@ def _cmd_unitary(args) -> int:
                 detail = f"; witness lambda={ktypes.format_ktype(lam)}, j={j}"
             print(f"{params}: irreducible, not unitarizable{detail}")
         return 0
+    _require_window(params)
     cs = enumerate_constituents(params)
     rows = []
     for lab in cs.labels:
@@ -296,6 +321,9 @@ def _cmd_ktype(args) -> int:
         raise CLIError(f"--lambda: {e}") from None
     if len(lam) != params.n:
         raise CLIError(f"--lambda: expected {params.n} entries, got {len(lam)}")
+    reducible = classify(params) is not CaseTag.IRREDUCIBLE
+    if reducible:
+        _require_window(params)
     rows = []
     for j in range(1, params.n + 1):
         for direction in ("up", "down"):
@@ -312,12 +340,12 @@ def _cmd_ktype(args) -> int:
                 {"j": j, "direction": d, "coefficient": v} for j, d, v in rows
             ],
         }
-        if classify(params) is not CaseTag.IRREDUCIBLE:
+        if reducible:
             payload["constituent"] = str(label_of(params, lam))
         _print_json(payload)
         return 0
     print(f"K-type lambda=({ktypes.format_ktype(lam)}) in {params}")
-    if classify(params) is not CaseTag.IRREDUCIBLE:
+    if reducible:
         print(f"constituent: {label_of(params, lam)}")
     for j, direction, value in rows:
         print(f"  {direction:4s} j={j}: {value}")

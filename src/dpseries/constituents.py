@@ -34,7 +34,7 @@ import functools
 from bisect import bisect_left
 from typing import NamedTuple
 
-from .parameters import CaseTag, InducedRepParams, _Frozen, classify
+from .parameters import CaseTag, InducedRepParams, _Frozen, _grid_bound, classify
 from .ktypes import KType, check_ktype, dominant_extremes
 
 __all__ = [
@@ -227,8 +227,7 @@ def _integers(params: InducedRepParams) -> _Integers:
     sigma = params.sigma
     sign = (sigma > 0) - (sigma < 0)
     m = abs(sigma.numerator) // sigma.denominator
-    k = (params.n + 1 - int(params.sigma_tilde) % 2) // 2
-    return _Integers(case, sign, m, k)
+    return _Integers(case, sign, m, _grid_bound(params.n, int(params.sigma_tilde)))
 
 
 @functools.lru_cache(maxsize=_POINTS_KEPT)
@@ -326,17 +325,40 @@ def is_empty(params: InducedRepParams, label: ConstituentLabel) -> bool:
     return True
 
 
+def _band(
+    params: InducedRepParams, case: CaseTag, sign: int, m: int, k: int
+) -> tuple[int, int, int, int, int, tuple[str, int] | None]:
+    """The decomposition theorem's label window for the case and sign of sigma.
+
+    Returns (i_max, j_max, lo, hi, slope, bound): the window is the band
+    lo <= level <= hi of the grid 0 <= i <= i_max, 0 <= j <= j_max, with
+    j = level + slope*i, and bound is its index bound.  In family R the level
+    is i+j and the band runs from r = max(k-|sigma|, 0) up to k (only level k
+    at sigma = 0).  In family L the level is j-i, and Case 2a at sigma has the
+    band of Case 2b at -sigma: -1 <= j-i <= r1 with r1 = min(|sigma|-1/2,
+    n//2), or 0 <= i-j <= r2 with r2 = min(|sigma|+1/2, (n+1)//2).
+    """
+    if case.family == "R":
+        i_max = j_max = hi = k
+        lo = max(k - m, 0)  # m = |sigma| here
+        bound = None if sign == 0 else ("r1" if sign < 0 else "r2", lo)
+        slope = -1  # j = level - i
+    else:
+        i_max, j_max = (params.n + 1) // 2, params.n // 2
+        if (case is CaseTag.CASE_2A) == (sign > 0):  # m = |sigma| - 1/2 here
+            bound = ("r1", min(m, j_max))
+            lo, hi = -1, bound[1]
+        else:
+            bound = ("r2", min(m + 1, i_max))
+            lo, hi = -bound[1], 0
+        slope = 1  # j = level + i
+    return i_max, j_max, lo, hi, slope, bound
+
+
 def _theorem_range(
     params: InducedRepParams, case: CaseTag, sign: int, m: int, k: int
 ) -> tuple[tuple[ConstituentLabel, ...], tuple[str, int] | None]:
-    """Label window of the decomposition theorem for the case and sign of sigma.
-
-    The window is a band lo <= level <= hi of the grid, in sorted order.  In
-    family R the level is i+j and the band runs from r = max(k-|sigma|, 0) up
-    to k (only level k at sigma = 0).  In family L the level is j-i, and Case
-    2a at sigma has the band of Case 2b at -sigma: -1 <= j-i <= r1 with
-    r1 = min(|sigma|-1/2, n//2), or 0 <= i-j <= r2 with r2 =
-    min(|sigma|+1/2, (n+1)//2).
+    """The labels of ``_band``'s window in sorted order, and its index bound.
 
     The band is exactly the set of grid labels whose regions are nonempty.
     Proof.  A region is cut out by the chains (f, v1, f+2) and (s, v2, s+2)
@@ -382,26 +404,27 @@ def _theorem_range(
     i-j <= (n1+1)/2 = (n+1)//2, which cuts these to the r1 and r2 bands.  So
     the band holds every nonempty label of the grid and no empty one.
     """
-    if case.family == "R":
-        i_max = j_max = hi = k
-        lo = max(k - m, 0)  # m = |sigma| here
-        bound = None if sign == 0 else ("r1" if sign < 0 else "r2", lo)
-        slope = -1  # j = level - i
-    else:
-        i_max, j_max = (params.n + 1) // 2, params.n // 2
-        if (case is CaseTag.CASE_2A) == (sign > 0):  # m = |sigma| - 1/2 here
-            bound = ("r1", min(m, j_max))
-            lo, hi = -1, bound[1]
-        else:
-            bound = ("r2", min(m + 1, i_max))
-            lo, hi = -bound[1], 0
-        slope = 1  # j = level + i
+    i_max, j_max, lo, hi, slope, bound = _band(params, case, sign, m, k)
     labels = [
         ConstituentLabel(case.family, i, j)
         for i in range(i_max + 1)
         for j in range(max(lo + slope * i, 0), min(hi + slope * i, j_max) + 1)
     ]
     return tuple(labels), bound
+
+
+def _window_size(params: InducedRepParams) -> int:
+    """The number of labels in a reducible point's window, from its band in closed form.
+
+    Level l holds l+1 labels in family R.  In family L, where lo < 0 <= hi, it
+    holds j_max+1-l labels at l >= 0 and i_max+1+l at l < 0, as i_max is
+    j_max or j_max+1.  Each sum over the levels is an arithmetic series.
+    """
+    pt = _integers(params)
+    i_max, j_max, lo, hi, _, _ = _band(params, *pt)
+    if pt.case.family == "R":
+        return ((hi + 1) * (hi + 2) - lo * (lo + 1)) // 2
+    return ((hi + 1) * (2 * j_max + 2 - hi) - lo * (2 * i_max + 1 + lo)) // 2
 
 
 def enumerate_constituents(params: InducedRepParams) -> ConstituentSet:
@@ -414,13 +437,14 @@ def enumerate_constituents(params: InducedRepParams) -> ConstituentSet:
 
 
 def label_of(params: InducedRepParams, lam: KType) -> ConstituentLabel:
-    """The unique constituent whose region contains the K-type at ``lam``."""
+    """The unique constituent whose region holds the K-type ``lam``: 2*lam_a >= v >= 2*lam_b on both its chains."""
     lam = check_ktype(lam)
     if len(lam) != params.n:
         raise ValueError(f"K-type has length {len(lam)}, expected n={params.n}")
-    hits = [lab for lab in _point(params).labels if region_for(params, lab).contains(lam)]
+    # the extended 2*lam_c at index c+1: +inf at c <= 0, -inf at c > n; chains run over -1 <= c <= n+2
+    ext = [float("inf")] * 2 + [2 * x for x in lam] + [float("-inf")] * 2
+    pt = _point(params)
+    hits = [lab for lab in pt.labels if all(ext[a + 1] >= v >= ext[b + 1] for a, v, b in _chains(params, pt, lab))]
     if len(hits) != 1:
-        raise RuntimeError(
-            f"constituent partition violated at lambda={lam} for {params}: hits={hits}"
-        )
+        raise RuntimeError(f"constituent partition violated at lambda={lam} for {params}: hits={hits}")
     return hits[0]

@@ -200,6 +200,33 @@ def connected_components(label: np.ndarray, pairs: Iterable[tuple[np.ndarray, np
     return len(roots), number[label]
 
 
+def _class_order(n_classes: int, class_edges: tuple[tuple[int, int], ...]) -> tuple[tuple, tuple, tuple]:
+    """The Hasse diagram, longest-path layers and reachability closures of an acyclic class graph.
+
+    One pass of Kahn's sort (A. B. Kahn, CACM 5(11), 1962) from the sinks up: a class is
+    finished once its last successor is, and its closure and layer read theirs.  A class left
+    unfinished lies on a cycle, and AssertionError is raised.
+    """
+    succ, pred = [[] for _ in range(n_classes)], [[] for _ in range(n_classes)]
+    for a, b in class_edges:
+        succ[a].append(b)
+        pred[b].append(a)
+    waiting = [len(s) for s in succ]
+    finished = [c for c in range(n_classes) if not waiting[c]]  # grows as the loop below runs
+    layers, closures = [0] * n_classes, [frozenset()] * n_classes
+    for c in finished:
+        closures[c] = frozenset((c,)).union(*(closures[b] for b in succ[c]))
+        layers[c] = 1 + max((layers[b] for b in succ[c]), default=0)
+        for a in pred[c]:
+            waiting[a] -= 1
+            if not waiting[a]:
+                finished.append(a)
+    if len(finished) < n_classes:
+        raise AssertionError("class generation order contains a cycle")
+    hasse = sorted((a, b) for a, b in class_edges if not any(w != b and b in closures[w] for w in succ[a]))
+    return tuple(hasse), tuple(layers), tuple(closures)
+
+
 def build(params: InducedRepParams, lmax: int) -> TruncatedLattice:
     """Enumerate the window's runs, build the transition graph, and analyze it.
 
@@ -361,7 +388,7 @@ def build(params: InducedRepParams, lmax: int) -> TruncatedLattice:
     # The mutual pairs' components are strongly connected.  Every one-way
     # edge crosses a cut lam_j = const, always in the same direction, so no
     # cycle crosses a cut: these components are the strong components of the
-    # whole graph, and the acyclicity check below confirms it.
+    # whole graph, and the acyclicity check of _class_order confirms it.
     run_comp = connected_components(label, mutual_pairs())[1]
 
     # Each class must be one cell, so a box, numbered by its first run.
@@ -389,29 +416,7 @@ def build(params: InducedRepParams, lmax: int) -> TruncatedLattice:
     pair_codes = osrc[cross] * n_classes + odst[cross]
     class_edges = tuple((int(pc) // n_classes, int(pc) % n_classes) for pc in np.unique(pair_codes))
 
-    succ = {c: sorted({b for a, b in class_edges if a == c}) for c in range(n_classes)}
-
-    def reach(start: int) -> frozenset[int]:
-        seen = {start}
-        stack = [start]
-        while stack:
-            x = stack.pop()
-            for y in succ[x]:
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        return frozenset(seen)
-
-    closures = tuple(reach(c) for c in range(n_classes))
-    for a, b in class_edges:
-        if a in closures[b]:
-            raise AssertionError("class generation order contains a cycle")
-
-    hasse = tuple(sorted((a, b) for a, b in class_edges if not any(w != b and b in closures[w] for w in succ[a])))
-
-    layers_arr = [0] * n_classes
-    for c in sorted(range(n_classes), key=lambda c: len(closures[c])):
-        layers_arr[c] = 1 + max((layers_arr[b] for b in succ[c]), default=0)
+    hasse, layers, closures = _class_order(n_classes, class_edges)
 
     for c in range(n_classes):
         if not interior[c]:
@@ -428,7 +433,7 @@ def build(params: InducedRepParams, lmax: int) -> TruncatedLattice:
         n_classes=n_classes,
         class_edges=class_edges,
         hasse=hasse,
-        layers=tuple(layers_arr),
+        layers=layers,
         closures=closures,
         warnings=tuple(warnings),
     )

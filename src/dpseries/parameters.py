@@ -153,6 +153,11 @@ class InducedRepParams(_ParamsFields, _Frozen):
         return f"I^{self.alpha}({format_rational(self.sigma)})"
 
 
+def _grid_bound(n: int, sigma_tilde: int) -> int:
+    """The index bound k at an integer sigma_tilde: n0/2 when it is odd, (n1+1)/2 when even."""
+    return (n + 1 - sigma_tilde % 2) // 2
+
+
 class DerivedConstants(NamedTuple):
     """Constants derived from the parameter triple.
 
@@ -170,9 +175,7 @@ class DerivedConstants(NamedTuple):
     def k(self) -> int:
         if not is_integer(self.sigma_tilde):
             raise ValueError("k undefined at irreducible point (sigma_tilde is not an integer)")
-        if int(self.sigma_tilde) % 2 != 0:
-            return self.n0 // 2
-        return (self.n1 + 1) // 2
+        return _grid_bound(max(self.n0, self.n1), int(self.sigma_tilde))
 
 
 def derived(params: InducedRepParams) -> DerivedConstants:

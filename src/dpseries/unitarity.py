@@ -69,24 +69,16 @@ def complementary_series(params: InducedRepParams) -> bool:
     return (params.n + params.alpha) % 2 == 0 and abs(params.sigma) < _HALF
 
 
-def nonunitarity_witness(
-    params: InducedRepParams, radius: int = 6
-) -> tuple[KType, int] | None:
-    """A (lambda, j) in the window with n_ratio >= 0 or a degenerate form.
+def nonunitarity_witness(params: InducedRepParams) -> tuple[KType, int] | None:
+    """A (lambda, j) in the radius-6 window with n_ratio >= 0 or a degenerate form, or None.
 
-    Returns None when every probe point has negative ratio.  Witnesses exist
+    Both read |xi| <= |sigma| for real sigma: xi = sigma degenerates the form,
+    and otherwise the ratio is >= 0 iff sigma**2 >= xi**2.  Witnesses exist
     whenever ``complementary_series`` is False and |sigma| >= the minimal |xi|.
     """
-    n = params.n
-    values = range(radius, -radius - 1, -1)
-    for lam in itertools.combinations_with_replacement(values, n):
-        for j in range(1, n + 1):
-            x = xi(params, lam, j)
-            if -params.sigma + x == 0:
-                return lam, j
-            if n_ratio(params, lam, j) >= 0:
-                return lam, j
-    return None
+    n, bound = params.n, abs(params.sigma)
+    window = itertools.combinations_with_replacement(range(6, -7, -1), n)
+    return next(((lam, j) for lam in window for j in range(1, n + 1) if abs(xi(params, lam, j)) <= bound), None)
 
 
 class UnitarityVerdict(NamedTuple):

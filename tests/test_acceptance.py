@@ -212,7 +212,7 @@ def test_criterion_7_complementary_series_sharpness():
             for mag in (Fraction(3, 4), Fraction(1)):
                 for sigma in (mag, -mag):
                     params = InducedRepParams(n, alpha, sigma)
-                    witness = nonunitarity_witness(params, radius=6)
+                    witness = nonunitarity_witness(params)
                     if complementary_series(params) or witness is None:
                         failures.append(("outside", n, alpha, str(sigma)))
                     else:

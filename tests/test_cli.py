@@ -8,6 +8,8 @@ import sys
 import time
 from pathlib import Path
 
+import pytest
+
 import dpseries
 from dpseries.cli import run
 
@@ -138,6 +140,32 @@ def test_embeddings_refuses_an_oversized_signature_list_at_once(capsys):
         assert captured.err.startswith("error: --n/--sigma: signature size p+q = 2*sigma+n+1 = 10000000")
         assert "Traceback" not in captured.err and captured.out == ""
     assert time.perf_counter() - t0 < 5
+
+
+BIG_WINDOW = ["--n", "1000", "--alpha", "1", "--sigma", "500"]  # 125,751 constituents
+OVERSIZED_WINDOWS = [
+    # 549 constituents, under the label cap, but 549 * 548 bounds
+    (["constituents", "--n", "548", "--alpha", "1", "--sigma", "1"], "549 constituents of 548 bounds each"),
+    (["diagram", *BIG_WINDOW, "--format", "dot"], "125751 constituents exceed"),
+    (["socle", *BIG_WINDOW], "125751 constituents exceed"),
+    (["unitary", *BIG_WINDOW, "--format", "json"], "125751 constituents exceed"),
+    (["ktype", *BIG_WINDOW, "--lambda", ",".join(["0"] * 1000)], "125751 constituents exceed"),
+]
+
+
+@pytest.mark.parametrize("argv, message", OVERSIZED_WINDOWS, ids=[argv[0] for argv, _ in OVERSIZED_WINDOWS])
+def test_window_views_refuse_an_oversized_window_at_once(monkeypatch, capsys, argv, message):
+    from dpseries import constituents
+
+    def refuse(*args):
+        raise AssertionError("the theorem window was listed")
+
+    monkeypatch.setattr(constituents, "_theorem_range", refuse)
+    constituents._point.cache_clear()
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: --n/--sigma: {message}"), captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
 
 
 def test_ktype(capsys):

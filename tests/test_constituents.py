@@ -1,5 +1,6 @@
 import math
 import pickle
+import random
 from fractions import Fraction
 
 import pytest
@@ -17,7 +18,7 @@ from dpseries import (
     parse_label,
     region_for,
 )
-from dpseries.constituents import _chains, _point, _theorem_range
+from dpseries.constituents import _chains, _point, _theorem_range, _window_size
 
 from conftest import dominant_window, params_from_sigma_tilde
 
@@ -65,6 +66,31 @@ def test_label_of_worked_points():
     assert label_of(P_1A, (3, 1)) == ConstituentLabel("R", 1, 0)
     assert label_of(P_SW, (2, 0)) == ConstituentLabel("L", 1, 0)
     assert label_of(P_SW, (-1, -1)) == ConstituentLabel("L", 0, 0)
+
+
+def test_label_of_reads_the_chains_not_the_regions(monkeypatch):
+    from dpseries import constituents
+
+    def refuse(*args):
+        raise AssertionError("a region was built")
+
+    monkeypatch.setattr(constituents, "region_for", refuse)
+    monkeypatch.setattr(constituents, "_build_region", refuse)
+    assert label_of(P_1A, (3, 1)) == ConstituentLabel("R", 1, 0)
+    assert label_of(P_SW, (-1, -1)) == ConstituentLabel("L", 0, 0)
+
+
+def test_label_of_matches_a_region_scan():
+    rng = random.Random(23)
+    for n in range(2, 8):
+        for alpha in range(4):
+            for st_val in range(-8, n + 11):
+                params = params_from_sigma_tilde(n, alpha, st_val)
+                labels = enumerate_constituents(params).labels
+                for _ in range(8):
+                    lam = tuple(sorted((rng.randint(-9, 9) for _ in range(n)), reverse=True))
+                    hits = [lab for lab in labels if region_for(params, lab).contains(lam)]
+                    assert [label_of(params, lam)] == hits, (params, lam)
 
 
 def test_is_empty_worked_points():
@@ -291,6 +317,15 @@ def test_every_chain_bounds_a_coordinate_of_the_rank():
         for lab in _index_grid(params):
             for lo_coord, _, hi_coord in _chains(params, pt, lab):
                 assert lo_coord <= n and hi_coord >= 1, (params, lab, lo_coord, hi_coord)
+
+
+def test_window_size_counts_the_window_in_closed_form():
+    for n, alpha, st_val in GRID:
+        params = params_from_sigma_tilde(n, alpha, st_val)
+        assert _window_size(params) == len(enumerate_constituents(params).labels), params
+    # the count lists nothing, so it answers at any rank
+    assert _window_size(InducedRepParams(10**8, 1, Fraction(1))) == 10**8 + 1
+    assert _window_size(InducedRepParams(1000, 1, Fraction(500))) == 125751
 
 
 def test_theorem_window_is_exactly_the_nonempty_grid():

@@ -430,6 +430,17 @@ def test_build_matches_scalar_reference(n, lmax):
             assert lattice.closures == closures, where
 
 
+def test_class_order_refuses_a_cyclic_generation_order():
+    # 0 -> 1 -> 2 -> 0 with 3 hanging below: a cycle leaves its classes unfinished
+    with pytest.raises(AssertionError, match="class generation order contains a cycle"):
+        oracle._class_order(4, ((0, 1), (1, 2), (2, 0), (2, 3)))
+    # the same graph with 2 -> 0 dropped: 0 -> 2 is implied, so not a Hasse edge
+    hasse, layers, closures = oracle._class_order(4, ((0, 1), (0, 2), (1, 2), (2, 3)))
+    assert hasse == ((0, 1), (1, 2), (2, 3))
+    assert layers == (4, 3, 2, 1)
+    assert closures == ({0, 1, 2, 3}, {1, 2, 3}, {2, 3}, {3})
+
+
 def test_oversized_window_is_refused_before_enumeration(monkeypatch):
     def enumerate_nothing(n, lmax):
         raise AssertionError("the window was enumerated")

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -75,6 +76,33 @@ def test_complementary_series_worked_points():
     assert not complementary_series(InducedRepParams(2, 1, Fraction(1, 4)))
     # unitary axis itself
     assert complementary_series(InducedRepParams(2, 1, Fraction(0)))
+
+
+def _two_test_witness(params):
+    """The witness by its two tests: a degenerate form, then n_ratio >= 0."""
+    for lam in itertools.combinations_with_replacement(range(6, -7, -1), params.n):
+        for j in range(1, params.n + 1):
+            if xi(params, lam, j) == params.sigma or n_ratio(params, lam, j) >= 0:
+                return lam, j
+    return None
+
+
+def test_witness_is_the_first_probe_with_xi_within_sigma():
+    # |xi| <= |sigma| is the two tests at once: xi = sigma degenerates the
+    # form, xi = -sigma gives ratio 0, and else the ratio is >= 0 iff
+    # sigma**2 > xi**2.  xi = +-sigma makes sigma_tilde an integer, so the
+    # reducible points here are what reach those two edges.
+    edges = set()
+    for n in range(2, 5):
+        for alpha in range(4):
+            for q in (1, 2, 3, 4):
+                for p in range(-8, 9):
+                    params = InducedRepParams(n, alpha, Fraction(p, q))
+                    witness = nonunitarity_witness(params)
+                    assert witness == _two_test_witness(params), params
+                    if witness is not None and abs(xi(params, *witness)) == abs(params.sigma):
+                        edges.add(xi(params, *witness) == params.sigma)
+    assert edges == {True, False}
 
 
 def test_nonunitarity_witness():
