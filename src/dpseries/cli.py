@@ -325,14 +325,9 @@ def _cmd_ktype(args) -> int:
     if reducible:
         _require_window(params)
     rows = []
-    for j in range(1, params.n + 1):
-        for direction in ("up", "down"):
-            try:
-                coeff = ktypes.transition(params, lam, j, direction)
-                value = format_rational(coeff) + (" (blocked)" if coeff == 0 else "")
-            except ValueError:
-                value = "no such K-type"
-            rows.append((j, direction, value))
+    for j, direction, coeff in ktypes.transitions(params, lam):
+        value = "no such K-type" if coeff is None else format_rational(coeff) + (" (blocked)" if coeff == 0 else "")
+        rows.append((j, direction, value))
     if args.format == "json":
         payload = {
             "lambda": list(lam),

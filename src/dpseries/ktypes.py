@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import accumulate
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .parameters import InducedRepParams, is_integer, parse_integer
 
@@ -37,6 +37,7 @@ __all__ = [
     "neighbors",
     "parse_ktype",
     "transition",
+    "transitions",
 ]
 
 KType = tuple[int, ...]
@@ -107,11 +108,33 @@ def transition(params: InducedRepParams, lam: KType, j: int, direction: str) -> 
     if direction not in ("up", "down"):
         raise ValueError(f"direction must be 'up' or 'down', got {direction!r}")
     step = 1 if direction == "up" else -1
-    moved = lam[: j - 1] + (lam[j - 1] + step,) + lam[j:]
-    if any(moved[i] < moved[i + 1] for i in range(len(moved) - 1)):
+    coeff = _coefficient(params, lam, j, step)
+    if coeff is None:
+        moved = lam[: j - 1] + (lam[j - 1] + step,) + lam[j:]
         raise ValueError(f"no such K-type: {moved} is not dominant")
-    if direction == "up":
+    return coeff
+
+
+def transitions(params: InducedRepParams, lam: KType) -> Iterator[tuple[int, str, Fraction | None]]:
+    """Every ``transition`` from the n-tuple ``lam`` as (j, direction,
+    coefficient), by coordinate, "up" before "down"; the coefficient is None
+    where the moved tuple is not dominant.  ``lam`` is validated once, so this
+    is O(n)."""
+    lam = check_ktype(lam)
+    for j in range(1, params.n + 1):
+        yield j, "up", _coefficient(params, lam, j, 1)
+        yield j, "down", _coefficient(params, lam, j, -1)
+
+
+def _coefficient(params: InducedRepParams, lam: KType, j: int, step: int) -> Fraction | None:
+    """``transition`` from a valid ``lam`` to lam + step*e_j, or None when that
+    is not dominant, which only lam's neighbours in coordinates j-1 and j+1 decide."""
+    if step == 1:
+        if j > 1 and lam[j - 2] == lam[j - 1]:
+            return None
         return barrier_plus(params, j) - 2 * lam[j - 1]
+    if j < len(lam) and lam[j] == lam[j - 1]:
+        return None
     return 2 * lam[j - 1] - barrier_minus(params, j)
 
 
@@ -150,8 +173,9 @@ def blocked_positions(
     n, st = params.n, params.sigma_tilde
     if not is_integer(st):
         return (None,) * n, (None,) * n
-    up = (j - 1 - int(st) for j in range(1, n + 1))
-    down = (int(st) - (n + params.alpha) + j for j in range(1, n + 1))
+    st = int(st)
+    up = (j - 1 - st for j in range(1, n + 1))
+    down = (st - (n + params.alpha) + j for j in range(1, n + 1))
     return (
         tuple(b if b % 2 == 0 else None for b in up),
         tuple(b if b % 2 == 0 else None for b in down),

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
 from typing import NamedTuple
 
@@ -47,11 +47,18 @@ from .structure import generated_submodule, module_diagram, socle_series
 __all__ = ["OracleVerdict", "TruncatedLattice", "auto_lmax", "build", "check_window", "compare"]
 
 # Largest window build() accepts, in points.  compare() in a fresh process
-# peaks (ru_maxrss) at 92 MB for 3.11 M points (n=8), at 225 MB for 10.0 M and
-# 317 MB for 20.2 M (n=9), and, with the budget raised for the run, at 496 MB
-# for 30.0 M (n=10): under 24 bytes per point from 10 M points up, so a window
-# at the budget needs about 0.5 GB.
+# peaks (ru_maxrss) at 49 MB for 1.56 M points (n=8), at 156 MB for 10.0 M and
+# 262 MB for 20.2 M (n=9), and, with the budget raised for the run, at 394 MB
+# for 30.0 M (n=10): under 16 bytes per point from 10 M points up, so a window
+# at the budget needs about 0.4 GB.
 MAX_WINDOW_POINTS = 30_000_000
+
+# Runs whose moves along one coordinate are paired at a time.  Their indices
+# and partners take 1 MiB, so the allocator reuses their pages from block to
+# block: at 2^20 runs, n=7's windows (up to 0.27 M runs) took four times the
+# page faults, and 10-20 ms more per build.  Every window of the default
+# verify sweep (up to 34 k points, about 0.3 runs each) makes one block.
+_RUNS_PER_BLOCK = 1 << 16
 
 
 def auto_lmax(params: InducedRepParams) -> int:
@@ -159,6 +166,63 @@ def _by_value(table: np.ndarray, lmax: int) -> np.ndarray:
     return np.concatenate((table[..., lmax:], table[..., :lmax]), axis=-1)
 
 
+class _Prefixes(NamedTuple):
+    lam: tuple[np.ndarray, ...]  # n-1 columns: the prefixes lam_1..lam_{n-1}, in window order
+    rank_terms: np.ndarray  # by value: coordinate i of a prefix adds rank_terms[n-2-i][lam_i] to its rank
+    steps: np.ndarray  # by value, intp: a +e_j move from lam_j adds steps[j][lam_j] to a prefix's rank
+
+
+# Bytes of prefix lattices kept, the least recently used dropped first.  The
+# 24 shapes of the default verify sweep hold 97 kB together and n=6's auto
+# windows at most 405 kB, so 512 KiB keeps them.  n=7's auto windows hold
+# 0.81 and 1.38 MB and n=9, lmax=10 24.9 MB: a shape past the cap is built
+# and dropped, since kept it would raise the peak of every larger build
+# (n=7's two raised a fresh process's peak from 40 to 43 MB).
+_PREFIX_BYTES_KEPT = 512 << 10
+_prefix_memo: dict[tuple[int, int], _Prefixes] = {}
+
+
+def _prefix_window(n: int, lmax: int) -> _Prefixes:
+    """The prefixes lam_1..lam_{n-1} of the window of n-tuples and their rank tables (see ``build``).
+
+    The prefix half of ``build``'s tiling check runs here.  Every array is
+    read-only, and the result is kept while the memo stays within
+    ``_PREFIX_BYTES_KEPT``, so each shape is derived once.
+    """
+    if (kept := _prefix_memo.pop((n, lmax), None)) is not None:
+        _prefix_memo[n, lmax] = kept  # now the most recently used
+        return kept
+    prefixes = _window_points(n - 1, lmax)
+    lam = tuple(prefixes[:, j] for j in range(n - 1))
+    # pascal[k][v] = C(v + lmax + k, k), at most the window's size, so int32
+    # holds it.  With u = lam + lmax, coordinate i adds C(u_i + n-2-i, n-1-i)
+    # to a prefix's rank, and a +e_j move adds C(u_j + n-2-j, n-2-j).
+    pascal = np.ones((n, 2 * lmax + 1), dtype=np.int32)
+    for k in range(n - 1):
+        np.cumsum(pascal[k], out=pascal[k + 1])
+    pascal = _by_value(pascal, lmax)
+    rank_terms = pascal[1:] - pascal[:-1]
+    rank = np.zeros(len(prefixes), dtype=np.int32)
+    for i in range(n - 1):
+        rank += rank_terms[n - 2 - i][lam[i]]
+    if (rank != np.arange(len(prefixes), dtype=np.int32)).any():
+        raise AssertionError("the window misses a dominant tuple, so a move leaves the enumerated window")
+    steps = pascal[n - 2 :: -1].astype(np.intp)  # steps[j] = pascal[n-2-j]; intp indexes without a cast
+    kept = _Prefixes(lam, rank_terms, steps)
+    for table in (*lam, rank_terms, steps):
+        table.setflags(write=False)
+    size = _prefix_bytes(kept)
+    if size <= _PREFIX_BYTES_KEPT:
+        while sum(map(_prefix_bytes, _prefix_memo.values())) + size > _PREFIX_BYTES_KEPT:
+            del _prefix_memo[next(iter(_prefix_memo))]
+        _prefix_memo[n, lmax] = kept
+    return kept
+
+
+def _prefix_bytes(prefixes: _Prefixes) -> int:
+    return sum(table.nbytes for table in (*prefixes.lam, prefixes.rank_terms, prefixes.steps))
+
+
 def _partners(j: int, here: np.ndarray, lam, steps, prefix, offset, sub) -> np.ndarray:
     """Runs holding x + e_j for the last points x (columns ``lam``) of the runs ``here``.
 
@@ -230,7 +294,8 @@ def _class_order(n_classes: int, class_edges: tuple[tuple[int, int], ...]) -> tu
 def build(params: InducedRepParams, lmax: int) -> TruncatedLattice:
     """Enumerate the window's runs, build the transition graph, and analyze it.
 
-    Only the prefixes lam_1..lam_{n-1} are enumerated; every later pass is
+    Only the prefixes lam_1..lam_{n-1} are enumerated, and only once per
+    window shape (n, lmax), by ``_prefix_window``; every later pass is
     O(R*n) for R runs, about 0.3 per window point at n=7.  A tuple's index
     in a window is its rank in the combinatorial number system (Knuth,
     TAOCP 4A, 7.2.1.3), so a one-step move is index arithmetic.  The
@@ -279,8 +344,9 @@ def build(params: InducedRepParams, lmax: int) -> TruncatedLattice:
     carry the class numbers 0, 1, ... in window order, as checked below.
 
     Two checks guard the enumeration.  A tiling check: the prefixes' ranks
-    must count up from 0, so every prefix step lands on the prefix it
-    names, and the run lengths must sum to the window's size, so a missed,
+    must count up from 0, so every prefix step lands on the prefix it names
+    (checked once per shape, where the prefixes are derived), and on every
+    build the run lengths must sum to the window's size, so a missed,
     repeated or misordered tuple or a miscounted run fails it.  A run-shift
     check: each partner run must start at the same lam_n and end no lower,
     which fails on a wrong prefix step or run numbering, or if the last
@@ -298,20 +364,7 @@ def build(params: InducedRepParams, lmax: int) -> TruncatedLattice:
 
     # The coordinates are int8 when they fit; NEP 50 keeps int8 + int in int8,
     # so they only enter comparisons and index the by-value tables below.
-    prefixes = _window_points(n - 1, lmax)
-    lam = [prefixes[:, j] for j in range(n - 1)]
-    # pascal[k][v] = C(v + lmax + k, k), at most the window's size, so int32
-    # holds it.  With u = lam + lmax, coordinate i adds C(u_i + n-2-i, n-1-i)
-    # to a prefix's rank, and a +e_j move adds C(u_j + n-2-j, n-2-j).
-    pascal = np.ones((n, 2 * lmax + 1), dtype=np.int32)
-    for k in range(n - 1):
-        np.cumsum(pascal[k], out=pascal[k + 1])
-    pascal = _by_value(pascal, lmax)
-    rank_terms = pascal[1:] - pascal[:-1]
-    rank = np.zeros(len(prefixes), dtype=np.int32)
-    for i in range(n - 1):
-        rank += rank_terms[n - 2 - i][lam[i]]
-    steps = pascal[n - 2 :: -1].astype(np.intp)  # steps[j] = pascal[n-2-j]; intp indexes without a cast
+    lam, rank_terms, steps = _prefix_window(n, lmax)
 
     # A pair x, x + e_j loses its up edge where 2*lam_j hits the up barrier
     # and its down edge where 2*lam_j + 2 hits the down barrier.
@@ -322,23 +375,23 @@ def build(params: InducedRepParams, lmax: int) -> TruncatedLattice:
     # A prefix ending in w holds one run plus one per cut value below w; its
     # run s covers lam_n from run_from[s] to min(run_to[s], w).
     split = sorted(c for c in cuts[-1] if -lmax <= c < lmax)
-    run_from = np.array([-lmax, *(c + 1 for c in split)], dtype=prefixes.dtype)
-    run_to = np.array([*split, lmax], dtype=prefixes.dtype)
-    counts = np.ones(len(prefixes), dtype=np.int32)
+    run_from = np.array([-lmax, *(c + 1 for c in split)], dtype=lam[0].dtype)
+    run_to = np.array([*split, lmax], dtype=lam[0].dtype)
+    counts = np.ones(len(lam[0]), dtype=np.int32)
     for c in split:
         counts += lam[-1] > c
     offset = np.cumsum(counts, dtype=np.int32)
     offset -= counts
-    prefix = np.repeat(np.arange(len(prefixes), dtype=np.int32), counts)
+    prefix = np.repeat(np.arange(len(lam[0]), dtype=np.int32), counts)
     sub = (np.arange(len(prefix), dtype=np.int32) - offset[prefix]).astype(np.int8)
     tail = [col[prefix] for col in lam]  # each run's last point
     tail.append(np.minimum(run_to[sub], tail[-1]))
     head = run_from[sub]  # lam_n at each run's first point
     # every dominant in-window move lands on an enumerated point
     covered = int(tail[-1].sum(dtype=np.int64)) - int(head.sum(dtype=np.int64)) + len(head)
-    if (rank != np.arange(len(prefixes), dtype=np.int32)).any() or covered != size:
+    if covered != size:
         raise AssertionError("the window misses a dominant tuple, so a move leaves the enumerated window")
-    del prefixes, lam, rank, counts
+    del lam, counts
 
     # Label each run by the run holding its cell's least point (see the docstring).
     values = np.arange(-lmax, lmax + 1)
@@ -358,18 +411,20 @@ def build(params: InducedRepParams, lmax: int) -> TruncatedLattice:
     one_dst = [np.zeros(0, dtype=np.intp)]
 
     def mutual_pairs() -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        for j in range(n):
-            movable = tail[j] < lmax  # the +e_j moves that stay in the window and dominant
+        for j, lo in product(range(n), range(0, len(head), _RUNS_PER_BLOCK)):
+            col = tail[j][lo : lo + _RUNS_PER_BLOCK]
+            movable = col < lmax  # the +e_j moves that stay in the window and dominant
             if j > 0:
-                movable &= tail[j - 1] > tail[j]
-            across = np.zeros(len(head), dtype=bool)
+                movable &= tail[j - 1][lo : lo + _RUNS_PER_BLOCK] > col
+            across = np.zeros(len(col), dtype=bool)
             for c in cuts[j]:
-                across |= tail[j] == c
+                across |= col == c
             across &= movable
             movable ^= across  # now the mutual moves
             mutual = int(np.count_nonzero(movable))
             # the mutual moves first, then the few across a cut
             here = np.concatenate((np.flatnonzero(movable), np.flatnonzero(across)))
+            here += lo
             del movable, across
             there = _partners(j, here, tail, steps, prefix, offset, sub)
             if j < n - 1 and ((head[there] != head[here]).any() or (tail[-1][there] < tail[-1][here]).any()):
@@ -413,8 +468,10 @@ def build(params: InducedRepParams, lmax: int) -> TruncatedLattice:
     osrc = run_comp[np.concatenate(one_src)].astype(np.int64)
     odst = run_comp[np.concatenate(one_dst)].astype(np.int64)
     cross = osrc != odst
-    pair_codes = osrc[cross] * n_classes + odst[cross]
-    class_edges = tuple((int(pc) // n_classes, int(pc) % n_classes) for pc in np.unique(pair_codes))
+    pair_codes = np.sort(osrc[cross] * n_classes + odst[cross])
+    first = np.ones(len(pair_codes), dtype=bool)  # the first of each run of equal codes
+    np.not_equal(pair_codes[1:], pair_codes[:-1], out=first[1:])
+    class_edges = tuple(zip(*(part.tolist() for part in np.divmod(pair_codes[first], n_classes))))
 
     hasse, layers, closures = _class_order(n_classes, class_edges)
 

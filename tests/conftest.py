@@ -2,7 +2,9 @@ import itertools
 
 from fractions import Fraction
 
-from dpseries import InducedRepParams
+import pytest
+
+from dpseries import InducedRepParams, oracle
 
 
 def dominant_window(n, radius):
@@ -15,3 +17,13 @@ def params_from_sigma_tilde(n, alpha, sigma_tilde):
     """Parameter point with the given shifted parameter."""
     sigma = Fraction(sigma_tilde) - Fraction(n + 1 + alpha, 2)
     return InducedRepParams(n=n, alpha=alpha, sigma=sigma)
+
+
+@pytest.fixture
+def fresh_prefixes():
+    """An empty prefix memo before and after the test, so that a patched
+    ``oracle._window_points`` is reached whatever ran before, and its
+    prefixes are not kept for what runs after."""
+    oracle._prefix_memo.clear()
+    yield
+    oracle._prefix_memo.clear()

@@ -175,6 +175,21 @@ def test_ktype(capsys):
     assert "blocked" in out
 
 
+def test_ktype_validates_lambda_a_bounded_number_of_times(monkeypatch, capsys):
+    # each of the 2n coefficients reads lambda's neighbours, not a re-validated n-tuple
+    from dpseries import ktypes
+
+    calls = []
+    check = ktypes.check_ktype
+    monkeypatch.setattr(ktypes, "check_ktype", lambda lam: calls.append(len(lam)) or check(lam))
+    for n in (10, 200):
+        for sigma in ("1", "1/3"):  # a reducible and an irreducible point
+            calls.clear()
+            assert run(["ktype", "--n", str(n), "--alpha", "1", "--sigma", sigma, "--lambda", ",".join(["0"] * n)]) == 0
+            assert calls == [n, n], (n, sigma, len(calls))
+    capsys.readouterr()
+
+
 def test_input_errors_exit_1(capsys):
     assert run(["classify", "--n", "1", "--alpha", "0", "--sigma", "0"]) == 1
     assert "rank below supported range" in capsys.readouterr().err

@@ -12,7 +12,7 @@ from dpseries import (
     parse_ktype,
     transition,
 )
-from dpseries.ktypes import blocked_positions, check_ktype
+from dpseries.ktypes import blocked_positions, check_ktype, transitions
 from dpseries.oracle import auto_lmax
 
 from conftest import dominant_window, params_from_sigma_tilde
@@ -53,6 +53,23 @@ def test_transition_rejects_non_dominant_target():
         transition(P_CASE1A, (1, 1), 2, "up")
     with pytest.raises(ValueError, match="coordinate out of range"):
         transition(P_CASE1A, (1, 0), 3, "up")
+
+
+def test_transitions_match_transition():
+    for n in (2, 3, 4):
+        for sigma_tilde in (-3, Fraction(1, 2), 0, 1, 4, 7):
+            params = params_from_sigma_tilde(n, 1, sigma_tilde)
+            for lam in dominant_window(n, 2):
+                expected = []
+                for j in range(1, n + 1):
+                    for direction in ("up", "down"):
+                        try:
+                            expected.append((j, direction, transition(params, lam, j, direction)))
+                        except ValueError:
+                            expected.append((j, direction, None))
+                assert list(transitions(params, lam)) == expected, (params, lam)
+    with pytest.raises(ValueError, match="weakly decreasing"):
+        list(transitions(P_CASE1A, (0, 1)))
 
 
 @given(

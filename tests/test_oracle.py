@@ -298,7 +298,7 @@ def test_compare_holds_under_22_bytes_per_window_point():
     assert peak < 22 * points, f"{peak / points:.1f} bytes per point"
 
 
-def test_compare_passes_without_enumerating_the_window(monkeypatch):
+def test_compare_passes_without_enumerating_the_window(monkeypatch, fresh_prefixes):
     asked = []
     window_points = oracle._window_points
 
@@ -311,12 +311,77 @@ def test_compare_passes_without_enumerating_the_window(monkeypatch):
     verdict = compare(params)
     assert verdict.ok and verdict.case != "Irreducible"
     assert asked == [3]
-    # the per-point views are built on first use, with the window's values
-    lattice = build(params, 3)
-    assert asked == [3, 3]
-    assert lattice.points.tolist() == [list(lam) for lam in sorted(dominant_window(4, 3))]
-    assert lattice.points is lattice.points and asked == [3, 3, 4]
+    # the prefixes of a shape are derived once, and the per-point views are
+    # built on first use, with the window's values
+    lattice = build(params, verdict.lmax)
+    assert asked == [3]
+    assert lattice.points.tolist() == [list(lam) for lam in sorted(dominant_window(4, verdict.lmax))]
+    assert lattice.points is lattice.points and asked == [3, 4]
     assert lattice.comp.dtype == np.int32 and len(lattice.comp) == len(lattice.points)
+
+
+def _memo_grid():
+    """(params, lmax) over n 2..5, alpha 0..3, sigma_tilde -6..6, at the auto window and lmax 1 and 2."""
+    for n in range(2, 6):
+        for alpha in range(4):
+            for st_val in range(-6, 7):
+                params = params_from_sigma_tilde(n, alpha, st_val)
+                for lmax in (auto_lmax(params), 1, 2):
+                    yield params, lmax
+
+
+def _lattice_fields(lattice):
+    runs = [col.tolist() for col in (*lattice.run_lam, lattice.run_start, lattice.run_comp)]
+    return runs, lattice.class_edges, lattice.hasse, lattice.layers, lattice.closures, lattice.warnings
+
+
+def test_a_build_from_kept_prefixes_equals_a_fresh_one(fresh_prefixes):
+    for params, lmax in _memo_grid():
+        build(params, lmax)
+        assert (params.n, lmax) in oracle._prefix_memo
+        kept = _lattice_fields(build(params, lmax))
+        oracle._prefix_memo.clear()
+        assert kept == _lattice_fields(build(params, lmax)), (params, lmax)
+
+
+def test_kept_prefixes_are_read_only(fresh_prefixes):
+    for params, lmax in _memo_grid():
+        build(params, lmax)
+    assert set(oracle._prefix_memo) == {(params.n, lmax) for params, lmax in _memo_grid()}
+    for lam, rank_terms, steps in oracle._prefix_memo.values():
+        for table in (*lam, rank_terms, steps):
+            assert not table.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = 0
+
+
+def test_the_prefix_memo_keeps_within_its_cap(monkeypatch, fresh_prefixes):
+    def held():
+        return sum(map(oracle._prefix_bytes, oracle._prefix_memo.values()))
+
+    # the default sweep's shapes fit together, and n=7's auto windows are dropped
+    sweep = {(params.n, lmax) for params, lmax in _memo_grid() if lmax > 2}  # the auto windows
+    assert sum(oracle._prefix_bytes(oracle._prefix_window(*shape)) for shape in sweep) <= oracle._PREFIX_BYTES_KEPT
+    assert oracle._prefix_bytes(oracle._prefix_window(7, 9)) > oracle._PREFIX_BYTES_KEPT
+    assert held() <= oracle._PREFIX_BYTES_KEPT and (7, 9) not in oracle._prefix_memo
+    oracle._prefix_memo.clear()
+    cap = 64 << 10
+    monkeypatch.setattr(oracle, "_PREFIX_BYTES_KEPT", cap)
+    big = params_from_sigma_tilde(7, 0, -2)  # its lmax=6 prefixes hold 18,564 * 6 bytes
+    shapes = [(params_from_sigma_tilde(n, 1, -3), lmax) for n in range(2, 7) for lmax in range(1, 7)]
+    for params, lmax in [*shapes[:15], (big, 6), *shapes[15:]]:
+        build(params, lmax)
+        assert held() <= cap and (7, 6) not in oracle._prefix_memo
+    assert oracle._prefix_bytes(oracle._prefix_window(7, 6)) > cap
+    # the least recently used shapes went first
+    assert list(oracle._prefix_memo)[-1] == (6, 6) and (2, 1) not in oracle._prefix_memo
+
+
+def test_runs_paired_block_by_block_give_the_same_lattice(monkeypatch):
+    grid = [(params, lmax) for params, lmax in _memo_grid() if params.sigma_tilde % 3 == 0]
+    whole = [_lattice_fields(build(params, lmax)) for params, lmax in grid]
+    monkeypatch.setattr(oracle, "_RUNS_PER_BLOCK", 16)
+    assert [_lattice_fields(build(params, lmax)) for params, lmax in grid] == whole
 
 
 def _reference_build(params, lmax):
@@ -428,6 +493,37 @@ def test_build_matches_scalar_reference(n, lmax):
             assert lattice.hasse == hasse, where
             assert lattice.layers == layers, where
             assert lattice.closures == closures, where
+
+
+def _class_edges_by_points(lattice):
+    """``class_edges`` from every one-way move of the window, point by point, deduplicated by np.unique."""
+    params, lmax, points, comp = lattice.params, lattice.lmax, lattice.points.astype(np.int64), lattice.comp
+    n, width = params.n, 2 * lattice.lmax + 1
+    code = (points + lmax) @ width ** np.arange(n - 1, -1, -1)  # increasing in window order
+    up_block, down_block = blocked_positions(params)
+    src, dst = [], []
+    for j in range(n):
+        movable = points[:, j] < lmax
+        if j > 0:
+            movable &= points[:, j - 1] > points[:, j]
+        x = np.flatnonzero(movable)
+        y = np.searchsorted(code, code[x] + width ** (n - 1 - j))
+        assert (code[y] == code[x] + width ** (n - 1 - j)).all()
+        up = up_block[j] is None or 2 * points[x, j] != up_block[j]  # x -> x + e_j
+        down = down_block[j] is None or 2 * points[x, j] + 2 != down_block[j]  # x + e_j -> x
+        one_way = np.broadcast_to(up != down, x.shape)
+        src += [x[one_way & up], y[one_way & down]]
+        dst += [y[one_way & up], x[one_way & down]]
+    a, b = comp[np.concatenate(src)].astype(np.int64), comp[np.concatenate(dst)].astype(np.int64)
+    codes = np.unique(a[a != b] * lattice.n_classes + b[a != b])
+    return tuple((int(c) // lattice.n_classes, int(c) % lattice.n_classes) for c in codes)
+
+
+def test_class_edges_match_a_point_by_point_reference():
+    points = [*_memo_grid(), *((params_from_sigma_tilde(7, a, -6), None) for a in range(4))]
+    for params, lmax in points:
+        lattice = build(params, lmax or auto_lmax(params))
+        assert lattice.class_edges == _class_edges_by_points(lattice), (params, lattice.lmax)
 
 
 def test_class_order_refuses_a_cyclic_generation_order():
@@ -635,6 +731,23 @@ def test_cli_and_build_import_numpy_only():
     env = {**os.environ, "PYTHONPATH": str(Path(dpseries.__file__).parents[1])}
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert (proc.returncode, proc.stdout) == (0, "5 ['dpseries', 'numpy']\n"), proc.stderr
+
+
+def test_compare_never_imports_numpy_ma():
+    # np.unique loads numpy.ma on its first call, about 15 ms; the class edges
+    # are deduplicated by a sort instead
+    code = (
+        "import sys\n"
+        "import dpseries\n"
+        "from fractions import Fraction\n"
+        "params = dpseries.InducedRepParams(3, 0, Fraction(-4))\n"
+        "lattice = dpseries.build(params, dpseries.auto_lmax(params))\n"
+        "verdict = dpseries.compare(params)\n"
+        "print(verdict.ok, len(lattice.class_edges), 'numpy.ma' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(dpseries.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stdout) == (0, "True 6 False\n"), proc.stderr
 
 
 # compare's FAIL verdicts: each check is broken through the closed-form name
