@@ -157,15 +157,6 @@ def _window_points(n: int, lmax: int) -> np.ndarray:
     return cols.T
 
 
-def _by_value(table: np.ndarray, lmax: int) -> np.ndarray:
-    """Re-lay tables over the values -lmax..lmax (last axis) so that each value indexes its entry.
-
-    Negative values index from the end, as numpy does, so the window's
-    coordinates index the table without a shifted copy of the points.
-    """
-    return np.concatenate((table[..., lmax:], table[..., :lmax]), axis=-1)
-
-
 class _Prefixes(NamedTuple):
     lam: tuple[np.ndarray, ...]  # n-1 columns: the prefixes lam_1..lam_{n-1}, in window order
     rank_terms: np.ndarray  # by value: coordinate i of a prefix adds rank_terms[n-2-i][lam_i] to its rank
@@ -173,12 +164,16 @@ class _Prefixes(NamedTuple):
 
 
 # Bytes of prefix lattices kept, the least recently used dropped first.  The
-# 24 shapes of the default verify sweep hold 97 kB together and n=6's auto
-# windows at most 405 kB, so 512 KiB keeps them.  n=7's auto windows hold
-# 0.81 and 1.38 MB and n=9, lmax=10 24.9 MB: a shape past the cap is built
-# and dropped, since kept it would raise the peak of every larger build
-# (n=7's two raised a fresh process's peak from 40 to 43 MB).
-_PREFIX_BYTES_KEPT = 512 << 10
+# 24 shapes of the default verify sweep hold 97 kB together and n=7's lmax=10
+# auto window 1.38 MB, so 1.5 MiB, the least round cap that holds them all,
+# keeps one n=7 shape from compare to compare.  A sweep of n=7's lmax 9, 9,
+# 10, 10 windows then derives two prefix lattices, not four: the 7 and 13 ms
+# it saves are worth the 1.3 MB the kept one adds to its peak (39.7 -> 41.0
+# MB in a fresh process, against a 512 KiB cap; a 4 MiB cap, keeping both,
+# took 2.2 MB).  Larger shapes are built and dropped, since kept they would
+# raise the peak of every larger build: n=8's auto windows from lmax=8 up
+# hold 1.7 to 18 MB, and n=9, lmax=10 25 MB.
+_PREFIX_BYTES_KEPT = 1536 << 10
 _prefix_memo: dict[tuple[int, int], _Prefixes] = {}
 
 
@@ -200,7 +195,9 @@ def _prefix_window(n: int, lmax: int) -> _Prefixes:
     pascal = np.ones((n, 2 * lmax + 1), dtype=np.int32)
     for k in range(n - 1):
         np.cumsum(pascal[k], out=pascal[k + 1])
-    pascal = _by_value(pascal, lmax)
+    # re-laid by value, so that each value v in -lmax..lmax indexes its entry
+    # (negative ones from the end, as numpy does) with no shifted copy
+    pascal = np.concatenate((pascal[:, lmax:], pascal[:, :lmax]), axis=1)
     rank_terms = pascal[1:] - pascal[:-1]
     rank = np.zeros(len(prefixes), dtype=np.int32)
     for i in range(n - 1):
@@ -363,7 +360,8 @@ def build(params: InducedRepParams, lmax: int) -> TruncatedLattice:
         warnings.append(f"window lmax={lmax} below auto margin {auto}; comparisons may fail")
 
     # The coordinates are int8 when they fit; NEP 50 keeps int8 + int in int8,
-    # so they only enter comparisons and index the by-value tables below.
+    # so they only enter comparisons and index the prefixes' by-value rank and
+    # step tables.
     lam, rank_terms, steps = _prefix_window(n, lmax)
 
     # A pair x, x + e_j loses its up edge where 2*lam_j hits the up barrier
@@ -394,12 +392,13 @@ def build(params: InducedRepParams, lmax: int) -> TruncatedLattice:
     del lam, counts
 
     # Label each run by the run holding its cell's least point (see the docstring).
-    values = np.arange(-lmax, lmax + 1)
-    least, rank = head, np.zeros(len(head), dtype=np.int32)
+    least, rank = head.copy(), np.zeros(len(head), dtype=np.int32)
     for j in range(n - 2, -1, -1):
-        # by value v: the floor of v's interval, one above the highest cut below v
-        floor = np.max([np.full(len(values), -lmax), *(np.where(values > c, c + 1, -lmax) for c in cuts[j])], axis=0)
-        least = np.maximum(_by_value(floor.astype(head.dtype), lmax)[tail[j]], least)
+        # the floor of lam_j's interval is one above the highest cut below
+        # lam_j, or -lmax; a cut outside [-lmax, lmax) raises no floor
+        for c in cuts[j]:
+            if -lmax <= c < lmax:
+                np.maximum(least, c + 1, out=least, where=tail[j] > c)
         rank += rank_terms[n - 2 - j][least]
     label = offset[rank]
     label += sub
@@ -445,6 +444,7 @@ def build(params: InducedRepParams, lmax: int) -> TruncatedLattice:
     # cycle crosses a cut: these components are the strong components of the
     # whole graph, and the acyclicity check of _class_order confirms it.
     run_comp = connected_components(label, mutual_pairs())[1]
+    del prefix, offset, sub  # free the run numbering, which only the pass reads
 
     # Each class must be one cell, so a box, numbered by its first run.
     split = np.flatnonzero(run_comp != run_comp[label])

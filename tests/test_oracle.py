@@ -359,11 +359,15 @@ def test_the_prefix_memo_keeps_within_its_cap(monkeypatch, fresh_prefixes):
     def held():
         return sum(map(oracle._prefix_bytes, oracle._prefix_memo.values()))
 
-    # the default sweep's shapes fit together, and n=7's auto windows are dropped
+    # the default sweep's shapes fit together with n=7's lmax=10 auto window,
+    # and n=8's auto windows are dropped
     sweep = {(params.n, lmax) for params, lmax in _memo_grid() if lmax > 2}  # the auto windows
-    assert sum(oracle._prefix_bytes(oracle._prefix_window(*shape)) for shape in sweep) <= oracle._PREFIX_BYTES_KEPT
-    assert oracle._prefix_bytes(oracle._prefix_window(7, 9)) > oracle._PREFIX_BYTES_KEPT
-    assert held() <= oracle._PREFIX_BYTES_KEPT and (7, 9) not in oracle._prefix_memo
+    for shape in [*sweep, (7, 10)]:
+        oracle._prefix_window(*shape)
+    assert set(oracle._prefix_memo) == {*sweep, (7, 10)} and held() <= oracle._PREFIX_BYTES_KEPT
+    assert auto_lmax(params_from_sigma_tilde(8, 0, -4)) == 8
+    assert oracle._prefix_bytes(oracle._prefix_window(8, 8)) > oracle._PREFIX_BYTES_KEPT
+    assert held() <= oracle._PREFIX_BYTES_KEPT and (8, 8) not in oracle._prefix_memo
     oracle._prefix_memo.clear()
     cap = 64 << 10
     monkeypatch.setattr(oracle, "_PREFIX_BYTES_KEPT", cap)
@@ -375,6 +379,22 @@ def test_the_prefix_memo_keeps_within_its_cap(monkeypatch, fresh_prefixes):
     assert oracle._prefix_bytes(oracle._prefix_window(7, 6)) > cap
     # the least recently used shapes went first
     assert list(oracle._prefix_memo)[-1] == (6, 6) and (2, 1) not in oracle._prefix_memo
+
+
+def test_a_second_compare_at_n7_derives_no_prefixes(monkeypatch, fresh_prefixes):
+    params = params_from_sigma_tilde(7, 2, -6)  # oracle_large's alpha=2 point
+    assert auto_lmax(params) == 10
+    first = compare(params)
+    asked = []
+    window_points = oracle._window_points
+
+    def recorded(n, lmax):
+        asked.append((n, lmax))
+        return window_points(n, lmax)
+
+    monkeypatch.setattr(oracle, "_window_points", recorded)
+    assert compare(params) == first and first.ok
+    assert asked == []
 
 
 def test_runs_paired_block_by_block_give_the_same_lattice(monkeypatch):
