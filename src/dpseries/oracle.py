@@ -6,20 +6,21 @@ It draws a directed edge for each one-step move with a nonzero transition
 coefficient (the zero locus comes from ``ktypes.blocked_positions``, which is
 definitionally the zero set of ``ktypes.transition``).  Its strongly
 connected classes are the nonempty cells, where a cell fixes each
-coordinate's interval between its cut values: ``build`` labels the points by
-their cells, verifies the labels exactly against the mutual moves, and finds
-the classes' Hasse diagram under reachability, longest-path layers, and
-reachability closures.  A cell is the window cut by a product of intervals,
-so each class is its bounding box cut to the window.
+coordinate's interval between its cut values, so each class is its bounding
+box cut to the window.
 
-``build`` never enumerates the window point by point.  It enumerates the
-prefixes lam_1..lam_{n-1} and derives in closed form the runs: the maximal
-stretches of consecutive points joined by mutual pairs along the last
-coordinate, each a prefix times an interval of lam_n between the last
-coordinate's cut values.  Its run-shift lemma makes labelling the runs
-exact.  ``compare`` checks the closed-form side against this
-from-first-principles picture, matching each class's box with a region's,
-and reports the first witness on any mismatch.
+``cells`` finds the classes, their boxes and one-way edges, the classes'
+Hasse diagram under reachability, longest-path layers and reachability
+closures from the cut values alone, without listing a lattice point.
+``compare`` checks the closed-form side against these, matching each
+class's box with a region's, and reports the first witness on any mismatch.
+
+``build`` is the window reference.  It enumerates the window, as the
+prefixes lam_1..lam_{n-1} and, derived from them in closed form, the runs:
+the maximal stretches of consecutive points joined by mutual pairs along the
+last coordinate.  It labels the runs by their cells, verifies the labels
+exactly against the mutual moves, and derives the same class graph, which
+the tests compare with ``cells``.
 
 Edge direction convention: an edge A -> B between classes means B lies in the
 submodule generated by A, matching the module diagrams' downward edges.
@@ -35,6 +36,7 @@ from collections.abc import Iterable, Iterator
 from functools import cached_property
 from itertools import combinations, product
 from math import comb
+from operator import le
 from typing import NamedTuple
 
 import numpy as np
@@ -44,13 +46,13 @@ from .ktypes import KType, blocked_positions, dominant_extremes
 from .constituents import ConstituentLabel, enumerate_constituents, region_for
 from .structure import generated_submodule, module_diagram, socle_series
 
-__all__ = ["OracleVerdict", "TruncatedLattice", "auto_lmax", "build", "check_window", "compare"]
+__all__ = ["ClassGraph", "OracleVerdict", "TruncatedLattice", "auto_lmax", "build", "cells", "check_window", "compare"]
 
-# Largest window build() accepts, in points.  compare() in a fresh process
-# peaks (ru_maxrss) at 49 MB for 1.56 M points (n=8), at 156 MB for 10.0 M and
-# 262 MB for 20.2 M (n=9), and, with the budget raised for the run, at 394 MB
-# for 30.0 M (n=10): under 16 bytes per point from 10 M points up, so a window
-# at the budget needs about 0.4 GB.
+# Largest window build() and compare() accept, in points.  build() in a fresh
+# process peaked (ru_maxrss) at 49 MB for 1.56 M points (n=8), at 156 MB for
+# 10.0 M and 262 MB for 20.2 M (n=9), and, with the budget raised for the run,
+# at 394 MB for 30.0 M (n=10): under 16 bytes per point from 10 M points up, so
+# a window at the budget needs about 0.4 GB.
 MAX_WINDOW_POINTS = 30_000_000
 
 # Runs whose moves along one coordinate are paired at a time.  Their indices
@@ -123,9 +125,11 @@ class TruncatedLattice(_LatticeFields, _Frozen):
 def check_window(n: int, lmax: int) -> int:
     """Number of dominant n-tuples with entries in [-lmax, lmax].
 
-    Raises ValueError, before anything is enumerated, when that exceeds
-    ``MAX_WINDOW_POINTS``.
+    Raises ValueError, before anything is enumerated, when lmax < 1 or the
+    number exceeds ``MAX_WINDOW_POINTS``.
     """
+    if lmax < 1:
+        raise ValueError(f"lmax must be >= 1, got {lmax}")
     size = comb(2 * lmax + n, n)
     if size > MAX_WINDOW_POINTS:
         raise ValueError(
@@ -163,30 +167,12 @@ class _Prefixes(NamedTuple):
     steps: np.ndarray  # by value, intp: a +e_j move from lam_j adds steps[j][lam_j] to a prefix's rank
 
 
-# Bytes of prefix lattices kept, the least recently used dropped first.  The
-# 24 shapes of the default verify sweep hold 97 kB together and n=7's lmax=10
-# auto window 1.38 MB, so 1.5 MiB, the least round cap that holds them all,
-# keeps one n=7 shape from compare to compare.  A sweep of n=7's lmax 9, 9,
-# 10, 10 windows then derives two prefix lattices, not four: the 7 and 13 ms
-# it saves are worth the 1.3 MB the kept one adds to its peak (39.7 -> 41.0
-# MB in a fresh process, against a 512 KiB cap; a 4 MiB cap, keeping both,
-# took 2.2 MB).  Larger shapes are built and dropped, since kept they would
-# raise the peak of every larger build: n=8's auto windows from lmax=8 up
-# hold 1.7 to 18 MB, and n=9, lmax=10 25 MB.
-_PREFIX_BYTES_KEPT = 1536 << 10
-_prefix_memo: dict[tuple[int, int], _Prefixes] = {}
-
-
 def _prefix_window(n: int, lmax: int) -> _Prefixes:
     """The prefixes lam_1..lam_{n-1} of the window of n-tuples and their rank tables (see ``build``).
 
     The prefix half of ``build``'s tiling check runs here.  Every array is
-    read-only, and the result is kept while the memo stays within
-    ``_PREFIX_BYTES_KEPT``, so each shape is derived once.
+    read-only.
     """
-    if (kept := _prefix_memo.pop((n, lmax), None)) is not None:
-        _prefix_memo[n, lmax] = kept  # now the most recently used
-        return kept
     prefixes = _window_points(n - 1, lmax)
     lam = tuple(prefixes[:, j] for j in range(n - 1))
     # pascal[k][v] = C(v + lmax + k, k), at most the window's size, so int32
@@ -205,19 +191,9 @@ def _prefix_window(n: int, lmax: int) -> _Prefixes:
     if (rank != np.arange(len(prefixes), dtype=np.int32)).any():
         raise AssertionError("the window misses a dominant tuple, so a move leaves the enumerated window")
     steps = pascal[n - 2 :: -1].astype(np.intp)  # steps[j] = pascal[n-2-j]; intp indexes without a cast
-    kept = _Prefixes(lam, rank_terms, steps)
     for table in (*lam, rank_terms, steps):
         table.setflags(write=False)
-    size = _prefix_bytes(kept)
-    if size <= _PREFIX_BYTES_KEPT:
-        while sum(map(_prefix_bytes, _prefix_memo.values())) + size > _PREFIX_BYTES_KEPT:
-            del _prefix_memo[next(iter(_prefix_memo))]
-        _prefix_memo[n, lmax] = kept
-    return kept
-
-
-def _prefix_bytes(prefixes: _Prefixes) -> int:
-    return sum(table.nbytes for table in (*prefixes.lam, prefixes.rank_terms, prefixes.steps))
+    return _Prefixes(lam, rank_terms, steps)
 
 
 def _partners(j: int, here: np.ndarray, lam, steps, prefix, offset, sub) -> np.ndarray:
@@ -261,6 +237,20 @@ def connected_components(label: np.ndarray, pairs: Iterable[tuple[np.ndarray, np
     return len(roots), number[label]
 
 
+def _cut_values(params: InducedRepParams, lmax: int) -> tuple[list, list, list[str]]:
+    """Each coordinate's cut values ``up_at`` and ``down_at`` (None for none), and any below-margin warning.
+
+    A pair x, x + e_j loses its up edge where 2*lam_j hits the up barrier and
+    its down edge where 2*lam_j + 2 hits the down barrier.
+    """
+    up_block, down_block = blocked_positions(params)
+    auto = _auto_lmax(up_block, down_block)
+    warnings = [f"window lmax={lmax} below auto margin {auto}; comparisons may fail"] if lmax < auto else []
+    up_at = [b // 2 if b is not None else None for b in up_block]
+    down_at = [b // 2 - 1 if b is not None else None for b in down_block]
+    return up_at, down_at, warnings
+
+
 def _class_order(n_classes: int, class_edges: tuple[tuple[int, int], ...]) -> tuple[tuple, tuple, tuple]:
     """The Hasse diagram, longest-path layers and reachability closures of an acyclic class graph.
 
@@ -291,13 +281,12 @@ def _class_order(n_classes: int, class_edges: tuple[tuple[int, int], ...]) -> tu
 def build(params: InducedRepParams, lmax: int) -> TruncatedLattice:
     """Enumerate the window's runs, build the transition graph, and analyze it.
 
-    Only the prefixes lam_1..lam_{n-1} are enumerated, and only once per
-    window shape (n, lmax), by ``_prefix_window``; every later pass is
-    O(R*n) for R runs, about 0.3 per window point at n=7.  A tuple's index
-    in a window is its rank in the combinatorial number system (Knuth,
-    TAOCP 4A, 7.2.1.3), so a one-step move is index arithmetic.  The
-    classes are the connected components of the mutual pairs (both
-    directions nonzero).
+    Only the prefixes lam_1..lam_{n-1} are enumerated, by ``_prefix_window``;
+    every later pass is O(R*n) for R runs, about 0.3 per window point at
+    n=7.  A tuple's index in a window is its rank in the combinatorial number
+    system (Knuth, TAOCP 4A, 7.2.1.3), so a one-step move is index
+    arithmetic.  The classes are the connected components of the mutual
+    pairs (both directions nonzero).
 
     Cells.  Coordinate j has at most two cut values, up_at[j] and down_at[j]
     from ``blocked_positions``, and a move x -> x + e_j in the window is
@@ -342,32 +331,22 @@ def build(params: InducedRepParams, lmax: int) -> TruncatedLattice:
 
     Two checks guard the enumeration.  A tiling check: the prefixes' ranks
     must count up from 0, so every prefix step lands on the prefix it names
-    (checked once per shape, where the prefixes are derived), and on every
-    build the run lengths must sum to the window's size, so a missed,
-    repeated or misordered tuple or a miscounted run fails it.  A run-shift
-    check: each partner run must start at the same lam_n and end no lower,
-    which fails on a wrong prefix step or run numbering, or if the last
-    coordinate's cuts came to depend on the prefix.
+    (checked where the prefixes are derived), and the run lengths must sum
+    to the window's size, so a missed, repeated or misordered tuple or a
+    miscounted run fails it.  A run-shift check: each partner run must start
+    at the same lam_n and end no lower, which fails on a wrong prefix step or
+    run numbering, or if the last coordinate's cuts came to depend on the
+    prefix.
     """
-    if lmax < 1:
-        raise ValueError(f"lmax must be >= 1, got {lmax}")
     n = params.n
     size = check_window(n, lmax)
-    warnings = []
-    up_block, down_block = blocked_positions(params)
-    auto = _auto_lmax(up_block, down_block)
-    if lmax < auto:
-        warnings.append(f"window lmax={lmax} below auto margin {auto}; comparisons may fail")
+    up_at, down_at, warnings = _cut_values(params, lmax)
 
     # The coordinates are int8 when they fit; NEP 50 keeps int8 + int in int8,
     # so they only enter comparisons and index the prefixes' by-value rank and
     # step tables.
     lam, rank_terms, steps = _prefix_window(n, lmax)
 
-    # A pair x, x + e_j loses its up edge where 2*lam_j hits the up barrier
-    # and its down edge where 2*lam_j + 2 hits the down barrier.
-    up_at = [b // 2 if b is not None else None for b in up_block]
-    down_at = [b // 2 - 1 if b is not None else None for b in down_block]
     cuts = [{u, d} - {None} for u, d in zip(up_at, down_at)]
 
     # A prefix ending in w holds one run plus one per cut value below w; its
@@ -496,6 +475,89 @@ def build(params: InducedRepParams, lmax: int) -> TruncatedLattice:
     )
 
 
+class ClassGraph(NamedTuple):
+    """The window's classes and their order, as ``cells`` reads them from the cut values."""
+
+    lmax: int
+    n_classes: int
+    class_boxes: tuple[tuple[KType, KType], ...]  # per class, its least and greatest point
+    class_edges: tuple[tuple[int, int], ...]  # sorted
+    hasse: tuple[tuple[int, int], ...]  # transitive reduction of class_edges
+    layers: tuple[int, ...]  # per class: 1 + longest downward path length
+    closures: tuple[frozenset[int], ...]  # per class: reachable classes incl. self
+    warnings: tuple[str, ...] = ()
+
+
+def cells(params: InducedRepParams, lmax: int) -> ClassGraph:
+    """The window's class graph from its cells, without listing a lattice point.
+
+    The classes are the nonempty cells (``build`` proves it and checks it on
+    the window).  The cut values c of a coordinate with -lmax <= c < lmax
+    split its values in [-lmax, lmax] into intervals, and a cell picks one
+    interval per coordinate.  Dominant tuples with lo_i <= x_i <= hi_i exist
+    iff lo_j <= hi_i for every i <= j (take x_j = min of hi_1..hi_j), so a
+    pass over the coordinates keeps each nonempty prefix of intervals by the
+    least hi so far; every such prefix extends by the interval holding
+    -lmax, so the pass never hits a dead end.  A cell's box is its least and
+    greatest point (``dominant_extremes``), and the classes are numbered by
+    least point in lexicographic order, as ``build`` numbers them by first
+    point in window order.
+
+    A move x -> x + e_j in the window is one-way iff x_j is one cut value c
+    of coordinate j but not both.  It leaves the cell of x, whose interval
+    ends at c, for the next cell along j, and such a move exists iff c < lmax
+    and that cell holds a point with lam_j = c and lam_{j-1} >= c + 1 (so
+    x + e_j is dominant).  The edge runs from x's cell at c = down_at[j],
+    and back at c = up_at[j].
+
+    A class owns an interior point iff its box cut by lam_1 <= lmax - 1 and
+    lam_n >= -lmax + 1 is nonempty; each class without one gets a warning.
+    """
+    if lmax < 1:
+        raise ValueError(f"lmax must be >= 1, got {lmax}")
+    up_at, down_at, warnings = _cut_values(params, lmax)
+    spans = []  # per coordinate, its intervals (lo, hi) in increasing order
+    for u, d in zip(up_at, down_at):
+        tops = sorted({c for c in (u, d) if c is not None and -lmax <= c < lmax})
+        spans.append(tuple(zip((-lmax, *(c + 1 for c in tops)), (*tops, lmax))))
+
+    prefixes = [((), lmax)]  # (interval indices, least hi so far) of each nonempty prefix
+    for intervals in spans:
+        prefixes = [
+            ((*picked, i), min(ceiling, hi))
+            for picked, ceiling in prefixes
+            for i, (lo, hi) in enumerate(intervals)
+            if lo <= ceiling
+        ]
+    boxed = sorted(
+        (dominant_extremes(*zip(*(spans[j][i] for j, i in enumerate(picked)))), picked) for picked, _ in prefixes
+    )
+    class_of = {picked: c for c, (_, picked) in enumerate(boxed)}
+
+    class_edges = []
+    for (least, greatest), picked in boxed:
+        for j, i in enumerate(picked):
+            c = spans[j][i][1]
+            if c == lmax or up_at[j] == down_at[j]:  # the window's edge, or a pair cut both ways
+                continue
+            lows = [*least[:j], c, *least[j + 1 :]]
+            if j:
+                lows[j - 1] = max(lows[j - 1], c + 1)
+            if dominant_extremes(lows, greatest) is not None:
+                here, there = class_of[picked], class_of[(*picked[:j], i + 1, *picked[j + 1 :])]
+                class_edges.append((here, there) if c == down_at[j] else (there, here))
+    class_edges = tuple(sorted(class_edges))
+
+    class_boxes = tuple(box for box, _ in boxed)
+    for c, (least, greatest) in enumerate(class_boxes):
+        inner = (*least[:-1], max(least[-1], 1 - lmax)), (min(greatest[0], lmax - 1), *greatest[1:])
+        if dominant_extremes(*inner) is None:
+            warnings.append(f"class {c} owns no interior point; enlarge the window")
+    n_classes = len(class_boxes)
+    hasse, layers, closures = _class_order(n_classes, class_edges)
+    return ClassGraph(lmax, n_classes, class_boxes, class_edges, hasse, layers, closures, tuple(warnings))
+
+
 # The checks of a verdict, in the order compare() makes them.
 CHECKS = ("partition", "diagram", "socle", "generated")
 
@@ -514,16 +576,30 @@ def _meet(a: tuple[KType, KType], b: tuple[KType, KType]) -> tuple[KType, KType]
     return dominant_extremes(tuple(map(max, a[0], b[0])), tuple(map(min, a[1], b[1])))
 
 
-def _in_any(lows: list[np.ndarray], highs: list[np.ndarray], boxes: list[tuple[KType, KType]]) -> np.ndarray:
-    """Per entry, whether some box's least point is <= lows and its greatest >= highs in every column."""
-    out = np.zeros(len(lows[0]), dtype=bool)
-    for least, greatest in boxes:
-        out |= np.logical_and.reduce([(lo >= a) & (hi <= b) for lo, hi, a, b in zip(lows, highs, least, greatest)])
-    return out
+def _first_gap(box: tuple[KType, KType], regions: list[tuple[KType, KType]]) -> KType | None:
+    """The lexicographically least point of the nonempty ``box`` that lies in none of ``regions``, or None.
+
+    A box that one region holds has no such point, and one that no region
+    meets has its least point.  Otherwise its first coordinate k that is not
+    fixed is fixed to each of its values in turn, and the sub-boxes are
+    searched in that order, which is the points' lexicographic order.
+    """
+    least, greatest = box
+    met = [region for region in regions if _meet(box, region)]
+    if not met:
+        return least
+    if any(all(map(le, lo, least)) and all(map(le, greatest, hi)) for lo, hi in met):
+        return None
+    k = next(k for k, (a, b) in enumerate(zip(least, greatest)) if a != b)  # a one-point box met is held
+    for v in range(least[k], greatest[k] + 1):
+        sub = dominant_extremes((*least[:k], v, *least[k + 1 :]), (*greatest[:k], v, *greatest[k + 1 :]))
+        if sub and (gap := _first_gap(sub, met)):
+            return gap
+    return None
 
 
 def _partition(
-    params: InducedRepParams, lattice: TruncatedLattice, labels: tuple[ConstituentLabel, ...]
+    params: InducedRepParams, lattice: ClassGraph, labels: tuple[ConstituentLabel, ...]
 ) -> list[ConstituentLabel] | str:
     """Each class's region label, or the witness of the first partition failure.
 
@@ -536,7 +612,7 @@ def _partition(
     class spanning regions, or two classes in one region.  The first point in
     two regions is the least of a pairwise intersection of boxes; a point in
     none lies in a class whose box is no region's, so only those classes'
-    runs are walked, and the points of a run only if no region holds it all.
+    boxes are searched (``_first_gap``).
     """
     lmax = lattice.lmax
     boxes = []
@@ -551,15 +627,8 @@ def _partition(
 
     live = [box for box in boxes if box]
     crowded = min((m[0] for a, b in combinations(live, 2) if (m := _meet(a, b))), default=None)
-    (*fixed, last), first = lattice.run_lam, lattice.run_start
-    runs = np.flatnonzero(np.array([lab is None for lab in label_for_class])[lattice.run_comp])
-    cols = [col[runs] for col in fixed]
-    runs = runs[~_in_any([*cols, first[runs]], [*cols, last[runs]], live)]
-    lengths = last[runs].astype(np.intp) - first[runs] + 1
-    at = np.repeat(runs, lengths)
-    points = [col[at] for col in fixed]
-    points.append(first[at] + np.arange(len(at)) - np.repeat(np.cumsum(lengths) - lengths, lengths))
-    gap = tuple(int(col[i]) for i in np.flatnonzero(~_in_any(points, points, live))[:1] for col in points)
+    unmatched = (box for box, lab in zip(lattice.class_boxes, label_for_class) if lab is None)
+    gap = min(filter(None, (_first_gap(box, live) for box in unmatched)), default=None)
     if witness := min(filter(None, (crowded, gap)), default=None):
         count = sum(_meet((witness, witness), box) is not None for box in live)
         return f"lambda=({','.join(map(str, witness))}) lies in {count} regions"
@@ -574,7 +643,7 @@ def _partition(
 
 def _structure_mismatches(
     params: InducedRepParams,
-    lattice: TruncatedLattice,
+    lattice: ClassGraph,
     labels: tuple[ConstituentLabel, ...],
     label_for_class: list[ConstituentLabel],
 ) -> Iterator[str | None]:
@@ -608,8 +677,10 @@ def _structure_mismatches(
 
 
 def compare(params: InducedRepParams, lmax: int | None = None) -> OracleVerdict:
-    """Closed-form structure vs brute-force lattice analysis on one window.
+    """Closed-form structure vs brute-force graph analysis on one window.
 
+    The window's classes come from ``cells``; the window is refused as
+    ``build`` refuses it (``check_window``), though it is never enumerated.
     Checks, in order: the region partition against the SCC classes, the
     module diagram against the class Hasse diagram, the socle layers against
     longest-path levels, and each generated submodule against the
@@ -618,21 +689,22 @@ def compare(params: InducedRepParams, lmax: int | None = None) -> OracleVerdict:
     """
     if lmax is None:
         lmax = auto_lmax(params)
-    lattice = build(params, lmax)
+    check_window(params.n, lmax)
+    graph = cells(params, lmax)
     case = classify(params)
     if case is CaseTag.IRREDUCIBLE:
         # the whole window must be one class, and all four checks read that
-        ok = lattice.n_classes == 1
-        statuses = ["PASS" if ok else f"FAIL: {lattice.n_classes} classes at an irreducible point"] * len(CHECKS)
-        witness = None if ok else f"{lattice.n_classes} strongly connected classes"
+        ok = graph.n_classes == 1
+        statuses = ["PASS" if ok else f"FAIL: {graph.n_classes} classes at an irreducible point"] * len(CHECKS)
+        witness = None if ok else f"{graph.n_classes} strongly connected classes"
     else:
         labels = enumerate_constituents(params).labels
-        label_for_class = _partition(params, lattice, labels)
+        label_for_class = _partition(params, graph, labels)
         if isinstance(label_for_class, str):
             witness = label_for_class
             statuses = [f"FAIL: {witness}"] + ["FAIL: skipped: partition comparison failed"] * (len(CHECKS) - 1)
         else:
-            mismatches = list(_structure_mismatches(params, lattice, labels, label_for_class))
+            mismatches = list(_structure_mismatches(params, graph, labels, label_for_class))
             statuses = ["PASS"] + [f"FAIL: {m}" if m else "PASS" for m in mismatches]
             witness = next(filter(None, mismatches), None)
     return OracleVerdict(
@@ -641,5 +713,5 @@ def compare(params: InducedRepParams, lmax: int | None = None) -> OracleVerdict:
         case=case.value,
         checks=tuple(zip(CHECKS, statuses, strict=True)),
         witness=witness,
-        warnings=lattice.warnings,
+        warnings=graph.warnings,
     )

@@ -60,7 +60,7 @@ def test_omega_image_target_checks_raise(monkeypatch):
             howe.omega_image(p, 2, 4)
 
 
-def test_window_with_a_hole_raises(monkeypatch, fresh_prefixes):
+def test_window_with_a_hole_raises(monkeypatch):
     whole = oracle._window_points
     monkeypatch.setattr(oracle, "_window_points", lambda n, lmax: np.delete(whole(n, lmax), 1, axis=0))
     with pytest.raises(AssertionError, match="leaves the enumerated window"):

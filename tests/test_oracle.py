@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import dpseries
 from dpseries import (
@@ -22,6 +23,7 @@ from dpseries import (
     compare,
     oracle,
 )
+from dpseries.cli import run
 from dpseries.ktypes import blocked_positions, neighbors, transition
 
 from conftest import dominant_window, params_from_sigma_tilde
@@ -180,7 +182,7 @@ def test_partition_matches_a_point_by_point_reference():
     failures = {}
     for params, lmax, lattice in _small_grid((1, 2, 4, None)):
         labels = dpseries.enumerate_constituents(params).labels
-        result = oracle._partition(params, lattice, labels)
+        result = oracle._partition(params, oracle.cells(params, lmax), labels)
         expected = _partition_by_points(lattice, labels, [dpseries.region_for(params, lab) for lab in labels])
         assert result == expected, (params, lmax)
         if isinstance(result, str):
@@ -199,8 +201,8 @@ def test_partition_matches_the_reference_on_random_regions(monkeypatch):
         n, alpha, lmax = int(rng.integers(2, 5)), int(rng.integers(4)), int(rng.integers(1, 4))
         params = params_from_sigma_tilde(n, alpha, int(rng.integers(-4, n + 6)))
         if (params, lmax) not in lattices:
-            lattices[params, lmax] = build(params, lmax)
-        lattice = lattices[params, lmax]
+            lattices[params, lmax] = build(params, lmax), oracle.cells(params, lmax)
+        lattice, graph = lattices[params, lmax]
         labels = dpseries.enumerate_constituents(params).labels
         regions = []
         for lab in labels:
@@ -211,7 +213,7 @@ def test_partition_matches_the_reference_on_random_regions(monkeypatch):
             regions.append(Region(n, *map(tuple, bounds)))
         fake = dict(zip(labels, regions))
         monkeypatch.setattr(oracle, "region_for", lambda params, lab: fake[lab])
-        result = oracle._partition(params, lattice, labels)
+        result = oracle._partition(params, graph, labels)
         assert result == _partition_by_points(lattice, labels, regions), (params, lmax, regions)
         if isinstance(result, list):
             kinds.add("pass")
@@ -269,36 +271,36 @@ def test_wide_window_keeps_the_class_structure():
 
 
 def test_compare_holds_under_64_bytes_per_window_point():
-    # numpy reports its buffers to tracemalloc, so the peak is deterministic
+    # the window reference with its per-point views; numpy reports its
+    # buffers to tracemalloc, so the peak is deterministic
     params = params_from_sigma_tilde(6, 0, -6)
     points = oracle.check_window(6, 8)
     tracemalloc.start()
     try:
-        verdict = compare(params, 8)
+        lattice = build(params, 8)
+        assert len(lattice.points) == len(lattice.comp) == points
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert verdict.ok
+    assert lattice.n_classes == 13
     assert peak < 64 * points, f"{peak / points:.1f} bytes per point"
 
 
 def test_compare_holds_under_22_bytes_per_window_point():
-    # the window's runs, not its points, set the peak; a first compare fills
-    # the closed-form memos, so the second measures the oracle alone
+    # the window reference alone: its runs, not its points, set the peak
     params = params_from_sigma_tilde(6, 0, -6)
     points = oracle.check_window(6, 8)
-    compare(params, 8)
     tracemalloc.start()
     try:
-        verdict = compare(params, 8)
+        lattice = build(params, 8)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert verdict.ok
+    assert lattice.n_classes == 13
     assert peak < 22 * points, f"{peak / points:.1f} bytes per point"
 
 
-def test_compare_passes_without_enumerating_the_window(monkeypatch, fresh_prefixes):
+def test_compare_passes_without_enumerating_the_window(monkeypatch):
     asked = []
     window_points = oracle._window_points
 
@@ -310,9 +312,9 @@ def test_compare_passes_without_enumerating_the_window(monkeypatch, fresh_prefix
     params = params_from_sigma_tilde(4, 1, -3)
     verdict = compare(params)
     assert verdict.ok and verdict.case != "Irreducible"
-    assert asked == [3]
-    # the prefixes of a shape are derived once, and the per-point views are
-    # built on first use, with the window's values
+    assert asked == []
+    # the window reference enumerates only the prefixes, and builds the
+    # per-point views on first use, with the window's values
     lattice = build(params, verdict.lmax)
     assert asked == [3]
     assert lattice.points.tolist() == [list(lam) for lam in sorted(dominant_window(4, verdict.lmax))]
@@ -320,7 +322,7 @@ def test_compare_passes_without_enumerating_the_window(monkeypatch, fresh_prefix
     assert lattice.comp.dtype == np.int32 and len(lattice.comp) == len(lattice.points)
 
 
-def _memo_grid():
+def _window_grid():
     """(params, lmax) over n 2..5, alpha 0..3, sigma_tilde -6..6, at the auto window and lmax 1 and 2."""
     for n in range(2, 6):
         for alpha in range(4):
@@ -335,70 +337,17 @@ def _lattice_fields(lattice):
     return runs, lattice.class_edges, lattice.hasse, lattice.layers, lattice.closures, lattice.warnings
 
 
-def test_a_build_from_kept_prefixes_equals_a_fresh_one(fresh_prefixes):
-    for params, lmax in _memo_grid():
-        build(params, lmax)
-        assert (params.n, lmax) in oracle._prefix_memo
-        kept = _lattice_fields(build(params, lmax))
-        oracle._prefix_memo.clear()
-        assert kept == _lattice_fields(build(params, lmax)), (params, lmax)
-
-
-def test_kept_prefixes_are_read_only(fresh_prefixes):
-    for params, lmax in _memo_grid():
-        build(params, lmax)
-    assert set(oracle._prefix_memo) == {(params.n, lmax) for params, lmax in _memo_grid()}
-    for lam, rank_terms, steps in oracle._prefix_memo.values():
+def test_kept_prefixes_are_read_only():
+    for n, lmax in {(params.n, lmax) for params, lmax in _window_grid()}:
+        lam, rank_terms, steps = oracle._prefix_window(n, lmax)
         for table in (*lam, rank_terms, steps):
             assert not table.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 table[0] = 0
 
 
-def test_the_prefix_memo_keeps_within_its_cap(monkeypatch, fresh_prefixes):
-    def held():
-        return sum(map(oracle._prefix_bytes, oracle._prefix_memo.values()))
-
-    # the default sweep's shapes fit together with n=7's lmax=10 auto window,
-    # and n=8's auto windows are dropped
-    sweep = {(params.n, lmax) for params, lmax in _memo_grid() if lmax > 2}  # the auto windows
-    for shape in [*sweep, (7, 10)]:
-        oracle._prefix_window(*shape)
-    assert set(oracle._prefix_memo) == {*sweep, (7, 10)} and held() <= oracle._PREFIX_BYTES_KEPT
-    assert auto_lmax(params_from_sigma_tilde(8, 0, -4)) == 8
-    assert oracle._prefix_bytes(oracle._prefix_window(8, 8)) > oracle._PREFIX_BYTES_KEPT
-    assert held() <= oracle._PREFIX_BYTES_KEPT and (8, 8) not in oracle._prefix_memo
-    oracle._prefix_memo.clear()
-    cap = 64 << 10
-    monkeypatch.setattr(oracle, "_PREFIX_BYTES_KEPT", cap)
-    big = params_from_sigma_tilde(7, 0, -2)  # its lmax=6 prefixes hold 18,564 * 6 bytes
-    shapes = [(params_from_sigma_tilde(n, 1, -3), lmax) for n in range(2, 7) for lmax in range(1, 7)]
-    for params, lmax in [*shapes[:15], (big, 6), *shapes[15:]]:
-        build(params, lmax)
-        assert held() <= cap and (7, 6) not in oracle._prefix_memo
-    assert oracle._prefix_bytes(oracle._prefix_window(7, 6)) > cap
-    # the least recently used shapes went first
-    assert list(oracle._prefix_memo)[-1] == (6, 6) and (2, 1) not in oracle._prefix_memo
-
-
-def test_a_second_compare_at_n7_derives_no_prefixes(monkeypatch, fresh_prefixes):
-    params = params_from_sigma_tilde(7, 2, -6)  # oracle_large's alpha=2 point
-    assert auto_lmax(params) == 10
-    first = compare(params)
-    asked = []
-    window_points = oracle._window_points
-
-    def recorded(n, lmax):
-        asked.append((n, lmax))
-        return window_points(n, lmax)
-
-    monkeypatch.setattr(oracle, "_window_points", recorded)
-    assert compare(params) == first and first.ok
-    assert asked == []
-
-
 def test_runs_paired_block_by_block_give_the_same_lattice(monkeypatch):
-    grid = [(params, lmax) for params, lmax in _memo_grid() if params.sigma_tilde % 3 == 0]
+    grid = [(params, lmax) for params, lmax in _window_grid() if params.sigma_tilde % 3 == 0]
     whole = [_lattice_fields(build(params, lmax)) for params, lmax in grid]
     monkeypatch.setattr(oracle, "_RUNS_PER_BLOCK", 16)
     assert [_lattice_fields(build(params, lmax)) for params, lmax in grid] == whole
@@ -515,6 +464,53 @@ def test_build_matches_scalar_reference(n, lmax):
             assert lattice.closures == closures, where
 
 
+CLASS_GRAPH = ("n_classes", "class_boxes", "class_edges", "hasse", "layers", "closures", "warnings")
+
+
+def _cells_against_build(params, lmax):
+    graph, lattice = oracle.cells(params, lmax), build(params, lmax)
+    for field in CLASS_GRAPH:
+        assert getattr(graph, field) == getattr(lattice, field), (params, lmax, field)
+    assert graph.lmax == lmax
+
+
+def test_cells_equal_the_window():
+    # every field, at the auto window and at windows below its margin, where
+    # the cuts fall on the window's edge and the interior warnings appear
+    pairs = set()
+    for n in range(2, 7):
+        for alpha in range(4):
+            for sigma_tilde in SIGMA_TILDES:
+                params = params_from_sigma_tilde(n, alpha, sigma_tilde)
+                pairs.update((params, lmax) for lmax in (auto_lmax(params), 1, 2, 3))
+    assert len(pairs) == 1216
+    for params, lmax in pairs:
+        _cells_against_build(params, lmax)
+
+
+@settings(deadline=None)
+@given(
+    st.integers(2, 6),
+    st.integers(0, 3),
+    st.integers(-16, 20).map(lambda twice: Fraction(twice, 2)),
+    st.integers(1, 1 << 10),
+)
+def test_cells_equal_the_window_on_random_points(n, alpha, sigma_tilde, pick):
+    params = params_from_sigma_tilde(n, alpha, sigma_tilde)
+    _cells_against_build(params, 1 + pick % (auto_lmax(params) + 2))  # lmax 1 .. auto + 2
+
+
+def test_compare_never_builds_the_window(monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("compare enumerated the window")
+
+    for name in ("build", "_prefix_window", "_window_points"):
+        monkeypatch.setattr(oracle, name, refuse)
+    assert run(["verify"]) == 0
+    golden = (Path(__file__).parent / "golden" / "verify_default.jsonl").read_bytes()
+    assert capsys.readouterr().out.encode() == golden
+
+
 def _class_edges_by_points(lattice):
     """``class_edges`` from every one-way move of the window, point by point, deduplicated by np.unique."""
     params, lmax, points, comp = lattice.params, lattice.lmax, lattice.points.astype(np.int64), lattice.comp
@@ -540,7 +536,7 @@ def _class_edges_by_points(lattice):
 
 
 def test_class_edges_match_a_point_by_point_reference():
-    points = [*_memo_grid(), *((params_from_sigma_tilde(7, a, -6), None) for a in range(4))]
+    points = [*_window_grid(), *((params_from_sigma_tilde(7, a, -6), None) for a in range(4))]
     for params, lmax in points:
         lattice = build(params, lmax or auto_lmax(params))
         assert lattice.class_edges == _class_edges_by_points(lattice), (params, lattice.lmax)
@@ -570,10 +566,11 @@ def test_oversized_window_is_refused_before_enumeration(monkeypatch):
 
 
 def test_build_uses_nothing_from_the_closed_form_modules(monkeypatch):
+    # nor does cells, so the oracle's classes stay independent of the closed form
     from dpseries import constituents, howe, structure, unitarity
 
     def refuse(*args, **kwargs):
-        raise AssertionError("build reached a closed-form function")
+        raise AssertionError("the oracle reached a closed-form function")
 
     for module in (constituents, structure, unitarity, howe):
         for name, value in list(vars(module).items()):
@@ -583,8 +580,9 @@ def test_build_uses_nothing_from_the_closed_form_modules(monkeypatch):
                 monkeypatch.setattr(module, name, refuse)
                 if getattr(oracle, name, None) is value:
                     monkeypatch.setattr(oracle, name, refuse)
-    lattice = build(params_from_sigma_tilde(3, 1, -2), 5)
-    assert lattice.n_classes > 1
+    params = params_from_sigma_tilde(3, 1, -2)
+    for engine in (build, oracle.cells):
+        assert engine(params, 5).n_classes > 1
 
 
 def test_barriers_are_computed_once_per_point(monkeypatch):
@@ -640,7 +638,7 @@ def test_build_finds_each_coordinates_partners_once(monkeypatch):
     for n, alpha, sigma_tilde in [(2, 0, Fraction(1, 2)), (4, 1, -2), (5, 3, 0), (6, 2, -6)]:
         params = params_from_sigma_tilde(n, alpha, sigma_tilde)
         walked.clear()
-        assert compare(params).ok
+        build(params, auto_lmax(params))
         assert sorted(walked) == list(range(n)), (n, alpha, sigma_tilde)
 
 
@@ -754,8 +752,8 @@ def test_cli_and_build_import_numpy_only():
 
 
 def test_compare_never_imports_numpy_ma():
-    # np.unique loads numpy.ma on its first call, about 15 ms; the class edges
-    # are deduplicated by a sort instead
+    # np.unique loads numpy.ma on its first call, about 15 ms; the window
+    # reference deduplicates its class edges by a sort instead
     code = (
         "import sys\n"
         "import dpseries\n"
