@@ -66,9 +66,18 @@ from .howe import (
     omega_image,
     possible_embeddings,
 )
-from .oracle import OracleVerdict, TruncatedLattice, auto_lmax, build, compare
+from . import oracle
+from .oracle import OracleVerdict, auto_lmax, compare
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    """The window reference's names, which load ``window`` and numpy on first use, as ``oracle`` resolves them."""
+    if name in oracle._WINDOW_NAMES:
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "CaseTag",

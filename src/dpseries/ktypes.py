@@ -161,14 +161,14 @@ def blocked_positions(
 
     Returns ``(up, down)`` where ``up[j-1]`` is the even integer position at
     which the up-move in coordinate j is blocked (``transition == 0``), or
-    None when no even lattice point is ever blocked; the oracle's vectorized
-    graph build consumes it.  These are the effective barriers in
+    None when no even lattice point is ever blocked; the oracle's cut values
+    (``oracle.cells``) come from it.  These are the effective barriers in
     integers: with st = sigma_tilde, ``up[j-1] = j-1-st`` and ``down[j-1] =
     st-(n+alpha)+j`` when even, and all None when st is not an integer.
 
     Hermitian duality: at -sigma, st' = n+1+alpha-st makes ``down'[j-1] =
     up[j-1] + 2`` and ``up'[j-1] = down[j-1] - 2``, so the two cut values of
-    each coordinate (``oracle.build``) swap roles and every one-way edge turns.
+    each coordinate (``oracle.cells``) swap roles and every one-way edge turns.
     """
     n, st = params.n, params.sigma_tilde
     if not is_integer(st):

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import dpseries
-from dpseries import CaseTag, ConstituentLabel, InducedRepParams, constituents, howe, oracle
+from dpseries import CaseTag, ConstituentLabel, InducedRepParams, constituents, howe, window
 
 
 def test_no_assert_statements_in_the_package():
@@ -37,7 +37,7 @@ def test_every_exported_name_resolves():
         missing = [name for name in exported if not hasattr(module, name)]
         assert not missing, f"{module.__name__} exports missing names {missing}"
         checked += bool(exported)
-    assert checked == 9
+    assert checked == 10
 
 
 def test_odd_region_chain_raises(monkeypatch):
@@ -61,7 +61,7 @@ def test_omega_image_target_checks_raise(monkeypatch):
 
 
 def test_window_with_a_hole_raises(monkeypatch):
-    whole = oracle._window_points
-    monkeypatch.setattr(oracle, "_window_points", lambda n, lmax: np.delete(whole(n, lmax), 1, axis=0))
+    whole = window._window_points
+    monkeypatch.setattr(window, "_window_points", lambda n, lmax: np.delete(whole(n, lmax), 1, axis=0))
     with pytest.raises(AssertionError, match="leaves the enumerated window"):
-        oracle.build(InducedRepParams(2, 0, Fraction(1, 2)), 2)
+        window.build(InducedRepParams(2, 0, Fraction(1, 2)), 2)

@@ -1,4 +1,6 @@
+import importlib.util
 import inspect
+import json
 import os
 import subprocess
 import sys
@@ -22,6 +24,7 @@ from dpseries import (
     build,
     compare,
     oracle,
+    window,
 )
 from dpseries.cli import run
 from dpseries.ktypes import blocked_positions, neighbors, transition
@@ -251,13 +254,13 @@ def test_window_points_match_itertools_enumeration():
     for n in range(1, 5):
         for lmax in range(0, 5):
             expected = np.array(sorted(dominant_window(n, lmax)), dtype=np.int64).reshape(-1, n)
-            assert np.array_equal(oracle._window_points(n, lmax), expected), (n, lmax)
+            assert np.array_equal(window._window_points(n, lmax), expected), (n, lmax)
 
 
 def test_window_points_past_the_int8_range():
     for lmax in (127, 128, 200):
         expected = np.array(sorted(dominant_window(2, lmax)), dtype=np.int64)
-        assert np.array_equal(oracle._window_points(2, lmax), expected), lmax
+        assert np.array_equal(window._window_points(2, lmax), expected), lmax
 
 
 def test_wide_window_keeps_the_class_structure():
@@ -302,13 +305,13 @@ def test_compare_holds_under_22_bytes_per_window_point():
 
 def test_compare_passes_without_enumerating_the_window(monkeypatch):
     asked = []
-    window_points = oracle._window_points
+    window_points = window._window_points
 
     def recorded(n, lmax):
         asked.append(n)
         return window_points(n, lmax)
 
-    monkeypatch.setattr(oracle, "_window_points", recorded)
+    monkeypatch.setattr(window, "_window_points", recorded)
     params = params_from_sigma_tilde(4, 1, -3)
     verdict = compare(params)
     assert verdict.ok and verdict.case != "Irreducible"
@@ -339,7 +342,7 @@ def _lattice_fields(lattice):
 
 def test_kept_prefixes_are_read_only():
     for n, lmax in {(params.n, lmax) for params, lmax in _window_grid()}:
-        lam, rank_terms, steps = oracle._prefix_window(n, lmax)
+        lam, rank_terms, steps = window._prefix_window(n, lmax)
         for table in (*lam, rank_terms, steps):
             assert not table.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
@@ -349,7 +352,7 @@ def test_kept_prefixes_are_read_only():
 def test_runs_paired_block_by_block_give_the_same_lattice(monkeypatch):
     grid = [(params, lmax) for params, lmax in _window_grid() if params.sigma_tilde % 3 == 0]
     whole = [_lattice_fields(build(params, lmax)) for params, lmax in grid]
-    monkeypatch.setattr(oracle, "_RUNS_PER_BLOCK", 16)
+    monkeypatch.setattr(window, "_RUNS_PER_BLOCK", 16)
     assert [_lattice_fields(build(params, lmax)) for params, lmax in grid] == whole
 
 
@@ -505,7 +508,7 @@ def test_compare_never_builds_the_window(monkeypatch, capsys):
         raise AssertionError("compare enumerated the window")
 
     for name in ("build", "_prefix_window", "_window_points"):
-        monkeypatch.setattr(oracle, name, refuse)
+        monkeypatch.setattr(window, name, refuse)
     assert run(["verify"]) == 0
     golden = (Path(__file__).parent / "golden" / "verify_default.jsonl").read_bytes()
     assert capsys.readouterr().out.encode() == golden
@@ -557,7 +560,7 @@ def test_oversized_window_is_refused_before_enumeration(monkeypatch):
     def enumerate_nothing(n, lmax):
         raise AssertionError("the window was enumerated")
 
-    monkeypatch.setattr(oracle, "_window_points", enumerate_nothing)
+    monkeypatch.setattr(window, "_window_points", enumerate_nothing)
     with pytest.raises(ValueError, match="exceeds the oracle's budget"):
         build(params_from_sigma_tilde(12, 0, -6), 20)
     assert oracle.check_window(8, 9) == 1562275
@@ -628,13 +631,13 @@ def test_build_finds_each_coordinates_partners_once(monkeypatch):
     # one pass over the moves checks the run shifts, collects the one-way
     # edges and verifies the cells, so no second walk over the partners
     walked = []
-    partners = oracle._partners
+    partners = window._partners
 
     def counted(j, *args):
         walked.append(j)
         return partners(j, *args)
 
-    monkeypatch.setattr(oracle, "_partners", counted)
+    monkeypatch.setattr(window, "_partners", counted)
     for n, alpha, sigma_tilde in [(2, 0, Fraction(1, 2)), (4, 1, -2), (5, 3, 0), (6, 2, -6)]:
         params = params_from_sigma_tilde(n, alpha, sigma_tilde)
         walked.clear()
@@ -736,36 +739,78 @@ def test_connected_components_refuses_an_edge_that_points_down():
         oracle.connected_components(np.array([0, 0], dtype=np.int32), [_edges((1, 0))])
 
 
-def test_cli_and_build_import_numpy_only():
+def _fresh_interpreter(code, *args):
+    """The last line ``code`` prints, run by a fresh interpreter with this package on its path."""
+    env = {**os.environ, "PYTHONPATH": str(Path(dpseries.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1]
+
+
+def test_cli_imports_no_third_party_module(monkeypatch):
+    # every command answers with the standard library alone; numpy serves
+    # only the window reference.  The commands are the benchmark's cold CLI
+    # mix, one of each kind.
+    path = Path(__file__).parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look themselves up there
+    spec.loader.exec_module(workloads)
+    mix = [list(argv) for argv in workloads.CLI_MIX]
+    kinds = {"classify", "constituents", "diagram", "socle", "unitary", "omega", "embeddings", "ktype", "verify"}
+    assert {argv[0] for argv in mix} == kinds
     code = (
-        "import sys\n"
+        "import json, sys\n"
         "at_start = set(sys.modules)\n"
         "import dpseries, dpseries.cli\n"
+        "codes = [dpseries.cli.run(argv) for argv in json.loads(sys.argv[1])]\n"
+        "loaded = {m.split('.')[0] for m in set(sys.modules) - at_start} - sys.stdlib_module_names\n"
+        "print(set(codes), sorted(loaded), 'numpy' in sys.modules)\n"
+    )
+    assert _fresh_interpreter(code, json.dumps(mix)) == "{0} ['dpseries'] False"
+
+
+def test_a_first_build_loads_numpy_and_nothing_else():
+    code = (
+        "import sys\n"
+        "import dpseries, dpseries.cli\n"
+        "at_start = set(sys.modules)\n"
         "from fractions import Fraction\n"
         "lattice = dpseries.build(dpseries.InducedRepParams(3, 1, Fraction(-9, 2)), 5)\n"
-        "stdlib = sys.stdlib_module_names\n"
-        "print(lattice.n_classes, sorted({m.split('.')[0] for m in set(sys.modules) - at_start} - stdlib))\n"
+        "loaded = set(sys.modules) - at_start\n"
+        "ours = sorted(m for m in loaded if m.split('.')[0] == 'dpseries')\n"
+        "print(lattice.n_classes, ours, sorted({m.split('.')[0] for m in loaded} - sys.stdlib_module_names))\n"
     )
-    env = {**os.environ, "PYTHONPATH": str(Path(dpseries.__file__).parents[1])}
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
-    assert (proc.returncode, proc.stdout) == (0, "5 ['dpseries', 'numpy']\n"), proc.stderr
+    assert _fresh_interpreter(code) == "5 ['dpseries.window'] ['dpseries', 'numpy']"
 
 
 def test_compare_never_imports_numpy_ma():
-    # np.unique loads numpy.ma on its first call, about 15 ms; the window
-    # reference deduplicates its class edges by a sort instead
+    # compare imports no numpy at all; np.unique loads numpy.ma on its first
+    # call, about 15 ms, and the window reference deduplicates its class
+    # edges by a sort instead
     code = (
         "import sys\n"
         "import dpseries\n"
         "from fractions import Fraction\n"
         "params = dpseries.InducedRepParams(3, 0, Fraction(-4))\n"
-        "lattice = dpseries.build(params, dpseries.auto_lmax(params))\n"
         "verdict = dpseries.compare(params)\n"
-        "print(verdict.ok, len(lattice.class_edges), 'numpy.ma' in sys.modules)\n"
+        "no_numpy = 'numpy' not in sys.modules\n"
+        "lattice = dpseries.build(params, dpseries.auto_lmax(params))\n"
+        "print(verdict.ok, no_numpy, len(lattice.class_edges), 'numpy.ma' in sys.modules)\n"
     )
-    env = {**os.environ, "PYTHONPATH": str(Path(dpseries.__file__).parents[1])}
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
-    assert (proc.returncode, proc.stdout) == (0, "True 6 False\n"), proc.stderr
+    assert _fresh_interpreter(code) == "True True 6 False"
+
+
+def test_the_window_reference_is_resolved_through_the_oracle_and_the_package():
+    # the names the benchmark's tracer and the library look up, bound to the
+    # window module's objects; other names still fail with the module's name
+    assert oracle.build is dpseries.build is window.build
+    assert oracle.connected_components is window.connected_components
+    assert dpseries.TruncatedLattice is oracle.TruncatedLattice is window.TruncatedLattice
+    for module in (oracle, dpseries):
+        with pytest.raises(AttributeError, match=f"module '{module.__name__}' has no attribute 'no_such_name'"):
+            module.no_such_name
+    assert not hasattr(oracle, "_window_points")
 
 
 # compare's FAIL verdicts: each check is broken through the closed-form name
@@ -964,7 +1009,7 @@ def test_build_refuses_classes_not_numbered_by_first_point(monkeypatch):
 def _build_relabelled(monkeypatch, params, relabel):
     """build() with the verified class numbering replaced by ``relabel``'s."""
     runs = build(params, 4).run_lam
-    verified = oracle.connected_components
+    verified = window.connected_components
 
     def relabelled(label, pairs):
         n_classes, comp = verified(label, pairs)
@@ -972,7 +1017,7 @@ def _build_relabelled(monkeypatch, params, relabel):
         n_classes, comp = relabel(runs, n_classes, comp)
         return n_classes, comp.astype(np.int32)
 
-    monkeypatch.setattr(oracle, "connected_components", relabelled)
+    monkeypatch.setattr(window, "connected_components", relabelled)
     build(params, 4)
 
 
