@@ -31,7 +31,7 @@ split by the truncation.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from itertools import combinations
+from itertools import accumulate, combinations
 from math import comb
 from operator import le
 from typing import NamedTuple
@@ -160,19 +160,24 @@ def cells(params: InducedRepParams, lmax: int) -> ClassGraph:
     pass over the coordinates keeps each nonempty prefix of intervals by the
     least hi so far; every such prefix extends by the interval holding
     -lmax, so the pass never hits a dead end.  A cell's box is its least and
-    greatest point (``dominant_extremes``), and the classes are numbered by
-    least point in lexicographic order, as ``window.build`` numbers them by
-    first point in window order.
+    greatest point, whose x_j are the greatest of lo_j..lo_n and the least
+    hi so far, and the classes are numbered by least point in lexicographic
+    order, as ``window.build`` numbers them by first point in window order.
 
     A move x -> x + e_j in the window is one-way iff x_j is one cut value c
     of coordinate j but not both.  It leaves the cell of x, whose interval
     ends at c, for the next cell along j, and such a move exists iff c < lmax
     and that cell holds a point with lam_j = c and lam_{j-1} >= c + 1 (so
-    x + e_j is dominant).  The edge runs from x's cell at c = down_at[j],
-    and back at c = up_at[j].
+    x + e_j is dominant), that is iff c <= greatest_j and, unless j = 1,
+    c < greatest_{j-1}: as least_j, greatest_j <= c, lam_j = c leaves the
+    least point unchanged right of j, and as the greatest point weakly
+    decreases, raising lam_{j-1} to c + 1 breaks only coordinate j - 1.
+    The edge runs from x's cell at c = down_at[j], and back at c = up_at[j].
 
     A class owns an interior point iff its box cut by lam_1 <= lmax - 1 and
-    lam_n >= -lmax + 1 is nonempty; each class without one gets a warning.
+    lam_n >= 1 - lmax, which propagate to min(greatest_i, lmax - 1) and
+    max(least_i, 1 - lmax), is nonempty, that is iff least_1 < lmax and
+    greatest_n > -lmax; each class without one gets a warning.
     """
     if lmax < 1:
         raise ValueError(f"lmax must be >= 1, got {lmax}")
@@ -182,37 +187,31 @@ def cells(params: InducedRepParams, lmax: int) -> ClassGraph:
         tops = sorted({c for c in (u, d) if c is not None and -lmax <= c < lmax})
         spans.append(tuple(zip((-lmax, *(c + 1 for c in tops)), (*tops, lmax))))
 
-    prefixes = [((), lmax)]  # (interval indices, least hi so far) of each nonempty prefix
+    prefixes = [((), (lmax,), ())]  # (interval indices, lmax and each least hi so far, los) of each nonempty prefix
     for intervals in spans:
         prefixes = [
-            ((*picked, i), min(ceiling, hi))
-            for picked, ceiling in prefixes
+            ((*picked, i), (*ceilings, min(ceilings[-1], hi)), (*lows, lo))
+            for picked, ceilings, lows in prefixes
             for i, (lo, hi) in enumerate(intervals)
-            if lo <= ceiling
+            if lo <= ceilings[-1]
         ]
     boxed = sorted(
-        (dominant_extremes(*zip(*(spans[j][i] for j, i in enumerate(picked)))), picked) for picked, _ in prefixes
+        ((tuple(accumulate(reversed(lows), max))[::-1], ceilings[1:]), picked) for picked, ceilings, lows in prefixes
     )
     class_of = {picked: c for c, (_, picked) in enumerate(boxed)}
 
     class_edges = []
-    for (least, greatest), picked in boxed:
+    for (_, greatest), picked in boxed:
         for j, i in enumerate(picked):
-            c = spans[j][i][1]
-            if c == lmax or up_at[j] == down_at[j]:  # the window's edge, or a pair cut both ways
-                continue
-            lows = [*least[:j], c, *least[j + 1 :]]
-            if j:
-                lows[j - 1] = max(lows[j - 1], c + 1)
-            if dominant_extremes(lows, greatest) is not None:
+            c = spans[j][i][1]  # one way across c: not the window's edge, not cut both ways, a point to move
+            if c < lmax and up_at[j] != down_at[j] and c <= greatest[j] and (j == 0 or c < greatest[j - 1]):
                 here, there = class_of[picked], class_of[(*picked[:j], i + 1, *picked[j + 1 :])]
                 class_edges.append((here, there) if c == down_at[j] else (there, here))
     class_edges = tuple(sorted(class_edges))
 
     class_boxes = tuple(box for box, _ in boxed)
     for c, (least, greatest) in enumerate(class_boxes):
-        inner = (*least[:-1], max(least[-1], 1 - lmax)), (min(greatest[0], lmax - 1), *greatest[1:])
-        if dominant_extremes(*inner) is None:
+        if least[0] >= lmax or greatest[-1] <= -lmax:
             warnings.append(f"class {c} owns no interior point; enlarge the window")
     n_classes = len(class_boxes)
     hasse, layers, closures = _class_order(n_classes, class_edges)

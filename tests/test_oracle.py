@@ -27,7 +27,7 @@ from dpseries import (
     window,
 )
 from dpseries.cli import run
-from dpseries.ktypes import blocked_positions, neighbors, transition
+from dpseries.ktypes import blocked_positions, dominant_extremes, neighbors, transition
 
 from conftest import dominant_window, params_from_sigma_tilde
 
@@ -501,6 +501,109 @@ def test_cells_equal_the_window():
 def test_cells_equal_the_window_on_random_points(n, alpha, sigma_tilde, pick):
     params = params_from_sigma_tilde(n, alpha, sigma_tilde)
     _cells_against_build(params, 1 + pick % (auto_lmax(params) + 2))  # lmax 1 .. auto + 2
+
+
+LARGE_POINTS = [params_from_sigma_tilde(7, alpha, -6) for alpha in range(4)]  # perfbench's oracle_large
+DEFAULT_SWEEP = [params_from_sigma_tilde(n, a, st) for n in range(2, 6) for a in range(4) for st in range(-6, 7)]
+
+
+@pytest.mark.parametrize("params", LARGE_POINTS, ids=lambda params: f"alpha={params.alpha}")
+def test_cells_equal_the_window_at_n7(params):
+    _cells_against_build(params, auto_lmax(params))
+
+
+def test_cells_never_calls_dominant_extremes(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("cells called dominant_extremes")
+
+    monkeypatch.setattr(oracle, "dominant_extremes", refuse)
+    assert len(DEFAULT_SWEEP) == 208
+    for params in DEFAULT_SWEEP + LARGE_POINTS:
+        oracle.cells(params, auto_lmax(params))
+
+
+def _cells_by_dominant_extremes(params, lmax):
+    """``oracle.cells``, each box, one-way edge and interior point read by ``dominant_extremes``: a slow reference."""
+    if lmax < 1:
+        raise ValueError(f"lmax must be >= 1, got {lmax}")
+    up_at, down_at, warnings = oracle._cut_values(params, lmax)
+    spans = []  # per coordinate, its intervals (lo, hi) in increasing order
+    for u, d in zip(up_at, down_at):
+        tops = sorted({c for c in (u, d) if c is not None and -lmax <= c < lmax})
+        spans.append(tuple(zip((-lmax, *(c + 1 for c in tops)), (*tops, lmax))))
+
+    prefixes = [((), lmax)]  # (interval indices, least hi so far) of each nonempty prefix
+    for intervals in spans:
+        prefixes = [
+            ((*picked, i), min(ceiling, hi))
+            for picked, ceiling in prefixes
+            for i, (lo, hi) in enumerate(intervals)
+            if lo <= ceiling
+        ]
+    boxed = sorted(
+        (dominant_extremes(*zip(*(spans[j][i] for j, i in enumerate(picked)))), picked) for picked, _ in prefixes
+    )
+    class_of = {picked: c for c, (_, picked) in enumerate(boxed)}
+
+    class_edges = []
+    for (least, greatest), picked in boxed:
+        for j, i in enumerate(picked):
+            c = spans[j][i][1]
+            if c == lmax or up_at[j] == down_at[j]:  # the window's edge, or a pair cut both ways
+                continue
+            lows = [*least[:j], c, *least[j + 1 :]]
+            if j:
+                lows[j - 1] = max(lows[j - 1], c + 1)
+            if dominant_extremes(lows, greatest) is not None:
+                here, there = class_of[picked], class_of[(*picked[:j], i + 1, *picked[j + 1 :])]
+                class_edges.append((here, there) if c == down_at[j] else (there, here))
+    class_edges = tuple(sorted(class_edges))
+
+    class_boxes = tuple(box for box, _ in boxed)
+    for c, (least, greatest) in enumerate(class_boxes):
+        inner = (*least[:-1], max(least[-1], 1 - lmax)), (min(greatest[0], lmax - 1), *greatest[1:])
+        if dominant_extremes(*inner) is None:
+            warnings.append(f"class {c} owns no interior point; enlarge the window")
+    n_classes = len(class_boxes)
+    hasse, layers, closures = oracle._class_order(n_classes, class_edges)
+    return oracle.ClassGraph(lmax, n_classes, class_boxes, class_edges, hasse, layers, closures, tuple(warnings))
+
+
+def _cells_against_the_reference(params, lmax):
+    graph, reference = oracle.cells(params, lmax), _cells_by_dominant_extremes(params, lmax)
+    for field in CLASS_GRAPH:
+        assert getattr(graph, field) == getattr(reference, field), (params, lmax, field)
+    assert graph.lmax == lmax
+    return graph
+
+
+def test_cells_equal_the_reference_past_the_windows_reach():
+    # n 7..16, with auto windows of up to C(2*auto_lmax+16, 16) points, at
+    # the auto window and below its margin, where the interior warnings appear
+    pairs = set()
+    for n in range(7, 17):
+        for alpha in range(4):
+            for sigma_tilde in [*map(Fraction, range(-8, n + 11)), Fraction(1, 2), Fraction(-7, 2)]:
+                params = params_from_sigma_tilde(n, alpha, sigma_tilde)
+                pairs.update((params, lmax) for lmax in (auto_lmax(params), 1, 2, 3))
+    assert len(pairs) == 5120
+    warned = 0
+    for params, lmax in pairs:
+        warnings = _cells_against_the_reference(params, lmax).warnings
+        warned += any(w.endswith("owns no interior point; enlarge the window") for w in warnings)
+    assert warned == 2270
+
+
+@settings(deadline=None)
+@given(
+    st.integers(2, 12),
+    st.integers(0, 3),
+    st.integers(-16, 26).map(lambda twice: Fraction(twice, 2)),
+    st.integers(1, 1 << 10),
+)
+def test_cells_equal_the_reference_on_random_points(n, alpha, sigma_tilde, pick):
+    params = params_from_sigma_tilde(n, alpha, sigma_tilde)
+    _cells_against_the_reference(params, 1 + pick % (auto_lmax(params) + 2))  # lmax 1 .. auto + 2
 
 
 def test_compare_never_builds_the_window(monkeypatch, capsys):
