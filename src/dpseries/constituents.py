@@ -405,8 +405,8 @@ def _theorem_range(
     the band holds every nonempty label of the grid and no empty one.
     """
     i_max, j_max, lo, hi, slope, bound = _band(params, case, sign, m, k)
-    labels = [
-        ConstituentLabel(case.family, i, j)
+    labels = [  # family R or L and i, j >= 0 by the ranges, so the constructor's checks are skipped
+        tuple.__new__(ConstituentLabel, (case.family, i, j))
         for i in range(i_max + 1)
         for j in range(max(lo + slope * i, 0), min(hi + slope * i, j_max) + 1)
     ]

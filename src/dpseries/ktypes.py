@@ -21,6 +21,7 @@ Coefficients are exact rationals; "blocked" always means exactly zero.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from itertools import accumulate
 from typing import Iterable, Iterator, Sequence
@@ -154,10 +155,9 @@ def neighbors(lam: KType) -> list[tuple[KType, int, str]]:
     return out
 
 
-def blocked_positions(
-    params: InducedRepParams,
-) -> tuple[tuple[int | None, ...], tuple[int | None, ...]]:
-    """Zero locus of ``transition`` per coordinate, in ``2*lam`` units.
+@functools.lru_cache(maxsize=32)  # the oracle reads a point's positions up to three times
+def blocked_positions(params: InducedRepParams) -> tuple[tuple[int | None, ...], tuple[int | None, ...]]:
+    """Zero locus of ``transition`` per coordinate, in ``2*lam`` units; memoized, 32 points kept.
 
     Returns ``(up, down)`` where ``up[j-1]`` is the even integer position at
     which the up-move in coordinate j is blocked (``transition == 0``), or

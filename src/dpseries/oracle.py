@@ -33,7 +33,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from itertools import accumulate, combinations
 from math import comb
-from operator import le
+from operator import gt, le
 from typing import NamedTuple
 
 from .parameters import CaseTag, InducedRepParams, classify
@@ -113,8 +113,10 @@ def _class_order(n_classes: int, class_edges: tuple[tuple[int, int], ...]) -> tu
     """The Hasse diagram, longest-path layers and reachability closures of an acyclic class graph.
 
     One pass of Kahn's sort (A. B. Kahn, CACM 5(11), 1962) from the sinks up: a class is
-    finished once its last successor is, and its closure and layer read theirs.  A class left
-    unfinished lies on a cycle, and AssertionError is raised.
+    finished once its last successor is, and its layer and bit sets read theirs.  Bit b of
+    ``reach[c]`` is set iff c reaches b, and of ``beyond[a]`` iff a successor of a other than b
+    does, so a -> b is a Hasse edge iff that bit is clear; the frozenset closures are built
+    from ``reach`` at the end.  A class left unfinished lies on a cycle: AssertionError.
     """
     succ, pred = [[] for _ in range(n_classes)], [[] for _ in range(n_classes)]
     for a, b in class_edges:
@@ -122,17 +124,27 @@ def _class_order(n_classes: int, class_edges: tuple[tuple[int, int], ...]) -> tu
         pred[b].append(a)
     waiting = [len(s) for s in succ]
     finished = [c for c in range(n_classes) if not waiting[c]]  # grows as the loop below runs
-    layers, closures = [0] * n_classes, [frozenset()] * n_classes
+    layers, reach, beyond, closures = [0] * n_classes, [0] * n_classes, [0] * n_classes, []
     for c in finished:
-        closures[c] = frozenset((c,)).union(*(closures[b] for b in succ[c]))
-        layers[c] = 1 + max((layers[b] for b in succ[c]), default=0)
+        here, layer = 1 << c, 0
+        for b in succ[c]:
+            here |= reach[b]
+            beyond[c] |= reach[b] ^ 1 << b  # the classes two or more edges below c
+            layer = max(layer, layers[b])
+        reach[c], layers[c] = here, layer + 1
         for a in pred[c]:
             waiting[a] -= 1
             if not waiting[a]:
                 finished.append(a)
     if len(finished) < n_classes:
         raise AssertionError("class generation order contains a cycle")
-    hasse = sorted((a, b) for a, b in class_edges if not any(w != b and b in closures[w] for w in succ[a]))
+    hasse = sorted((a, b) for a, b in class_edges if not beyond[a] >> b & 1)
+    for r in reach:  # the bits of r, highest first
+        members = []
+        while r:
+            members.append(r.bit_length() - 1)
+            r ^= 1 << members[-1]
+        closures.append(frozenset(members))
     return tuple(hasse), tuple(layers), tuple(closures)
 
 
@@ -264,8 +276,10 @@ def _partition(
     """Each class's region label, or the witness of the first partition failure.
 
     A region cut to the window is the window's points between the extremes of
-    its bounds clipped to +-lmax (``dominant_extremes``), as a class is those
-    between its ``class_boxes``.  The classes tile the window, so the regions
+    its bounds clipped to +-lmax, as a class is those between its
+    ``class_boxes``; with no bound None, the extremes are the running max from
+    the right and min from the left (``ktypes.dominant_extremes``), which cross
+    iff the region is empty.  The classes tile the window, so the regions
     partition it, one class each, iff the class boxes are those of distinct
     regions, as many as the labels.  Otherwise the witness is, in this order,
     the first point in a number of regions other than 1, the class count, a
@@ -278,8 +292,10 @@ def _partition(
     boxes = []
     for lab in labels:
         region = region_for(params, lab)  # bounds on 2*lam: 2*lam >= b iff lam >= ceil(b/2)
-        lo = [-lmax if b is None else max(-(-b // 2), -lmax) for b in region.lower]
-        boxes.append(dominant_extremes(lo, [lmax if b is None else min(b // 2, lmax) for b in region.upper]))
+        lo = [-lmax if b is None or b <= -2 * lmax else -(-b // 2) for b in region.lower]
+        hi = [lmax if b is None or b >= 2 * lmax else b // 2 for b in region.upper]
+        least, greatest = tuple(accumulate(reversed(lo), max))[::-1], tuple(accumulate(hi, min))
+        boxes.append(None if any(map(gt, least, greatest)) else (least, greatest))
     by_box = {box: lab for box, lab in zip(boxes, labels) if box}
     label_for_class = [by_box.get(box) for box in lattice.class_boxes]
     if None not in label_for_class and len(set(label_for_class)) == len(labels) == lattice.n_classes:
@@ -302,35 +318,39 @@ def _partition(
 
 
 def _structure_mismatches(
-    params: InducedRepParams,
-    lattice: ClassGraph,
-    labels: tuple[ConstituentLabel, ...],
-    label_for_class: list[ConstituentLabel],
+    params: InducedRepParams, lattice: ClassGraph, labels: tuple[ConstituentLabel, ...], label_for_class: list
 ) -> Iterator[str | None]:
-    """Yield the mismatch, or None, of the diagram, the socle and the generated submodules: CHECKS[1:] in turn."""
-    oracle_edges = {(label_for_class[a], label_for_class[b]) for a, b in lattice.hasse}
-    diff = sorted(f"{u}->{v}" for u, v in oracle_edges.symmetric_difference(module_diagram(params).edges))
-    yield f"edge mismatch: {diff[:4]}" if diff else None
+    """Yield the mismatch, or None, of the diagram, the socle and the generated submodules: CHECKS[1:] in turn.
 
-    oracle_layers: dict[int, set[ConstituentLabel]] = {}
+    Each is compared on class indices, through the partition's one class per
+    label, and its label witness is formatted only on a mismatch.
+    """
+    index = {lab: c for c, lab in enumerate(label_for_class)}.get  # None for a label of no class
+    edges = module_diagram(params).edges
+    if {(index(u), index(v)) for u, v in edges} == set(lattice.hasse):
+        yield None
+    else:
+        oracle_edges = {(label_for_class[a], label_for_class[b]) for a, b in lattice.hasse}
+        yield f"edge mismatch: {sorted(f'{u}->{v}' for u, v in oracle_edges.symmetric_difference(edges))[:4]}"
+
+    oracle_layers: dict[int, set[int]] = {}
     for c, layer in enumerate(lattice.layers):
-        oracle_layers.setdefault(layer, set()).add(label_for_class[c])
-    formula_layers = {idx: set(layer) for idx, layer in enumerate(socle_series(params).layers, start=1)}
-    yield None if oracle_layers == formula_layers else (
+        oracle_layers.setdefault(layer, set()).add(c)
+    socle = socle_series(params).layers
+    yield None if {idx: set(map(index, layer)) for idx, layer in enumerate(socle, start=1)} == oracle_layers else (
         "socle mismatch: oracle "
-        + str({k: sorted(map(str, v)) for k, v in sorted(oracle_layers.items())})
+        + str({k: sorted(str(label_for_class[c]) for c in v) for k, v in sorted(oracle_layers.items())})
         + " vs formula "
-        + str({k: sorted(map(str, v)) for k, v in sorted(formula_layers.items())})
+        + str({idx: sorted(map(str, set(layer))) for idx, layer in enumerate(socle, start=1)})
     )
 
-    class_for_label = {lab: c for c, lab in enumerate(label_for_class)}
     for lab in labels:
-        closure_labels = {label_for_class[c] for c in lattice.closures[class_for_label[lab]]}
-        formula_members = set(generated_submodule(params, lab).members)
-        if closure_labels != formula_members:
+        closure = lattice.closures[index(lab)]
+        members = generated_submodule(params, lab).members
+        if set(map(index, members)) != closure:
             yield (
-                f"generated submodule of {lab}: oracle {sorted(map(str, closure_labels))}"
-                f" vs formula {sorted(map(str, formula_members))}"
+                f"generated submodule of {lab}: oracle {sorted(str(label_for_class[c]) for c in closure)}"
+                f" vs formula {sorted(map(str, set(members)))}"
             )
             return
     yield None
@@ -368,11 +388,5 @@ def compare(params: InducedRepParams, lmax: int | None = None) -> OracleVerdict:
             mismatches = list(_structure_mismatches(params, graph, labels, label_for_class))
             statuses = ["PASS"] + [f"FAIL: {m}" if m else "PASS" for m in mismatches]
             witness = next(filter(None, mismatches), None)
-    return OracleVerdict(
-        ok=all(status == "PASS" for status in statuses),
-        lmax=lmax,
-        case=case.value,
-        checks=tuple(zip(CHECKS, statuses, strict=True)),
-        witness=witness,
-        warnings=graph.warnings,
-    )
+    checks = tuple(zip(CHECKS, statuses, strict=True))
+    return OracleVerdict(all(s == "PASS" for s in statuses), lmax, case.value, checks, witness, graph.warnings)

@@ -73,11 +73,11 @@ def module_diagram(params: InducedRepParams) -> ModuleDiagram:
     a, b = _grading(pt)
     edges = []
     for lab in pt.labels:
+        f, i, j = lab
         for di, dj in ((-1, 0), (0, -1), (0, 1), (1, 0)):
-            if a * di + b * dj == -1 and lab.i + di >= 0 and lab.j + dj >= 0:
-                tgt = ConstituentLabel(lab.family, lab.i + di, lab.j + dj)
-                if tgt in pt.label_set:
-                    edges.append((lab, tgt))
+            # a plain tuple equals and hashes as its label, and one found in the window is a valid label
+            if a * di + b * dj == -1 and (f, i + di, j + dj) in pt.label_set:
+                edges.append((lab, tuple.__new__(ConstituentLabel, (f, i + di, j + dj))))
     return ModuleDiagram(nodes=pt.labels, edges=tuple(sorted(edges)))
 
 

@@ -659,6 +659,56 @@ def test_class_order_refuses_a_cyclic_generation_order():
     assert closures == ({0, 1, 2, 3}, {1, 2, 3}, {2, 3}, {3})
 
 
+def _class_order_by_frozensets(n_classes, class_edges):
+    """The reference for ``oracle._class_order``: its earlier form, with the closures as frozenset unions."""
+    succ, pred = [[] for _ in range(n_classes)], [[] for _ in range(n_classes)]
+    for a, b in class_edges:
+        succ[a].append(b)
+        pred[b].append(a)
+    waiting = [len(s) for s in succ]
+    finished = [c for c in range(n_classes) if not waiting[c]]  # grows as the loop below runs
+    layers, closures = [0] * n_classes, [frozenset()] * n_classes
+    for c in finished:
+        closures[c] = frozenset((c,)).union(*(closures[b] for b in succ[c]))
+        layers[c] = 1 + max((layers[b] for b in succ[c]), default=0)
+        for a in pred[c]:
+            waiting[a] -= 1
+            if not waiting[a]:
+                finished.append(a)
+    if len(finished) < n_classes:
+        raise AssertionError("class generation order contains a cycle")
+    hasse = sorted((a, b) for a, b in class_edges if not any(w != b and b in closures[w] for w in succ[a]))
+    return tuple(hasse), tuple(layers), tuple(closures)
+
+
+def _relabelled_dags(n):
+    """A permutation of range(n) and a set of pairs (i, j) of its indices."""
+    return st.tuples(st.permutations(range(n)), st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 40).flatmap(_relabelled_dags))
+def test_class_order_matches_the_frozenset_reference_on_random_dags(drawn):
+    # a pair (i, j) with i < j is an edge from i to j; the permutation relabels the classes
+    order, pairs = drawn
+    class_edges = tuple(sorted((order[i], order[j]) for i, j in pairs if i < j))
+    assert oracle._class_order(len(order), class_edges) == _class_order_by_frozensets(len(order), class_edges)
+    if class_edges:
+        a, b = class_edges[0]
+        with pytest.raises(AssertionError, match="contains a cycle"):
+            oracle._class_order(len(order), tuple(sorted((*class_edges, (b, a)))))
+
+
+def test_class_order_matches_the_frozenset_reference_on_the_default_sweep():
+    for n in range(2, 6):
+        for alpha in range(4):
+            for st_val in range(-6, 7):
+                params = params_from_sigma_tilde(n, alpha, st_val)
+                graph = oracle.cells(params, auto_lmax(params))
+                reference = _class_order_by_frozensets(graph.n_classes, graph.class_edges)
+                assert (graph.hasse, graph.layers, graph.closures) == reference, params
+
+
 def test_oversized_window_is_refused_before_enumeration(monkeypatch):
     def enumerate_nothing(n, lmax):
         raise AssertionError("the window was enumerated")
@@ -706,6 +756,16 @@ def test_barriers_are_computed_once_per_point(monkeypatch):
     assert compare(params).ok
     assert build(params, lmax).n_classes > 1
     assert blocked_positions(params) == ((2, None, 4, None, 6), (None, -6, None, -4, None))
+
+
+def test_barriers_are_derived_once_per_compare():
+    # blocked_positions is memoized: auto_lmax, compare and cells share one computation per point
+    params = params_from_sigma_tilde(5, 2, -3)
+    for calls in ((lambda: auto_lmax(params), lambda: compare(params)), (lambda: compare(params, 6),)):
+        blocked_positions.cache_clear()
+        for call in calls:
+            call()
+        assert blocked_positions.cache_info().misses == 1
 
 
 def test_build_reads_the_barriers_once(monkeypatch):
@@ -1060,6 +1120,96 @@ def test_compare_generated_failure(monkeypatch):
         ("socle", "PASS"),
         ("generated", f"FAIL: {detail}"),
     )
+
+
+def _structure_mismatches_by_labels(params, lattice, labels, label_for_class):
+    """The reference for ``oracle._structure_mismatches``: its earlier form, on label sets."""
+    oracle_edges = {(label_for_class[a], label_for_class[b]) for a, b in lattice.hasse}
+    diff = sorted(f"{u}->{v}" for u, v in oracle_edges.symmetric_difference(oracle.module_diagram(params).edges))
+    yield f"edge mismatch: {diff[:4]}" if diff else None
+
+    oracle_layers = {}
+    for c, layer in enumerate(lattice.layers):
+        oracle_layers.setdefault(layer, set()).add(label_for_class[c])
+    formula_layers = {idx: set(layer) for idx, layer in enumerate(oracle.socle_series(params).layers, start=1)}
+    yield None if oracle_layers == formula_layers else (
+        "socle mismatch: oracle "
+        + str({k: sorted(map(str, v)) for k, v in sorted(oracle_layers.items())})
+        + " vs formula "
+        + str({k: sorted(map(str, v)) for k, v in sorted(formula_layers.items())})
+    )
+
+    class_for_label = {lab: c for c, lab in enumerate(label_for_class)}
+    for lab in labels:
+        closure_labels = {label_for_class[c] for c in lattice.closures[class_for_label[lab]]}
+        formula_members = set(oracle.generated_submodule(params, lab).members)
+        if closure_labels != formula_members:
+            yield (
+                f"generated submodule of {lab}: oracle {sorted(map(str, closure_labels))}"
+                f" vs formula {sorted(map(str, formula_members))}"
+            )
+            return
+    yield None
+
+
+def _diagram_faults(diagram):
+    """The diagram with one edge dropped, one added and one reversed (those that apply)."""
+    nodes, edges = diagram
+    absent = next(((u, v) for u in nodes for v in nodes if u != v and (u, v) not in edges), None)
+    if edges:
+        yield ModuleDiagram(nodes, edges[1:])
+        yield ModuleDiagram(nodes, (edges[-1][::-1], *edges[:-1]))
+    if absent:
+        yield ModuleDiagram(nodes, (*edges, absent))
+
+
+def _socle_faults(layers):
+    """The socle layers with a label moved to another layer, left out, or listed twice in one or two layers,
+    and with an empty layer on top."""
+    first, *rest = layers
+    yield (first[1:], (*rest[0], first[0]), *rest[1:]) if rest else (first[1:], first[:1])
+    yield (*layers[:-1], layers[-1][1:])
+    yield (*layers[:-1], (*layers[-1], layers[-1][0]))
+    yield (*layers, layers[0][:1])
+    yield (*layers, ())
+
+
+def _generated_faults(members, labels):
+    """The members with one dropped, and with one more label (where a label is left to add)."""
+    yield members[:-1]
+    extra = next((lab for lab in labels if lab not in members), None)
+    if extra:
+        yield (*members, extra)
+
+
+def test_structure_checks_match_the_label_reference_under_injected_faults(monkeypatch):
+    # the default sweep's 208 points and oracle_large's four, all reducible (sigma_tilde is an integer)
+    points = [params_from_sigma_tilde(n, a, s) for n in range(2, 6) for a in range(4) for s in range(-6, 7)]
+    faults = 0
+    for params in points + [params_from_sigma_tilde(7, a, -6) for a in range(4)]:
+        diagram, socle = dpseries.module_diagram(params), dpseries.socle_series(params).layers
+        labels = dpseries.enumerate_constituents(params).labels
+        patches = [("module_diagram", lambda p, d=d: d) for d in _diagram_faults(diagram)]
+        patches += [("socle_series", lambda p, s=s: SocleSeries(s)) for s in _socle_faults(socle)]
+        for lab in labels:
+            for fake in _generated_faults(dpseries.generated_submodule(params, lab).members, labels):
+                faked = lambda p, g, lab=lab, fake=fake: (
+                    Submodule(g, fake) if g == lab else dpseries.generated_submodule(p, g)
+                )
+                patches.append(("generated_submodule", faked))
+        for name, fake in patches:
+            with monkeypatch.context() as m:
+                m.setattr(oracle, name, fake)
+                verdict = compare(params)
+                graph = oracle.cells(params, verdict.lmax)
+                mismatches = list(
+                    _structure_mismatches_by_labels(params, graph, labels, oracle._partition(params, graph, labels))
+                )
+            statuses = [f"FAIL: {m}" if m else "PASS" for m in mismatches]
+            assert verdict.checks == (("partition", "PASS"), *zip(oracle.CHECKS[1:], statuses)), (params, name)
+            assert verdict.witness == next(filter(None, mismatches), None), (params, name)
+            faults += verdict.witness is not None
+    assert faults == 3807  # the rest, such as a label listed twice in its own layer, pass in both
 
 
 def test_compare_irreducible_point_with_several_classes_fails(monkeypatch):

@@ -17,6 +17,7 @@ from dpseries import (
     irreducible_submodules,
     is_empty,
     module_diagram,
+    parse_label,
     region_for,
     socle_series,
 )
@@ -230,3 +231,18 @@ def test_hermitian_duality_reverses_the_diagram_and_keeps_unitarity():
         pairs += 1
         verdicts += len(match)
     assert (pairs, verdicts) == (750, 16091)
+
+
+def test_window_and_diagram_labels_are_valid_labels():
+    # the theorem window and module_diagram build their labels without the checking constructor
+    for n in range(2, 17):
+        for alpha in range(4):
+            for st_val in range(-8, n + 11):
+                params = params_from_sigma_tilde(n, alpha, st_val)
+                edges = module_diagram(params).edges
+                for x in (*enumerate_constituents(params).labels, *(x for edge in edges for x in edge)):
+                    assert type(x) is ConstituentLabel, (params, x)
+                    assert parse_label(str(x)) == x == ConstituentLabel(*x), (params, x)
+    for bad in (("X", 0, 0), ("R", -1, 0), ("L", 0, -1)):
+        with pytest.raises(ValueError):
+            ConstituentLabel(*bad)
