@@ -284,19 +284,28 @@ def _chains(params: InducedRepParams, pt: _Integers, label: ConstituentLabel) ->
 
 
 def _build_region(params: InducedRepParams, pt: _Integers, label: ConstituentLabel) -> Region:
+    """The region cut out by the label's two chains (a, value, b), each 2*lam_a >= value >= 2*lam_b.
+
+    A bound on a coordinate <= 0 or > n holds at +-inf and is dropped; where
+    both chains bound one coordinate from one side, the tighter bound stays.
+    """
     n = params.n
-    lower: list[int | None] = [None] * n
-    upper: list[int | None] = [None] * n
-    for lo_coord, value, hi_coord in _chains(params, pt, label):
+    chains = _chains(params, pt, label)
+    for _, value, _ in chains:
         if value % 2 != 0:
             raise RuntimeError(f"region chain of {label} at {params} sits on odd position {value}")
-        if lo_coord >= 1:  # +inf >= value holds for lo_coord <= 0
-            cur = lower[lo_coord - 1]
-            lower[lo_coord - 1] = value if cur is None else max(cur, value)
-        if hi_coord <= n:  # -inf <= value holds for hi_coord > n
-            cur = upper[hi_coord - 1]
-            upper[hi_coord - 1] = value if cur is None else min(cur, value)
-    return Region(n=n, lower=tuple(lower), upper=tuple(upper))
+    (a1, v1, b1), (a2, v2, b2) = chains
+    lower: list[int | None] = [None] * n
+    upper: list[int | None] = [None] * n
+    if a1 >= 1:  # +inf >= value holds for a <= 0
+        lower[a1 - 1] = v1
+    if a2 >= 1:
+        lower[a2 - 1] = v2 if a2 != a1 else max(v1, v2)
+    if b1 <= n:  # -inf <= value holds for b > n
+        upper[b1 - 1] = v1
+    if b2 <= n:
+        upper[b2 - 1] = v2 if b2 != b1 else min(v1, v2)
+    return tuple.__new__(Region, (n, tuple(lower), tuple(upper)))  # past the keyword __new__, as _theorem_range
 
 
 def region_for(params: InducedRepParams, label: ConstituentLabel) -> Region:

@@ -31,9 +31,9 @@ split by the truncation.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from itertools import accumulate, combinations
+from itertools import combinations
 from math import comb
-from operator import gt, le
+from operator import le
 from typing import NamedTuple
 
 from .parameters import CaseTag, InducedRepParams, classify
@@ -175,6 +175,9 @@ def cells(params: InducedRepParams, lmax: int) -> ClassGraph:
     greatest point, whose x_j are the greatest of lo_j..lo_n and the least
     hi so far, and the classes are numbered by least point in lexicographic
     order, as ``window.build`` numbers them by first point in window order.
+    The least point lies in its cell, so its x_j picks the cell's interval
+    of coordinate j, and a depth-first pass that tries each coordinate's
+    intervals in increasing order meets the cells in that order.
 
     A move x -> x + e_j in the window is one-way iff x_j is one cut value c
     of coordinate j but not both.  It leaves the cell of x, whose interval
@@ -196,32 +199,60 @@ def cells(params: InducedRepParams, lmax: int) -> ClassGraph:
     up_at, down_at, warnings = _cut_values(params, lmax)
     spans = []  # per coordinate, its intervals (lo, hi) in increasing order
     for u, d in zip(up_at, down_at):
-        tops = sorted({c for c in (u, d) if c is not None and -lmax <= c < lmax})
-        spans.append(tuple(zip((-lmax, *(c + 1 for c in tops)), (*tops, lmax))))
+        lo, intervals = -lmax, []
+        for c in sorted({u, d} - {None}):
+            if -lmax <= c < lmax:
+                intervals.append((lo, c))
+                lo = c + 1
+        intervals.append((lo, lmax))
+        spans.append(intervals)
 
-    prefixes = [((), (lmax,), ())]  # (interval indices, lmax and each least hi so far, los) of each nonempty prefix
-    for intervals in spans:
-        prefixes = [
-            ((*picked, i), (*ceilings, min(ceilings[-1], hi)), (*lows, lo))
-            for picked, ceilings, lows in prefixes
-            for i, (lo, hi) in enumerate(intervals)
-            if lo <= ceilings[-1]
-        ]
-    boxed = sorted(
-        ((tuple(accumulate(reversed(lows), max))[::-1], ceilings[1:]), picked) for picked, ceilings, lows in prefixes
-    )
-    class_of = {picked: c for c, (_, picked) in enumerate(boxed)}
+    # The depth-first pass: picked[k], lows[k] and ceilings[k + 1] are the
+    # interval, its lo and the least hi so far at depth k, and i is the
+    # interval to try next there; an interval past the least hi ends the
+    # depth, as the los increase.  At a finished cell ceilings[j] is lmax at
+    # j = 0 and greatest_{j-1} after, so the one-way test at the top c of the
+    # picked interval of coordinate j reads c < ceilings[j]: that gives
+    # c < lmax, and c <= greatest_j = min(greatest_{j-1}, c).
+    n = len(spans)
+    one_way = [j for j in range(n) if up_at[j] != down_at[j] and len(spans[j]) > 1]  # not cut both ways
+    picked, lows, ceilings = [0] * n, [0] * n, [lmax] * (n + 1)
+    class_boxes, class_of, crossings = [], {}, []  # crossings: (class, neighbour's picked, down) per edge
+    k = i = 0
+    while k >= 0:
+        intervals = spans[k]
+        if i < len(intervals):
+            lo, hi = intervals[i]
+            ceiling = ceilings[k]
+            if lo <= ceiling:
+                picked[k], lows[k], ceilings[k + 1] = i, lo, hi if hi < ceiling else ceiling
+                if k + 1 < n:
+                    k, i = k + 1, 0
+                    continue
+                least, run = [0] * n, -lmax
+                for j in range(n - 1, -1, -1):
+                    if lows[j] > run:
+                        run = lows[j]
+                    least[j] = run
+                here, cell = len(class_boxes), tuple(picked)
+                class_boxes.append((tuple(least), tuple(ceilings[1:])))
+                class_of[cell] = here
+                for j in one_way:
+                    c = spans[j][cell[j]][1]
+                    if c < ceilings[j]:
+                        crossings.append((here, cell[:j] + (cell[j] + 1,) + cell[j + 1 :], c == down_at[j]))
+                i += 1
+                continue
+        k -= 1
+        i = picked[k] + 1
 
-    class_edges = []
-    for (_, greatest), picked in boxed:
-        for j, i in enumerate(picked):
-            c = spans[j][i][1]  # one way across c: not the window's edge, not cut both ways, a point to move
-            if c < lmax and up_at[j] != down_at[j] and c <= greatest[j] and (j == 0 or c < greatest[j - 1]):
-                here, there = class_of[picked], class_of[(*picked[:j], i + 1, *picked[j + 1 :])]
-                class_edges.append((here, there) if c == down_at[j] else (there, here))
+    class_edges = []  # from x's cell at c = down_at[j], and back at c = up_at[j]
+    for here, neighbour, down in crossings:
+        there = class_of[neighbour]
+        class_edges.append((here, there) if down else (there, here))
     class_edges = tuple(sorted(class_edges))
 
-    class_boxes = tuple(box for box, _ in boxed)
+    class_boxes = tuple(class_boxes)
     for c, (least, greatest) in enumerate(class_boxes):
         if least[0] >= lmax or greatest[-1] <= -lmax:
             warnings.append(f"class {c} owns no interior point; enlarge the window")
@@ -288,14 +319,28 @@ def _partition(
     none lies in a class whose box is no region's, so only those classes'
     boxes are searched (``_first_gap``).
     """
-    lmax = lattice.lmax
+    lmax, n = lattice.lmax, params.n
     boxes = []
     for lab in labels:
-        region = region_for(params, lab)  # bounds on 2*lam: 2*lam >= b iff lam >= ceil(b/2)
-        lo = [-lmax if b is None or b <= -2 * lmax else -(-b // 2) for b in region.lower]
-        hi = [lmax if b is None or b >= 2 * lmax else b // 2 for b in region.upper]
-        least, greatest = tuple(accumulate(reversed(lo), max))[::-1], tuple(accumulate(hi, min))
-        boxes.append(None if any(map(gt, least, greatest)) else (least, greatest))
+        # bounds on 2*lam: 2*lam >= b iff lam >= ceil(b/2); each run starts at
+        # the window's edge, which clips the bounds past it
+        region = region_for(params, lab)
+        greatest, run = [lmax] * n, lmax
+        for c, b in enumerate(region.upper):
+            if b is not None and b // 2 < run:
+                run = b // 2
+            greatest[c] = run
+        least, run, lower = [-lmax] * n, -lmax, region.lower
+        for c in range(n - 1, -1, -1):
+            b = lower[c]
+            if b is not None and -(-b // 2) > run:
+                run = -(-b // 2)
+            if run > greatest[c]:  # the extremes cross: the region is empty
+                boxes.append(None)
+                break
+            least[c] = run
+        else:
+            boxes.append((tuple(least), tuple(greatest)))
     by_box = {box: lab for box, lab in zip(boxes, labels) if box}
     label_for_class = [by_box.get(box) for box in lattice.class_boxes]
     if None not in label_for_class and len(set(label_for_class)) == len(labels) == lattice.n_classes:

@@ -18,7 +18,7 @@ for family L); the verdict records exactly which clause applied.
 
 from __future__ import annotations
 
-import itertools
+import math
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -75,10 +75,36 @@ def nonunitarity_witness(params: InducedRepParams) -> tuple[KType, int] | None:
     Both read |xi| <= |sigma| for real sigma: xi = sigma degenerates the form,
     and otherwise the ratio is >= 0 iff sigma**2 >= xi**2.  Witnesses exist
     whenever ``complementary_series`` is False and |sigma| >= the minimal |xi|.
+
+    The witness is the first probe of the scan of the weakly decreasing
+    tuples in [-6, 6]**n in decreasing lexicographic order
+    (``combinations_with_replacement(range(6, -7, -1), n)``), j running from
+    1 to n at each tuple; it is found in O(n) without the scan.  Proof.
+    xi(lam, j) = rho + alpha/2 + 2*lam_j - j + 1 reads lam only through lam_j
+    and increases with it, so the probe passes at (lam, j) iff lam_j lies in
+    an interval of [-6, 6]; let g_j be its greatest value, where it is
+    nonempty.  The greatest tuple passing at j is c_j = (6,)*(j-1) +
+    (g_j,)*(n-j+1): no coordinate before j exceeds 6, lam_j <= g_j, and none
+    after j exceeds lam_j, and c_j reaches each bound.  So the first probe is
+    at the greatest c_j.  If some g_j is 6, that is (6,)*n, and it passes
+    first at the least such j.  Otherwise c_j < c_k for j < k, as they first
+    differ at j, where c_j holds g_j < 6; so the greatest is c_j at the last
+    j with an interval, and its coordinates before j, which hold 6, pass
+    nowhere, so its witness is j.
     """
     n, bound = params.n, abs(params.sigma)
-    window = itertools.combinations_with_replacement(range(6, -7, -1), n)
-    return next(((lam, j) for lam in window for j in range(1, n + 1) if abs(xi(params, lam, j)) <= bound), None)
+    last = None  # (j, g_j) at the last j with an interval so far
+    for j in range(1, n + 1):
+        shift = params.rho + Fraction(params.alpha, 2) - j + 1  # xi = shift + 2*lam_j
+        g = min(6, math.floor((bound - shift) / 2))  # the greatest lam_j with xi <= |sigma|
+        if g >= -6 and shift + 2 * g >= -bound:
+            if g == 6:
+                return (6,) * n, j
+            last = j, g
+    if last is None:
+        return None
+    j, g = last
+    return (6,) * (j - 1) + (g,) * (n - j + 1), j
 
 
 class UnitarityVerdict(NamedTuple):

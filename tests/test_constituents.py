@@ -319,6 +319,38 @@ def test_every_chain_bounds_a_coordinate_of_the_rank():
                 assert lo_coord <= n and hi_coord >= 1, (params, lab, lo_coord, hi_coord)
 
 
+
+def _region_by_chain_loop(params, pt, label):
+    """``constituents._build_region`` as a loop over the chains' triples, built through ``Region``: a reference."""
+    n = params.n
+    lower: list[int | None] = [None] * n
+    upper: list[int | None] = [None] * n
+    for lo_coord, value, hi_coord in _chains(params, pt, label):
+        if value % 2 != 0:
+            raise RuntimeError(f"region chain of {label} at {params} sits on odd position {value}")
+        if lo_coord >= 1:  # +inf >= value holds for lo_coord <= 0
+            cur = lower[lo_coord - 1]
+            lower[lo_coord - 1] = value if cur is None else max(cur, value)
+        if hi_coord <= n:  # -inf <= value holds for hi_coord > n
+            cur = upper[hi_coord - 1]
+            upper[hi_coord - 1] = value if cur is None else min(cur, value)
+    return Region(n=n, lower=tuple(lower), upper=tuple(upper))
+
+
+def test_region_equals_the_chain_loop_on_the_grid():
+    # every label of the full index grid, the window's and the empty ones
+    shared = 0
+    for n, alpha, st_val in GRID:
+        params = params_from_sigma_tilde(n, alpha, st_val)
+        pt = _point(params)
+        for lab in _index_grid(params):
+            region, reference = region_for(params, lab), _region_by_chain_loop(params, pt, lab)
+            assert type(region) is Region and region == reference, (params, lab)
+            assert (region.to_json(), region.describe()) == (reference.to_json(), reference.describe())
+            (a1, _, b1), (a2, _, b2) = _chains(params, pt, lab)
+            shared += 1 <= a1 == a2 or b1 == b2 <= n
+    assert shared > 0  # some labels bound one coordinate by both chains
+
 def test_window_size_counts_the_window_in_closed_form():
     for n, alpha, st_val in GRID:
         params = params_from_sigma_tilde(n, alpha, st_val)

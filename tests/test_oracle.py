@@ -6,6 +6,8 @@ import subprocess
 import sys
 import tracemalloc
 from fractions import Fraction
+from itertools import accumulate, combinations
+from operator import gt
 from pathlib import Path
 
 import numpy as np
@@ -224,6 +226,92 @@ def test_partition_matches_the_reference_on_random_regions(monkeypatch):
             kinds.add(result.split(" lies in ")[-1] if " lies in " in result else result.split(" ")[-1])
     # a point in none, two or three regions; the class count; two classes in one region
     assert {"pass", "0 regions", "2 regions", "3 regions", "constituents", "region"} <= kinds
+
+
+def _partition_by_accumulate(params, lattice, labels):
+    """``oracle._partition`` with its boxes from clipped bound lists by ``accumulate``: a reference."""
+    lmax = lattice.lmax
+    boxes = []
+    for lab in labels:
+        region = oracle.region_for(params, lab)  # bounds on 2*lam: 2*lam >= b iff lam >= ceil(b/2)
+        lo = [-lmax if b is None or b <= -2 * lmax else -(-b // 2) for b in region.lower]
+        hi = [lmax if b is None or b >= 2 * lmax else b // 2 for b in region.upper]
+        least, greatest = tuple(accumulate(reversed(lo), max))[::-1], tuple(accumulate(hi, min))
+        boxes.append(None if any(map(gt, least, greatest)) else (least, greatest))
+    by_box = {box: lab for box, lab in zip(boxes, labels) if box}
+    label_for_class = [by_box.get(box) for box in lattice.class_boxes]
+    if None not in label_for_class and len(set(label_for_class)) == len(labels) == lattice.n_classes:
+        return label_for_class
+
+    live = [box for box in boxes if box]
+    crowded = min((m[0] for a, b in combinations(live, 2) if (m := oracle._meet(a, b))), default=None)
+    unmatched = (box for box, lab in zip(lattice.class_boxes, label_for_class) if lab is None)
+    gap = min(filter(None, (oracle._first_gap(box, live) for box in unmatched)), default=None)
+    if witness := min(filter(None, (crowded, gap)), default=None):
+        count = sum(oracle._meet((witness, witness), box) is not None for box in live)
+        return f"lambda=({','.join(map(str, witness))}) lies in {count} regions"
+    if lattice.n_classes != len(labels):
+        return f"{lattice.n_classes} lattice classes vs {len(labels)} closed-form constituents"
+    for box in lattice.class_boxes:
+        met = [lab for lab, region in zip(labels, boxes) if region and oracle._meet(box, region)]
+        if len(met) != 1:
+            return f"class of lambda=({','.join(map(str, box[0]))}) spans regions " + ", ".join(map(str, met))
+    return "two lattice classes map to one region"
+
+
+def _region_faults(region, lmax):
+    """(kind, region) for each one-bound fault of ``region`` in a window of radius lmax.
+
+    A bound dropped, moved past the window's edge on its own side or the
+    other, moved two units (half a step) outward, which can overlap another
+    region, or inward, which can leave a gap; and the region crossed, a lower
+    bound above an upper one at the same or an earlier coordinate.
+    """
+    n, far = region.n, 2 * lmax + 2
+    for side, sign in (("lower", -1), ("upper", 1)):
+        for c in range(n):
+            b = getattr(region, side)[c]
+            moves = {"none": None, "past": sign * far, "beyond": -sign * far}
+            if b is not None:
+                moves.update(overlap=b + 2 * sign, gap=b - 2 * sign)
+            for kind, value in moves.items():
+                bounds = {"lower": list(region.lower), "upper": list(region.upper)}
+                bounds[side][c] = value
+                yield kind, Region(n, tuple(bounds["lower"]), tuple(bounds["upper"]))
+    for c in range(n):
+        top = 0 if region.upper[c] is None else region.upper[c]
+        yield "crossed", Region(n, (*region.lower[:c], top + 2, *region.lower[c + 1 :]), region.upper)
+    yield "crossed", Region(n, (*region.lower[:-1], 2), (0, *region.upper[1:]))
+
+
+def test_partition_matches_the_accumulate_reference_under_region_faults(monkeypatch):
+    # one label's region faulty at a time, at the auto window and, for n 2..3,
+    # one below its margin; the result, a label per class or the witness
+    # string, must be the reference's at every fault
+    fake = {}
+    monkeypatch.setattr(oracle, "region_for", lambda params, lab: fake.get(lab) or dpseries.region_for(params, lab))
+    outcomes = {}
+    for n in range(2, 5):
+        for alpha in range(4):
+            for st_val in range(-2, n + 3):
+                params = params_from_sigma_tilde(n, alpha, st_val)
+                labels = dpseries.enumerate_constituents(params).labels
+                for lmax in {auto_lmax(params), *((2,) if n < 4 else ())}:
+                    graph = oracle.cells(params, lmax)
+                    for lab in labels:
+                        for kind, region in _region_faults(dpseries.region_for(params, lab), lmax):
+                            fake.clear()
+                            fake[lab] = region
+                            result = oracle._partition(params, graph, labels)
+                            assert result == _partition_by_accumulate(params, graph, labels), (params, lmax, region)
+                            if isinstance(result, list):
+                                seen = "pass"
+                            else:
+                                seen = result.split(" lies in ")[1] if " lies in " in result else result.split()[-1]
+                            outcomes.setdefault(kind, set()).add(seen)
+    assert outcomes.keys() == {"none", "past", "beyond", "overlap", "gap", "crossed"}
+    assert all(seen - {"pass"} for seen in outcomes.values())  # every kind of fault is caught somewhere
+    assert set.union(*outcomes.values()) == {"pass", "0 regions", "2 regions", "constituents"}
 
 
 def test_interior_warning_names_the_classes_with_no_interior_point():
@@ -577,15 +665,22 @@ def _cells_against_the_reference(params, lmax):
     return graph
 
 
-def test_cells_equal_the_reference_past_the_windows_reach():
-    # n 7..16, with auto windows of up to C(2*auto_lmax+16, 16) points, at
-    # the auto window and below its margin, where the interior warnings appear
+def _pairs_past_the_windows_reach():
+    """(params, lmax) over n 7..16, at the auto window and below its margin, where the interior warnings appear.
+
+    The auto windows hold up to C(2*auto_lmax+16, 16) points.
+    """
     pairs = set()
     for n in range(7, 17):
         for alpha in range(4):
             for sigma_tilde in [*map(Fraction, range(-8, n + 11)), Fraction(1, 2), Fraction(-7, 2)]:
                 params = params_from_sigma_tilde(n, alpha, sigma_tilde)
                 pairs.update((params, lmax) for lmax in (auto_lmax(params), 1, 2, 3))
+    return pairs
+
+
+def test_cells_equal_the_reference_past_the_windows_reach():
+    pairs = _pairs_past_the_windows_reach()
     assert len(pairs) == 5120
     warned = 0
     for params, lmax in pairs:
@@ -604,6 +699,82 @@ def test_cells_equal_the_reference_past_the_windows_reach():
 def test_cells_equal_the_reference_on_random_points(n, alpha, sigma_tilde, pick):
     params = params_from_sigma_tilde(n, alpha, sigma_tilde)
     _cells_against_the_reference(params, 1 + pick % (auto_lmax(params) + 2))  # lmax 1 .. auto + 2
+
+
+def _cells_by_prefixes(params, lmax):
+    """``oracle.cells`` with its prefix pass, which copies each prefix's picks, least his and los: a reference."""
+    if lmax < 1:
+        raise ValueError(f"lmax must be >= 1, got {lmax}")
+    up_at, down_at, warnings = oracle._cut_values(params, lmax)
+    spans = []  # per coordinate, its intervals (lo, hi) in increasing order
+    for u, d in zip(up_at, down_at):
+        tops = sorted({c for c in (u, d) if c is not None and -lmax <= c < lmax})
+        spans.append(tuple(zip((-lmax, *(c + 1 for c in tops)), (*tops, lmax))))
+
+    prefixes = [((), (lmax,), ())]  # (interval indices, lmax and each least hi so far, los) of each nonempty prefix
+    for intervals in spans:
+        prefixes = [
+            ((*picked, i), (*ceilings, min(ceilings[-1], hi)), (*lows, lo))
+            for picked, ceilings, lows in prefixes
+            for i, (lo, hi) in enumerate(intervals)
+            if lo <= ceilings[-1]
+        ]
+    boxed = sorted(
+        ((tuple(accumulate(reversed(lows), max))[::-1], ceilings[1:]), picked) for picked, ceilings, lows in prefixes
+    )
+    class_of = {picked: c for c, (_, picked) in enumerate(boxed)}
+
+    class_edges = []
+    for (_, greatest), picked in boxed:
+        for j, i in enumerate(picked):
+            c = spans[j][i][1]  # one way across c: not the window's edge, not cut both ways, a point to move
+            if c < lmax and up_at[j] != down_at[j] and c <= greatest[j] and (j == 0 or c < greatest[j - 1]):
+                here, there = class_of[picked], class_of[(*picked[:j], i + 1, *picked[j + 1 :])]
+                class_edges.append((here, there) if c == down_at[j] else (there, here))
+    class_edges = tuple(sorted(class_edges))
+
+    class_boxes = tuple(box for box, _ in boxed)
+    for c, (least, greatest) in enumerate(class_boxes):
+        if least[0] >= lmax or greatest[-1] <= -lmax:
+            warnings.append(f"class {c} owns no interior point; enlarge the window")
+    n_classes = len(class_boxes)
+    hasse, layers, closures = oracle._class_order(n_classes, class_edges)
+    return oracle.ClassGraph(lmax, n_classes, class_boxes, class_edges, hasse, layers, closures, tuple(warnings))
+
+
+def _cells_against_the_prefix_pass(params, lmax):
+    graph, reference = oracle.cells(params, lmax), _cells_by_prefixes(params, lmax)
+    for field in CLASS_GRAPH:
+        assert getattr(graph, field) == getattr(reference, field), (params, lmax, field)
+    assert graph.lmax == lmax
+
+
+def test_cells_equal_the_prefix_pass_past_the_windows_reach():
+    pairs = _pairs_past_the_windows_reach()
+    assert len(pairs) == 5120
+    for params, lmax in pairs:
+        _cells_against_the_prefix_pass(params, lmax)
+
+
+@settings(deadline=None)
+@given(
+    st.integers(2, 24),
+    st.integers(0, 3),
+    st.integers(-16, 38).map(lambda twice: Fraction(twice, 2)),
+    st.integers(1, 1 << 10),
+)
+def test_cells_equal_the_prefix_pass_on_random_points(n, alpha, sigma_tilde, pick):
+    params = params_from_sigma_tilde(n, alpha, sigma_tilde)
+    _cells_against_the_prefix_pass(params, 1 + pick % (auto_lmax(params) + 2))  # lmax 1 .. auto + 2
+
+
+def test_cells_at_rank_1500_need_no_recursion():
+    # past the interpreter's default recursion limit of 1,000 frames, so a
+    # pass recursing once per coordinate could not answer here
+    params = InducedRepParams(1500, 0, Fraction(1, 3))
+    graph = oracle.cells(params, auto_lmax(params))
+    assert (graph.lmax, graph.n_classes, graph.class_edges, graph.layers) == (3, 1, (), (1,))
+    assert graph.class_boxes == (((-3,) * 1500, (3,) * 1500),)
 
 
 def test_compare_never_builds_the_window(monkeypatch, capsys):

@@ -1,4 +1,5 @@
 import itertools
+import time
 from fractions import Fraction
 
 import pytest
@@ -104,6 +105,14 @@ def test_witness_is_the_first_probe_with_xi_within_sigma():
                         edges.add(xi(params, *witness) == params.sigma)
     assert edges == {True, False}
 
+
+
+def test_witness_at_rank_40_needs_no_scan():
+    # a complementary-series point, where the scan of the radius-6 ball would
+    # list all C(52, 40) tuples before returning None
+    start = time.perf_counter()
+    assert nonunitarity_witness(InducedRepParams(40, 0, "1/4")) is None
+    assert time.perf_counter() - start < 1
 
 def test_nonunitarity_witness():
     p = InducedRepParams(2, 0, Fraction(3, 4))
