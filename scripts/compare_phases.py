@@ -9,10 +9,14 @@ and times each: ``auto_lmax``, ``cells`` without its ``_class_order``,
 ``_class_order``, ``classify``, the theorem window
 (``enumerate_constituents``), ``_partition`` and the diagram, socle and
 generated checks (``_structure_mismatches``); then it times ``auto_lmax`` and
-``compare`` end to end.  The point memos are cleared before each sweep, so
-every sweep derives each point once, as a fresh ``verify`` does.  A worker
-reports per phase the median of its sweeps; the processes alternate between
-the checkouts, and the table gives the median over each checkout's processes.
+``compare`` end to end.  The point memos are cleared and ``gc.collect()``
+runs before each sweep, so every sweep derives each point once, as a fresh
+``verify`` does, and starts from the same heap.  The phases are timed with
+the garbage collector off, so no phase pays for a collection that another's
+allocations made due; the end-to-end sweep runs with it on, as ``compare``
+does.  A worker reports per phase the median of its sweeps; the processes
+alternate between the checkouts, and the table gives the median over each
+checkout's processes.
 
 The point sets (``--grids``, by default the first four): the default
 ``verify`` sweep (n 2..5, alpha 0..3, sigma_tilde -6..6), the benchmark's
@@ -23,6 +27,7 @@ n16, n24, n7 and n32 (alpha 0..3, integer sigma_tilde -8..n+10, auto window).
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import statistics
 import subprocess
@@ -69,6 +74,8 @@ def _worker(src: str, grids: list[str], sweeps: int) -> dict:
         samples = {phase: [] for phase in PHASES}
         for _ in range(sweeps):
             clear()
+            gc.collect()
+            gc.disable()
             spent = dict.fromkeys(PHASES, 0)
             for p in points:
                 t0 = clock()
@@ -95,7 +102,9 @@ def _worker(src: str, grids: list[str], sweeps: int) -> dict:
                 spent["theorem_window"] += t4 - t3
                 spent["partition"] += t5 - t4
                 spent["structure"] += t6 - t5
+            gc.enable()
             clear()
+            gc.collect()
             t0 = clock()
             for p in points:
                 oracle.compare(p)  # with its auto_lmax
@@ -104,6 +113,39 @@ def _worker(src: str, grids: list[str], sweeps: int) -> dict:
                 samples[phase].append(spent[phase] / len(points) / 1e3)
         result[name] = {phase: statistics.median(values) for phase, values in samples.items()}
     return result
+
+
+def measure(script: str, checkouts: list[Path], processes: int, worker_args: list[str]) -> dict[str, list[dict]]:
+    """Each checkout's worker reports, from ``processes`` fresh workers per checkout that alternate between them.
+
+    A worker is ``script --worker SRC *worker_args``; with no checkouts given,
+    the one holding ``script`` is measured.
+    """
+    names = [str(c.resolve()) for c in checkouts] or [str(Path(script).resolve().parent.parent)]
+    runs = {c: [] for c in names}
+    for r in range(processes):
+        for c in names if r % 2 == 0 else names[::-1]:
+            command = [sys.executable, "-B", script, "--worker", str(Path(c) / "src"), *worker_args]
+            runs[c].append(json.loads(subprocess.run(command, check=True, capture_output=True, text=True).stdout))
+    return runs
+
+
+def print_medians(runs: dict[str, list[dict]], sizes: dict[str, int], phases: tuple[str, ...], unit: str,
+                  sweeps: int) -> dict:
+    """Print and return, per point set and phase, each checkout's median over its workers."""
+    table = {
+        name: {phase: {c: statistics.median(run[name][phase] for run in reports) for c, reports in runs.items()}
+               for phase in phases}
+        for name in sizes
+    }
+    print(f"µs per {unit}, median of {len(next(iter(runs.values())))} processes of {sweeps} sweeps each")
+    for i, c in enumerate(runs):
+        print(f"  [{i}] {c}")
+    for name, by_phase in table.items():
+        print(f"\n{name} ({sizes[name]} {unit}s)" + "".join(f"{f'[{i}]':>11}" for i in range(len(runs))))
+        for phase, by_checkout in by_phase.items():
+            print(f"  {phase:<26}" + "".join(f"{value:>11.1f}" for value in by_checkout.values()))
+    return table
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -121,27 +163,10 @@ def main(argv: list[str] | None = None) -> int:
     if args.processes < 1 or args.sweeps < 1:
         parser.error("--processes and --sweeps must be at least 1")
 
-    checkouts = [str(c.resolve()) for c in args.checkouts] or [str(Path(__file__).resolve().parent.parent)]
-    runs = {c: [] for c in checkouts}
-    for r in range(args.processes):
-        for c in checkouts if r % 2 == 0 else checkouts[::-1]:
-            command = [sys.executable, "-B", __file__, "--worker", str(Path(c) / "src"), "--sweeps", str(args.sweeps)]
-            command += ["--grids", *args.grids]
-            runs[c].append(json.loads(subprocess.run(command, check=True, capture_output=True, text=True).stdout))
-
-    table = {
-        grid: {phase: {c: statistics.median(run[grid][phase] for run in runs[c]) for c in checkouts} for phase in PHASES}
-        for grid in args.grids
-    }
-    print(f"µs per point, median of {args.processes} processes of {args.sweeps} sweeps each")
-    for i, c in enumerate(checkouts):
-        print(f"  [{i}] {c}")
-    for grid, phases in table.items():
-        print(f"\n{grid} ({len(GRIDS[grid])} points)" + "".join(f"{f'[{i}]':>11}" for i in range(len(checkouts))))
-        for phase, by_checkout in phases.items():
-            print(f"  {phase:<16}" + "".join(f"{by_checkout[c]:>11.1f}" for c in checkouts))
+    runs = measure(__file__, args.checkouts, args.processes, ["--sweeps", str(args.sweeps), "--grids", *args.grids])
+    table = print_medians(runs, {grid: len(GRIDS[grid]) for grid in args.grids}, PHASES, "point", args.sweeps)
     if args.json:
-        args.json.write_text(json.dumps({"checkouts": checkouts, "phases_us_per_point": table}, indent=1) + "\n")
+        args.json.write_text(json.dumps({"checkouts": list(runs), "phases_us_per_point": table}, indent=1) + "\n")
     return 0
 
 

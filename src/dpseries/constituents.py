@@ -22,16 +22,15 @@ dominance (``Region``) gives its extreme members, and it is empty iff they
 cross.
 
 A point's case, the integers its theorems are stated in (the sign of
-sigma, ``floor(|sigma|)`` and the grid bound k) and its window are computed
-once and kept in bounded memos, which every function here and the views in
-``structure``, ``unitarity`` and ``howe`` read; a region reads only the
-integers, and is built only when asked for.
+sigma, ``floor(|sigma|)``, the grid bound k and sigma_tilde) and its window
+are computed once and kept in bounded memos, which every function here and
+the views in ``structure``, ``unitarity`` and ``howe`` read; a region reads
+only the integers, and is built only when asked for.
 """
 
 from __future__ import annotations
 
 import functools
-from bisect import bisect_left
 from typing import NamedTuple
 
 from .parameters import CaseTag, InducedRepParams, _Frozen, _grid_bound, classify
@@ -195,19 +194,21 @@ class _Integers(NamedTuple):
     sign: int  # of sigma: -1, 0 or 1
     m: int  # floor(|sigma|): |sigma| in Cases 1, |sigma| - 1/2 in Cases 2
     k: int  # the grid bound: n0/2 at odd sigma_tilde, (n1+1)/2 at even
+    st: int  # sigma_tilde
 
 
 class _Point(NamedTuple):
     """Everything the closed-form views read at one reducible point: its integers and theorem window."""
 
-    case: CaseTag  # case, sign, m and k as in _Integers
+    case: CaseTag  # case, sign, m, k and st as in _Integers
     sign: int
     m: int
     k: int
+    st: int
     index_bound: tuple[str, int] | None
     labels: tuple[ConstituentLabel, ...]  # the theorem window, nonempty by proof, sorted
     label_set: frozenset[ConstituentLabel]
-    row_starts: tuple[int, ...]  # labels[row_starts[i]:row_starts[i + 1]] have first index i
+    rows: tuple[tuple[int, int, int], ...]  # (start, stop, j0): labels[start + j - j0] is (i, j) in row i
 
 
 # Points kept in each memo.  The views of one point all read its record, so a
@@ -218,16 +219,15 @@ _POINTS_KEPT = 32
 
 @functools.lru_cache(maxsize=_POINTS_KEPT)
 def _integers(params: InducedRepParams) -> _Integers:
-    """The point's case, sign, floor(|sigma|) and k, computed once: all that ``region_for`` reads."""
+    """The point's case, sign, floor(|sigma|), k and sigma_tilde, computed once: all that ``region_for`` reads."""
     case = classify(params)
     if case is CaseTag.IRREDUCIBLE:
         raise ValueError(
             "constituents are defined only at reducible points (sigma_tilde must be an integer)"
         )
-    sigma = params.sigma
-    sign = (sigma > 0) - (sigma < 0)
-    m = abs(sigma.numerator) // sigma.denominator
-    return _Integers(case, sign, m, _grid_bound(params.n, int(params.sigma_tilde)))
+    num, den = params.sigma.numerator, params.sigma.denominator
+    st = params.sigma_tilde.numerator  # its denominator is 1 at a reducible point
+    return _Integers(case, (num > 0) - (num < 0), abs(num) // den, _grid_bound(params.n, st), st)
 
 
 @functools.lru_cache(maxsize=_POINTS_KEPT)
@@ -240,8 +240,15 @@ def _point(params: InducedRepParams) -> _Point:
     """
     pt = _integers(params)
     labels, bound = _theorem_range(params, pt.case, pt.sign, pt.m, pt.k)
-    rows = tuple(bisect_left(labels, (pt.case.family, i)) for i in range(labels[-1].i + 2))
-    return _Point(*pt, bound, labels, frozenset(labels), rows)
+    # row i of the window is _theorem_range's run of j over [j0, j1], so its labels are consecutive
+    i_max, j_max, lo, hi, slope, _ = _band(params, pt.case, pt.sign, pt.m, pt.k)
+    rows, start = [], 0
+    for i in range(i_max + 1):
+        j0 = max(lo + slope * i, 0)
+        stop = start + max(min(hi + slope * i, j_max) + 1 - j0, 0)
+        rows.append((start, stop, j0))
+        start = stop
+    return _Point(*pt, bound, labels, frozenset(labels), tuple(rows))
 
 
 def _require_definable(params: InducedRepParams, pt: _Integers, label: ConstituentLabel) -> None:
@@ -269,8 +276,7 @@ def _chains(params: InducedRepParams, pt: _Integers, label: ConstituentLabel) ->
     1b, and -1 <= 2i-1 <= n1, 0 <= 2j <= n0 in Cases 2.  So a chain never
     compares an infinite extended coordinate with its value from the wrong side.
     """
-    st = int(params.sigma_tilde)
-    case, i, j = pt.case, label.i, label.j
+    st, case, i, j = pt.st, pt.case, label.i, label.j
     if case is CaseTag.CASE_1A:
         first, second = 2 * i, 2 * (pt.k - j)
     elif case is CaseTag.CASE_1B:
@@ -430,7 +436,7 @@ def _window_size(params: InducedRepParams) -> int:
     j_max or j_max+1.  Each sum over the levels is an arithmetic series.
     """
     pt = _integers(params)
-    i_max, j_max, lo, hi, _, _ = _band(params, *pt)
+    i_max, j_max, lo, hi, _, _ = _band(params, pt.case, pt.sign, pt.m, pt.k)
     if pt.case.family == "R":
         return ((hi + 1) * (hi + 2) - lo * (lo + 1)) // 2
     return ((hi + 1) * (2 * j_max + 2 - hi) - lo * (2 * i_max + 1 + lo)) // 2

@@ -21,7 +21,7 @@ from collections.abc import Iterable
 from fractions import Fraction
 from typing import NamedTuple
 
-from .parameters import CaseTag, InducedRepParams, classify, format_rational, is_integer
+from .parameters import CaseTag, InducedRepParams, classify, format_rational
 from .constituents import ConstituentLabel
 from .structure import (
     generated_submodule,
@@ -46,19 +46,22 @@ def induced_params(p: int, q: int, n: int) -> InducedRepParams:
     """Target parameters of the embedding attached to the signature (p, q)."""
     if p < 0 or q < 0:
         raise ValueError(f"signature entries must be >= 0, got (p,q)=({p},{q})")
-    sigma = Fraction(p + q, 2) - Fraction(n + 1, 2)
-    return InducedRepParams(n=n, alpha=(p - q) % 4, sigma=sigma)
+    return InducedRepParams(n=n, alpha=(p - q) % 4, sigma=Fraction(p + q - n - 1, 2))
 
 
 def possible_embeddings(params: InducedRepParams) -> tuple[tuple[int, int], ...]:
-    """All signatures (p, q) with p+q = 2*sigma + n + 1 and p-q = alpha mod 4."""
-    total = 2 * params.sigma + params.n + 1
-    if not is_integer(total) or total < 0:
+    """All signatures (p, q) with p+q = 2*sigma + n + 1 and p-q = alpha mod 4.
+
+    With m = p+q, p-q = 2p-m, so 2p = m + alpha mod 4: there is no p unless
+    m + alpha is even, and then p runs over one parity, that of (m + alpha)/2.
+    """
+    num, den = params.sigma.numerator, params.sigma.denominator
+    if (2 * num) % den:  # 2*sigma is not an integer
         return ()
-    m = int(total)
-    return tuple(
-        (p, m - p) for p in range(m + 1) if (p - (m - p) - params.alpha) % 4 == 0
-    )
+    m = 2 * num // den + params.n + 1
+    if m < 0 or (m + params.alpha) % 2:
+        return ()
+    return tuple((p, m - p) for p in range((m + params.alpha) // 2 % 2, m + 1, 2))
 
 
 class OmegaImage(NamedTuple):
@@ -103,7 +106,7 @@ def omega_image(p: int, q: int, n: int) -> OmegaImage:
     # sigma_tilde = (p + q + alpha)/2 is an integer of the parity of p
     if case is CaseTag.IRREDUCIBLE or p % 2 != (case in (CaseTag.CASE_1A, CaseTag.CASE_2A)):
         raise RuntimeError(f"embedding ({p},{q}) cannot target {target} in {case.value}")
-    single = target.sigma <= 0
+    single = p + q <= n + 1  # sigma <= 0
     c = max(0, (n + 1 - q) // 2)
     if case.family == "R":
         idx = (p // 2, q // 2) if single else (c, max(0, (n + 1 - p) // 2))

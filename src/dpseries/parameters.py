@@ -82,6 +82,8 @@ class CaseTag(enum.Enum):
     Rows by parity of ``sigma_tilde`` (odd -> a, even -> b), columns by parity
     of ``n + alpha`` (odd -> 1, even -> 2).  ``family`` is the constituent
     family letter: "R" in Cases 1, "L" in Cases 2, None when irreducible.
+    ``text`` is the value as a plain attribute, which reads faster than the
+    enum's ``value`` descriptor in the per-label views.
     """
 
     IRREDUCIBLE = "Irreducible"
@@ -92,6 +94,7 @@ class CaseTag(enum.Enum):
 
     def __init__(self, value: str) -> None:
         self.family: str | None = _FAMILY.get(value)
+        self.text: str = value
 
 
 class _Frozen:
@@ -134,7 +137,9 @@ class InducedRepParams(_ParamsFields, _Frozen):
         elif not isinstance(sigma, Fraction):
             raise ValueError(f"sigma must be rational, got {sigma!r}")
         self = super().__new__(cls, n, alpha, sigma)
-        self.__dict__.update(sigma_tilde=sigma + Fraction(n + 1 + alpha, 2), _hash=hash((n, alpha, sigma)))
+        num, den = sigma.numerator, sigma.denominator  # sigma_tilde = sigma + (n+1+alpha)/2
+        sigma_tilde = Fraction(2 * num + (n + 1 + alpha) * den, 2 * den)
+        self.__dict__.update(sigma_tilde=sigma_tilde, _hash=hash((n, alpha, sigma)))
         return self
 
     @classmethod
@@ -196,7 +201,7 @@ def classify(params: InducedRepParams) -> CaseTag:
     st = params.sigma_tilde
     if not is_integer(st):
         return CaseTag.IRREDUCIBLE
-    row_a = int(st) % 2 != 0
+    row_a = st.numerator % 2 != 0
     col_1 = (params.n + params.alpha) % 2 != 0
     if col_1:
         return CaseTag.CASE_1A if row_a else CaseTag.CASE_1B

@@ -23,7 +23,6 @@ reversed diagram.
 from __future__ import annotations
 
 import json
-from bisect import bisect_left
 from typing import NamedTuple
 
 from .parameters import CaseTag, InducedRepParams
@@ -68,32 +67,46 @@ def _grading(pt: _Point) -> tuple[int, int]:
 
 
 def module_diagram(params: InducedRepParams) -> ModuleDiagram:
-    """Hasse diagram of the generation order on the nonempty constituents."""
+    """Hasse diagram of the generation order on the nonempty constituents.
+
+    An edge goes from each label to its neighbours one level lower that lie in
+    the window: the moves (di, dj) with a*di + b*dj = -1, that is (-a, 0) when
+    a != 0 and (0, -b) when b != 0.  The edges come out sorted, with no sort:
+    the labels run in sorted order, so the upper labels do, and each label's
+    moves run in increasing order, so its lower labels (f, i+di, j+dj) do.
+    """
     pt = _point(params)
     a, b = _grading(pt)
+    moves = sorted(move for move in ((-a, 0), (0, -b)) if move != (0, 0))
+    label_set = pt.label_set
     edges = []
     for lab in pt.labels:
         f, i, j = lab
-        for di, dj in ((-1, 0), (0, -1), (0, 1), (1, 0)):
+        for di, dj in moves:
             # a plain tuple equals and hashes as its label, and one found in the window is a valid label
-            if a * di + b * dj == -1 and (f, i + di, j + dj) in pt.label_set:
-                edges.append((lab, tuple.__new__(ConstituentLabel, (f, i + di, j + dj))))
-    return ModuleDiagram(nodes=pt.labels, edges=tuple(sorted(edges)))
+            lower = (f, i + di, j + dj)
+            if lower in label_set:
+                edges.append((lab, tuple.__new__(ConstituentLabel, lower)))
+    return ModuleDiagram(nodes=pt.labels, edges=tuple(edges))
 
 
 def socle_series(params: InducedRepParams) -> SocleSeries:
-    """Socle filtration layers per the case theorems (layer 1 = socle)."""
+    """Socle filtration layers per the case theorems (layer 1 = socle).
+
+    Each layer lists its labels in the window's order, which is sorted, so no
+    layer is sorted again.
+    """
     pt = _point(params)
     a, b = _grading(pt)
-    level = {lab: a * lab.i + b * lab.j for lab in pt.labels}
-    low = min(level.values(), default=0)
-    by_layer: dict[int, list[ConstituentLabel]] = {}
-    for lab in pt.labels:
-        by_layer.setdefault(level[lab] - low + 1, []).append(lab)
-    count = max(by_layer, default=0)
-    if sorted(by_layer) != list(range(1, count + 1)):
-        raise RuntimeError(f"socle layers not contiguous at {params}: {sorted(by_layer)}")
-    return SocleSeries(layers=tuple(tuple(sorted(by_layer[l])) for l in range(1, count + 1)))
+    levels = [a * i + b * j for _, i, j in pt.labels]
+    low = min(levels)
+    layers: list[list[ConstituentLabel]] = [[] for _ in range(max(levels) - low + 1)]
+    for lab, level in zip(pt.labels, levels):
+        layers[level - low].append(lab)
+    if not all(layers):
+        present = [l for l, layer in enumerate(layers, start=1) if layer]
+        raise RuntimeError(f"socle layers not contiguous at {params}: {present}")
+    return SocleSeries(layers=tuple(map(tuple, layers)))
 
 
 def generated_submodule(params: InducedRepParams, label: ConstituentLabel) -> Submodule:
@@ -103,8 +116,10 @@ def generated_submodule(params: InducedRepParams, label: ConstituentLabel) -> Su
     nonempty constituents x with ``a*(x.i - s) <= 0`` and ``b*(x.j - t) <= 0``;
     at sigma = 0 the grading is (0, 0) and it keeps the generator alone.
     Otherwise a and b are +-1, so the members are, row by row (rows i <= s
-    when a = 1, i >= s when a = -1), the part of the row's slice of the
-    sorted labels with j <= t (b = 1) or j >= t (b = -1), cut by bisection.
+    when a = 1, i >= s when a = -1), the part of the row with j <= t (b = 1)
+    or j >= t (b = -1).  Row i holds consecutive j from its least j0, so that
+    part is a slice of the sorted labels cut at the offset t - j0, and the
+    rows' slices come out in sorted order.
     """
     pt = _point(params)
     if label not in pt.label_set:
@@ -112,16 +127,19 @@ def generated_submodule(params: InducedRepParams, label: ConstituentLabel) -> Su
     a, b = _grading(pt)
     if (a, b) == (0, 0):
         return Submodule(generator=label, members=(label,))
-    f, s, t = label
-    labels, rows = pt.labels, pt.row_starts
+    _, s, t = label
+    labels, rows = pt.labels, pt.rows[: s + 1] if a == 1 else pt.rows[s:]
     members: list[ConstituentLabel] = []
-    for i in range(s + 1) if a == 1 else range(s, len(rows) - 1):
-        lo, hi = rows[i], rows[i + 1]
-        if b == 1:
-            members += labels[lo : bisect_left(labels, (f, i, t + 1), lo, hi)]
-        else:
-            members += labels[bisect_left(labels, (f, i, t), lo, hi) : hi]
-    return Submodule(generator=label, members=tuple(members))
+    # conditional expressions, not min and max: this runs once per row of every call
+    if b == 1:  # the row's labels with j <= t: its first t + 1 - j0
+        for start, stop, j0 in rows:
+            if t >= j0:
+                cut = start + t + 1 - j0
+                members += labels[start : cut if cut < stop else stop]
+    else:  # the row's labels with j >= t: all but its first t - j0
+        for start, stop, j0 in rows:
+            members += labels[start + t - j0 if t > j0 else start : stop]
+    return tuple.__new__(Submodule, (label, tuple(members)))  # past the keyword __new__, as Region
 
 
 def irreducible_submodules(params: InducedRepParams) -> tuple[ConstituentLabel, ...]:

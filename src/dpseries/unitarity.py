@@ -124,13 +124,13 @@ def constituent_unitarizable(
     pt = _point(params)
     if label not in pt.label_set:
         raise ValueError(f"label is not a nonempty constituent here: {label} at {params}")
-    case, m, k = pt.case, pt.m, pt.k
-    i, j = label.i, label.j
+    case, name, m, k = pt.case, pt.case.text, pt.m, pt.k
+    _, i, j = label
     if pt.sign == 0:  # family R alone has sigma = 0
-        return UnitarityVerdict(True, f"{case.value}-sigma=0-direct-sum")
+        return UnitarityVerdict(True, f"{name}-sigma=0-direct-sum")
     band, r = pt.index_bound
     unit = "1" if case.family == "R" else "1/2"  # the least |sigma| off the unitary axis
-    tag = f"{case.value}-sigma<=-{unit}" if pt.sign < 0 else f"{case.value}-sigma>={unit}"
+    tag = f"{name}-sigma<=-{unit}" if pt.sign < 0 else f"{name}-sigma>={unit}"
 
     if case.family == "R":  # m = |sigma| here, and r = max(k-m, 0)
         if m <= k and i + j == r:

@@ -67,6 +67,23 @@ def test_possible_embeddings_worked_points():
     assert possible_embeddings(InducedRepParams(2, 0, Fraction(-5, 2))) == ()
 
 
+def test_possible_embeddings_equal_their_definition():
+    # every (p, m-p) with p-q = alpha mod 4 when m = 2*sigma + n + 1 is a
+    # nonnegative integer, else none: sigma with denominator 3 or 4, the
+    # irreducible half-integer points and sigma below -rho included
+    for n in range(2, 13):
+        for alpha in range(4):
+            for b in range(1, 5):
+                for a in range(-40, 41):
+                    params = InducedRepParams(n, alpha, Fraction(a, b))
+                    m = 2 * params.sigma + n + 1
+                    expected = ()
+                    if m.denominator == 1 and m >= 0:
+                        m = int(m)
+                        expected = tuple((p, m - p) for p in range(m + 1) if (p - (m - p) - alpha) % 4 == 0)
+                    assert possible_embeddings(params) == expected, params
+
+
 def test_embedding_parity_coherence():
     # the target case is determined by (parity of n+m, parity of p), and
     # sigma_tilde has the parity of p

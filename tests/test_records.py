@@ -37,10 +37,10 @@ RECORDS = {
     "ConstituentLabel": (lambda: LABEL, ("family", "i", "j"), ()),
     "Region": (lambda: region_for(P, LABEL), ("n", "lower", "upper"), ("_extremes",)),
     "ConstituentSet": (lambda: enumerate_constituents(P), ("case", "labels", "index_bound"), ()),
-    "_Integers": (lambda: constituents._integers(P), ("case", "sign", "m", "k"), ()),
+    "_Integers": (lambda: constituents._integers(P), ("case", "sign", "m", "k", "st"), ()),
     "_Point": (
         lambda: constituents._point(P),
-        ("case", "sign", "m", "k", "index_bound", "labels", "label_set", "row_starts"),
+        ("case", "sign", "m", "k", "st", "index_bound", "labels", "label_set", "rows"),
         (),
     ),
     "ModuleDiagram": (lambda: module_diagram(P), ("nodes", "edges"), ()),

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -246,3 +247,46 @@ def test_window_and_diagram_labels_are_valid_labels():
     for bad in (("X", 0, 0), ("R", -1, 0), ("L", 0, -1)):
         with pytest.raises(ValueError):
             ConstituentLabel(*bad)
+
+
+def _sampled_points(count, n_max=40):
+    """A fixed sample of reducible points over n 2..n_max, alpha 0..3 and sigma_tilde -60..60."""
+    rng = random.Random("structure-beyond-the-pin")
+    return [
+        params_from_sigma_tilde(rng.randint(2, n_max), rng.randrange(4), rng.randint(-60, 60)) for _ in range(count)
+    ]
+
+
+def _expected_grading(params):
+    """(a, b) of the module docstring's edge rule: the level a*i + b*j drops by one along every edge."""
+    cs = enumerate_constituents(params)
+    if cs.case.family == "R":
+        sign = (params.sigma > 0) - (params.sigma < 0)
+        return -sign, -sign
+    return (-1, 1) if cs.case.value == "Case2a" else (1, -1)
+
+
+def test_views_emit_in_label_order_beyond_the_pin():
+    # Past the n <= 16 of test_closed_form_views_are_pinned: each generated
+    # submodule is the filter a*(x.i-s) <= 0, b*(x.j-t) <= 0 over the labels,
+    # in label order, and the diagram's edges and each socle layer come out
+    # in their sorted order with no sort.
+    for params in _sampled_points(160):
+        labels = enumerate_constituents(params).labels
+        a, b = _expected_grading(params)
+        for label in labels:
+            _, s, t = label
+            if (a, b) == (0, 0):
+                expected = (label,)
+            else:
+                expected = tuple(x for x in labels if a * (x.i - s) <= 0 and b * (x.j - t) <= 0)
+            assert generated_submodule(params, label).members == expected, (params, label)
+        edges = module_diagram(params).edges
+        assert list(edges) == sorted(edges), params
+        assert set(edges) == {
+            (x, y) for x in labels for y in labels if abs(x.i - y.i) + abs(x.j - y.j) == 1
+            and a * (y.i - x.i) + b * (y.j - x.j) == -1
+        }, params
+        layers = socle_series(params).layers
+        assert all(list(layer) == sorted(layer) for layer in layers), params
+        assert sorted(x for layer in layers for x in layer) == list(labels), params
