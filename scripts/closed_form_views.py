@@ -31,7 +31,7 @@ import sys
 import time
 from pathlib import Path
 
-from compare_phases import measure, print_medians
+from compare_phases import clear_point_memos, measure, print_medians
 
 VIEWS = (
     "classify", "enumerate_constituents", "region_for", "module_diagram", "socle_series", "generated_submodule",
@@ -43,15 +43,13 @@ def _worker(src: str, passes: int, sweeps: int) -> dict:
     """The median over ``sweeps`` sweeps of each view's µs per op."""
     sys.path[:0] = [src, str(Path(src).parent)]  # the checkout's package, then its perfbench
     import dpseries as dp
-    from dpseries import constituents
     from perfbench.workloads import closed_form_pass
 
     points = [p for k in range(passes) for p in closed_form_pass(0, False, k)]
     clock = time.perf_counter_ns
     samples = {view: [] for view in VIEWS}
     for _ in range(sweeps):
-        constituents._integers.cache_clear()
-        constituents._point.cache_clear()
+        clear_point_memos()
         gc.collect()
         gc.disable()
         spent = dict.fromkeys(VIEWS, 0)

@@ -47,11 +47,8 @@ GRIDS = {  # name -> (n, alpha, sigma_tilde) of each point
 def _worker(src: str, grids: list[str], sweeps: int) -> dict:
     """Per grid and phase, the median over ``sweeps`` sweeps of the µs per point."""
     sys.path.insert(0, src)
-    from dpseries import CaseTag, InducedRepParams, classify, constituents, enumerate_constituents, ktypes, oracle
+    from dpseries import CaseTag, InducedRepParams, classify, enumerate_constituents, oracle
 
-    # compare refuses a window over its point budget before it runs, though
-    # cells never lists the window; lifted here to time compare at n = 16, 24
-    oracle.MAX_WINDOW_POINTS = 1 << 256
     clock = time.perf_counter_ns
     ordering = [0]  # ns spent in _class_order since the last read
     class_order = oracle._class_order
@@ -64,16 +61,12 @@ def _worker(src: str, grids: list[str], sweeps: int) -> dict:
 
     oracle._class_order = timed_class_order  # cells looks it up at each call
 
-    def clear():
-        for memo in (constituents._integers, constituents._point, ktypes.blocked_positions):
-            memo.cache_clear()
-
     result = {}
     for name in grids:
         points = [InducedRepParams(n, a, Fraction(st) - Fraction(n + 1 + a, 2)) for n, a, st in GRIDS[name]]
         samples = {phase: [] for phase in PHASES}
         for _ in range(sweeps):
-            clear()
+            clear_point_memos()
             gc.collect()
             gc.disable()
             spent = dict.fromkeys(PHASES, 0)
@@ -103,7 +96,7 @@ def _worker(src: str, grids: list[str], sweeps: int) -> dict:
                 spent["partition"] += t5 - t4
                 spent["structure"] += t6 - t5
             gc.enable()
-            clear()
+            clear_point_memos()
             gc.collect()
             t0 = clock()
             for p in points:
@@ -113,6 +106,15 @@ def _worker(src: str, grids: list[str], sweeps: int) -> dict:
                 samples[phase].append(spent[phase] / len(points) / 1e3)
         result[name] = {phase: statistics.median(values) for phase, values in samples.items()}
     return result
+
+
+def clear_point_memos() -> None:
+    """Empty every per-point memo of the imported ``dpseries``: the point records (and the
+    unitarity clauses they hold) and the barrier positions."""
+    from dpseries import constituents, ktypes
+
+    for memo in (constituents._integers, constituents._point, ktypes.blocked_positions):
+        memo.cache_clear()
 
 
 def measure(script: str, checkouts: list[Path], processes: int, worker_args: list[str]) -> dict[str, list[dict]]:

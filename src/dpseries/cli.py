@@ -54,6 +54,13 @@ MAX_WINDOW_LABELS = 100_000
 # costlier form, --format json, took 2.1-2.3 s at 299,756 bounds (0.4 s as
 # text), growing linearly; it streams, so it peaks near 30 MB at any size.
 MAX_WINDOW_BOUNDS = 300_000
+# Most points one verify sweep accepts, counted from its ranges before any
+# point is listed; each point's cells are then counted (oracle.MAX_CELLS)
+# before any point runs.  A sweep streams its records, so its peak does not
+# grow with it, and its time sets the budget: the 100,000 points of n 2..26,
+# alpha 0..3, sigma_tilde -499..500 all passed, with the first record after
+# 6.1 s of counting and the last after 122 s, at a 21 MB peak.
+MAX_SWEEP_POINTS = 100_000
 
 
 class CLIError(Exception):
@@ -384,6 +391,11 @@ def _cmd_verify(args) -> int:
         if alpha_min < 0 or alpha_max > 3:
             raise CLIError(f"--alpha-set: alpha must be one of 0, 1, 2, 3, got {args.alpha_set!r}")
         sigma_tildes, _, _ = _parse_range(args.sigma_tilde_range, "sigma-tilde-range", "-6:6")
+        size = len(ns) * len(alphas) * len(sigma_tildes)  # a range's len lists nothing
+        if size > MAX_SWEEP_POINTS:
+            given = [name for name in ("n_range", "alpha_set", "sigma_tilde_range") if getattr(args, name)]
+            flags = "/".join("--" + name.replace("_", "-") for name in given)
+            raise CLIError(f"{flags}: sweep of {size} points exceeds verify's budget of {MAX_SWEEP_POINTS} points")
         points = lambda: (  # generated anew for the pre-check and for the run
             InducedRepParams(n=n, alpha=a, sigma=Fraction(st) - Fraction(n + 1 + a, 2))
             for n in ns for a in alphas for st in sigma_tildes
@@ -396,16 +408,12 @@ def _cmd_verify(args) -> int:
             raise CLIError(f"--lmax: expected 'auto' or an integer, got {args.lmax!r}") from None
         if fixed < 1:
             raise CLIError(f"--lmax: window radius must be >= 1, got {fixed}")
-    # refuse an oversized window before any point runs; a fixed window's
-    # size depends on n alone, so each n is checked once
-    if fixed is not None:
-        flag, windows = "--lmax", ((n, fixed) for n in ns)
-    else:
-        flag = "--n/--sigma" if args.n is not None else "--n-range/--sigma-tilde-range"
-        windows = ((params.n, oracle.auto_lmax(params)) for params in points())
-    for n, lmax in windows:
+    # refuse a point of too many cells before any point runs; a fixed window
+    # below the auto one has no more cells, and one above it the same cells
+    flag = "--n/--sigma" if args.n is not None else "--n-range/--sigma-tilde-range"
+    for params in points():
         try:
-            oracle.check_window(n, lmax)
+            oracle.check_cells(params, oracle.auto_lmax(params) if fixed is None else fixed)
         except ValueError as e:
             raise CLIError(f"{flag}: {e}") from None
 

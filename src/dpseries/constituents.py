@@ -22,10 +22,13 @@ dominance (``Region``) gives its extreme members, and it is empty iff they
 cross.
 
 A point's case, the integers its theorems are stated in (the sign of
-sigma, ``floor(|sigma|)``, the grid bound k and sigma_tilde) and its window
-are computed once and kept in bounded memos, which every function here and
-the views in ``structure``, ``unitarity`` and ``howe`` read; a region reads
-only the integers, and is built only when asked for.
+sigma, ``floor(|sigma|)``, the grid bound k and sigma_tilde), the constants
+its views read (the family, the diagram's grading and the chains' offsets
+and barriers) and its window are computed once and kept in bounded memos,
+which every function here and the views in ``structure``, ``unitarity`` and
+``howe`` read; a region reads only the integers and constants, and is built
+only when asked for.  So a per-label view makes a few integer comparisons
+and builds its own output.
 """
 
 from __future__ import annotations
@@ -188,27 +191,47 @@ class ConstituentSet(NamedTuple):
 
 
 class _Integers(NamedTuple):
-    """The integers a reducible point's theorems are stated in, and its case."""
+    """The integers a reducible point's theorems are stated in, its case, and the constants its regions read."""
 
     case: CaseTag
     sign: int  # of sigma: -1, 0 or 1
     m: int  # floor(|sigma|): |sigma| in Cases 1, |sigma| - 1/2 in Cases 2
     k: int  # the grid bound: n0/2 at odd sigma_tilde, (n1+1)/2 at even
     st: int  # sigma_tilde
+    n: int
+    family: str  # "R" or "L", as case.family
+    grading: tuple[int, int]  # (a, b): the level a*i + b*j drops by one along every diagram edge
+    chains: tuple[int, int, int, int, int]  # (first, d1, second, step, d2), as _chains reads them
 
 
-class _Point(NamedTuple):
-    """Everything the closed-form views read at one reducible point: its integers and theorem window."""
-
-    case: CaseTag  # case, sign, m, k and st as in _Integers
+class _PointFields(NamedTuple):
+    case: CaseTag  # case, sign, m, k, st, n, family, grading and chains as in _Integers
     sign: int
     m: int
     k: int
     st: int
+    n: int
+    family: str
+    grading: tuple[int, int]
+    chains: tuple[int, int, int, int, int]
     index_bound: tuple[str, int] | None
     labels: tuple[ConstituentLabel, ...]  # the theorem window, nonempty by proof, sorted
     label_set: frozenset[ConstituentLabel]
     rows: tuple[tuple[int, int, int], ...]  # (start, stop, j0): labels[start + j - j0] is (i, j) in row i
+
+
+class _Point(_PointFields, _Frozen):
+    """Everything the closed-form views read at one reducible point: its integers and theorem window.
+
+    The unitarity clauses, which only ``unitarity`` reads, are built on first use and kept, as
+    ``Region._extremes`` is.
+    """
+
+    @functools.cached_property
+    def _verdicts(self) -> tuple:
+        from .unitarity import _clauses  # unitarity imports this module, so it is loaded by now
+
+        return _clauses(self)
 
 
 # Points kept in each memo.  The views of one point all read its record, so a
@@ -219,15 +242,34 @@ _POINTS_KEPT = 32
 
 @functools.lru_cache(maxsize=_POINTS_KEPT)
 def _integers(params: InducedRepParams) -> _Integers:
-    """The point's case, sign, floor(|sigma|), k and sigma_tilde, computed once: all that ``region_for`` reads."""
+    """The point's case, its integers and its regions' constants, computed once: all that ``region_for`` reads.
+
+    The grading is (-sign, -sign) in family R, (-1, 1) in Case 2a and (1, -1)
+    in Case 2b (see ``structure``).  The chains are those of ``_chains``.
+    Their values have the parity of first + d1 and second + d2 at every label,
+    as 2i and step are even, so one check here covers every region.
+    """
     case = classify(params)
     if case is CaseTag.IRREDUCIBLE:
         raise ValueError(
             "constituents are defined only at reducible points (sigma_tilde must be an integer)"
         )
-    num, den = params.sigma.numerator, params.sigma.denominator
+    n, num, den = params.n, params.sigma.numerator, params.sigma.denominator
     st = params.sigma_tilde.numerator  # its denominator is 1 at a reducible point
-    return _Integers(case, (num > 0) - (num < 0), abs(num) // den, _grid_bound(params.n, st), st)
+    sign, k, family = (num > 0) - (num < 0), _grid_bound(n, st), case.family
+    if family == "R":
+        first, second, step = (0, 2 * k, -2) if case.row == "a" else (-1, 2 * k - 1, -2)
+        grading = (-sign, -sign)
+    else:
+        first, second, step = -1, 0, 2
+        grading = (-1, 1) if case.row == "a" else (1, -1)
+    plus, minus = 1 - st, st - (n + params.alpha)  # barrier_plus(a+2) = a + plus, barrier_minus(a) = a + minus
+    # the plus barrier comes first in Case 2b and in family R at sigma < 0: where the grading's a is 1
+    d1, d2 = (plus, minus) if grading[0] == 1 else (minus, plus)
+    for a, d in ((first, d1), (second, d2)):
+        if (a + d) % 2:
+            raise RuntimeError(f"region chain at {params} in {case.text} sits on odd position {a + d}")
+    return _Integers(case, sign, abs(num) // den, k, st, n, family, grading, (first, d1, second, step, d2))
 
 
 @functools.lru_cache(maxsize=_POINTS_KEPT)
@@ -257,50 +299,42 @@ def _require_definable(params: InducedRepParams, pt: _Integers, label: Constitue
         definable = label.i + label.j <= pt.k
     else:
         definable = label.i <= (params.n + 1) // 2 and label.j <= params.n // 2
-    if label.family != pt.case.family or not definable:
-        raise ValueError(f"label undefined here: {label} at {params} ({pt.case.value})")
+    if label.family != pt.family or not definable:
+        raise ValueError(f"label undefined here: {label} at {params} ({pt.case.text})")
 
 
-def _chains(params: InducedRepParams, pt: _Integers, label: ConstituentLabel) -> list[tuple[int, int, int]]:
+def _chains(pt: _Integers, label: ConstituentLabel) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
     """The two defining chains (lo_coord, even value, hi_coord) of a region.
 
     Each chain sits on a barrier between coordinates a and a+2: its value is
     either ``barrier_plus(a+2) = a+1-st`` or ``barrier_minus(a) = st-(n+alpha)+a``.
-    The low coordinates are (2i, 2k-2j) in Case 1a, (2i-1, 2k-1-2j) in Case
-    1b and (2i-1, 2j) in Cases 2a/2b; the first takes the plus barrier in Case
+    The low coordinates are (2i, 2k-2j) in Case 1a, (2i-1, 2k-1-2j) in Case 1b
+    and (2i-1, 2j) in Cases 2a/2b; the first takes the plus barrier in Case
     2b and in family R at sigma < 0, the minus barrier otherwise.  2k is n0
-    in Case 1a, and 2k-1 is n1 in Case 1b.
+    in Case 1a, and 2k-1 is n1 in Case 1b.  The point record holds these as
+    ``chains = (first, d1, second, step, d2)``: the low coordinates are
+    2i + first and second + step*j, and the values a + d1 and a + d2.
 
     On the index grid every chain has a <= n and a+2 >= 1: 0 <= 2i <= 2k <= n
     and 0 <= 2k-2j <= 2k in Case 1a, -1 <= 2i-1, 2k-1-2j <= 2k-1 <= n in Case
     1b, and -1 <= 2i-1 <= n1, 0 <= 2j <= n0 in Cases 2.  So a chain never
     compares an infinite extended coordinate with its value from the wrong side.
     """
-    st, case, i, j = pt.st, pt.case, label.i, label.j
-    if case is CaseTag.CASE_1A:
-        first, second = 2 * i, 2 * (pt.k - j)
-    elif case is CaseTag.CASE_1B:
-        first, second = 2 * i - 1, 2 * (pt.k - j) - 1
-    else:
-        first, second = 2 * i - 1, 2 * j
-    minus = st - (params.n + params.alpha)  # barrier_minus(a) = minus + a
-    if case is CaseTag.CASE_2B or (case.family == "R" and pt.sign < 0):
-        return [(first, first + 1 - st, first + 2), (second, minus + second, second + 2)]
-    return [(first, minus + first, first + 2), (second, second + 1 - st, second + 2)]
+    first, d1, second, step, d2 = pt.chains
+    _, i, j = label
+    a, b = 2 * i + first, second + step * j
+    return (a, a + d1, a + 2), (b, b + d2, b + 2)
 
 
-def _build_region(params: InducedRepParams, pt: _Integers, label: ConstituentLabel) -> Region:
+def _build_region(pt: _Integers, label: ConstituentLabel) -> Region:
     """The region cut out by the label's two chains (a, value, b), each 2*lam_a >= value >= 2*lam_b.
 
     A bound on a coordinate <= 0 or > n holds at +-inf and is dropped; where
     both chains bound one coordinate from one side, the tighter bound stays.
+    The values are even, as ``_integers`` checks.
     """
-    n = params.n
-    chains = _chains(params, pt, label)
-    for _, value, _ in chains:
-        if value % 2 != 0:
-            raise RuntimeError(f"region chain of {label} at {params} sits on odd position {value}")
-    (a1, v1, b1), (a2, v2, b2) = chains
+    n = pt.n
+    (a1, v1, b1), (a2, v2, b2) = _chains(pt, label)
     lower: list[int | None] = [None] * n
     upper: list[int | None] = [None] * n
     if a1 >= 1:  # +inf >= value holds for a <= 0
@@ -323,7 +357,7 @@ def region_for(params: InducedRepParams, label: ConstituentLabel) -> Region:
     """
     pt = _integers(params)
     _require_definable(params, pt, label)
-    return _build_region(params, pt, label)
+    return _build_region(pt, label)
 
 
 def is_empty(params: InducedRepParams, label: ConstituentLabel) -> bool:
@@ -459,7 +493,7 @@ def label_of(params: InducedRepParams, lam: KType) -> ConstituentLabel:
     # the extended 2*lam_c at index c+1: +inf at c <= 0, -inf at c > n; chains run over -1 <= c <= n+2
     ext = [float("inf")] * 2 + [2 * x for x in lam] + [float("-inf")] * 2
     pt = _point(params)
-    hits = [lab for lab in pt.labels if all(ext[a + 1] >= v >= ext[b + 1] for a, v, b in _chains(params, pt, lab))]
+    hits = [lab for lab in pt.labels if all(ext[a + 1] >= v >= ext[b + 1] for a, v, b in _chains(pt, lab))]
     if len(hits) != 1:
         raise RuntimeError(f"constituent partition violated at lambda={lam} for {params}: hits={hits}")
     return hits[0]

@@ -103,18 +103,20 @@ def omega_image(p: int, q: int, n: int) -> OmegaImage:
     """
     target = induced_params(p, q, n)
     case = classify(target)
-    # sigma_tilde = (p + q + alpha)/2 is an integer of the parity of p
-    if case is CaseTag.IRREDUCIBLE or p % 2 != (case in (CaseTag.CASE_1A, CaseTag.CASE_2A)):
-        raise RuntimeError(f"embedding ({p},{q}) cannot target {target} in {case.value}")
+    family = case.family
+    # sigma_tilde = (p + q + alpha)/2 is an integer of the parity of p: odd in row a
+    if family is None or p % 2 != (case.row == "a"):
+        raise RuntimeError(f"embedding ({p},{q}) cannot target {target} in {case.text}")
     single = p + q <= n + 1  # sigma <= 0
     c = max(0, (n + 1 - q) // 2)
-    if case.family == "R":
-        idx = (p // 2, q // 2) if single else (c, max(0, (n + 1 - p) // 2))
-    elif case is CaseTag.CASE_2A:
-        idx = (c, min(n // 2, p // 2))
+    if family == "R":
+        idx = (family, p // 2, q // 2) if single else (family, c, max(0, (n + 1 - p) // 2))
+    elif case.row == "a":  # Case 2a
+        idx = (family, c, min(n // 2, p // 2))
     else:
-        idx = (min((n + 1) // 2, p // 2), c)
-    label = ConstituentLabel(case.family, *idx)
+        idx = (family, min((n + 1) // 2, p // 2), c)
+    # each index is a max with 0, or a min of n//2 or (n+1)//2 >= 1 with p//2 or q//2 >= 0, as p, q >= 0
+    label = tuple.__new__(ConstituentLabel, idx)
     if single:
         return OmegaImage(p, q, target, "single", label, (label,))
     return OmegaImage(p, q, target, "generated", label, generated_submodule(target, label).members)

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from itertools import combinations
-from math import comb
+from math import prod
 from operator import le
 from typing import NamedTuple
 
@@ -41,7 +41,7 @@ from .ktypes import KType, blocked_positions, dominant_extremes
 from .constituents import ConstituentLabel, enumerate_constituents, region_for
 from .structure import generated_submodule, module_diagram, socle_series
 
-__all__ = ["ClassGraph", "OracleVerdict", "auto_lmax", "cells", "check_window", "compare"]
+__all__ = ["ClassGraph", "OracleVerdict", "auto_lmax", "cells", "check_cells", "compare"]
 
 # The names of the window reference that this module still resolves, by
 # loading ``window`` (and numpy) on their first lookup.  The benchmark's
@@ -58,13 +58,14 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-# Largest window compare() and the window reference window.build() accept, in
-# points.  window.build() in a fresh process peaked (ru_maxrss) at 49 MB for
-# 1.56 M points (n=8), at 156 MB for 10.0 M and 262 MB for 20.2 M (n=9), and,
-# with the budget raised for the run, at 394 MB for 30.0 M (n=10): under 16
-# bytes per point from 10 M points up, so a window at the budget needs about
-# 0.4 GB.
-MAX_WINDOW_POINTS = 30_000_000
+# Most cells compare() accepts at one point, and verify before any point runs.
+# The cells set compare's cost: O(n) each in ``cells`` and a closure each in
+# ``_class_order``.  At the point of most cells of each rank (alpha 0..3,
+# integer sigma_tilde -8..n+10), compare in a fresh process took 0.05 s and
+# peaked (ru_maxrss) at 23 MB for 593 cells (n=64), 0.48 s and 105 MB for
+# 2,209 (n=128), and 1.1 s and 219 MB for 3,401 (n=160): the peak grows about
+# as the square of the cells, so a point at the budget needs about 0.23 GB.
+MAX_CELLS = 3_500
 
 
 def auto_lmax(params: InducedRepParams) -> int:
@@ -76,23 +77,6 @@ def _auto_lmax(up: tuple[int | None, ...], down: tuple[int | None, ...]) -> int:
     """``auto_lmax`` from the point's ``blocked_positions``."""
     positions = [abs(b) for b in up + down if b is not None]
     return (max(positions, default=0) + 1) // 2 + 3
-
-
-def check_window(n: int, lmax: int) -> int:
-    """Number of dominant n-tuples with entries in [-lmax, lmax].
-
-    Raises ValueError, before anything is enumerated, when lmax < 1 or the
-    number exceeds ``MAX_WINDOW_POINTS``.
-    """
-    if lmax < 1:
-        raise ValueError(f"lmax must be >= 1, got {lmax}")
-    size = comb(2 * lmax + n, n)
-    if size > MAX_WINDOW_POINTS:
-        raise ValueError(
-            f"window of {size} points (n={n}, lmax={lmax}) exceeds the oracle's budget"
-            f" of {MAX_WINDOW_POINTS} points"
-        )
-    return size
 
 
 def _cut_values(params: InducedRepParams, lmax: int) -> tuple[list, list, list[str]]:
@@ -161,6 +145,56 @@ class ClassGraph(NamedTuple):
     warnings: tuple[str, ...] = ()
 
 
+def _spans(params: InducedRepParams, lmax: int) -> tuple[list, list, list[str], list[list[tuple[int, int]]]]:
+    """``_cut_values`` and, per coordinate, the intervals (lo, hi) between its cut values in increasing order.
+
+    Refuses lmax < 1 and, before any cell is listed, a window of more than
+    ``MAX_CELLS`` cells: ValueError.  The cells are counted over the states
+    (depth, least hi so far) of ``cells``' depth-first pass, each with the
+    number of prefixes that reach it; a state extends by each interval up to
+    the first whose lo exceeds its least hi, as the pass does, so the counts
+    at the last depth sum to the cells the pass finds.  A coordinate has at
+    most three intervals, so below rank 8 the cells never exceed the budget,
+    and the count is made only when the product of the interval counts does.
+    """
+    if lmax < 1:
+        raise ValueError(f"lmax must be >= 1, got {lmax}")
+    up_at, down_at, warnings = _cut_values(params, lmax)
+    spans = []
+    for u, d in zip(up_at, down_at):
+        lo, intervals = -lmax, []
+        for c in sorted({u, d} - {None}):
+            if -lmax <= c < lmax:
+                intervals.append((lo, c))
+                lo = c + 1
+        intervals.append((lo, lmax))
+        spans.append(intervals)
+    if prod(map(len, spans)) <= MAX_CELLS:  # the cells number at most this product
+        return up_at, down_at, warnings, spans
+    states = {lmax: 1}
+    for intervals in spans:
+        after: dict[int, int] = {}
+        for ceiling, prefixes in states.items():
+            for lo, hi in intervals:
+                if lo > ceiling:
+                    break
+                least = hi if hi < ceiling else ceiling
+                after[least] = after.get(least, 0) + prefixes
+        states = after
+    count = sum(states.values())
+    if count > MAX_CELLS:
+        raise ValueError(
+            f"{count} cells (n={params.n}, sigma_tilde={params.sigma_tilde}, lmax={lmax}) exceed the oracle's"
+            f" budget of {MAX_CELLS} cells"
+        )
+    return up_at, down_at, warnings, spans
+
+
+def check_cells(params: InducedRepParams, lmax: int) -> None:
+    """Raise ValueError if ``cells`` would refuse the window, without listing a cell (see ``_spans``)."""
+    _spans(params, lmax)
+
+
 def cells(params: InducedRepParams, lmax: int) -> ClassGraph:
     """The window's class graph from its cells, without listing a lattice point.
 
@@ -177,7 +211,8 @@ def cells(params: InducedRepParams, lmax: int) -> ClassGraph:
     order, as ``window.build`` numbers them by first point in window order.
     The least point lies in its cell, so its x_j picks the cell's interval
     of coordinate j, and a depth-first pass that tries each coordinate's
-    intervals in increasing order meets the cells in that order.
+    intervals in increasing order meets the cells in that order.  A window
+    of more than ``MAX_CELLS`` cells is refused before the pass (``_spans``).
 
     A move x -> x + e_j in the window is one-way iff x_j is one cut value c
     of coordinate j but not both.  It leaves the cell of x, whose interval
@@ -194,18 +229,7 @@ def cells(params: InducedRepParams, lmax: int) -> ClassGraph:
     max(least_i, 1 - lmax), is nonempty, that is iff least_1 < lmax and
     greatest_n > -lmax; each class without one gets a warning.
     """
-    if lmax < 1:
-        raise ValueError(f"lmax must be >= 1, got {lmax}")
-    up_at, down_at, warnings = _cut_values(params, lmax)
-    spans = []  # per coordinate, its intervals (lo, hi) in increasing order
-    for u, d in zip(up_at, down_at):
-        lo, intervals = -lmax, []
-        for c in sorted({u, d} - {None}):
-            if -lmax <= c < lmax:
-                intervals.append((lo, c))
-                lo = c + 1
-        intervals.append((lo, lmax))
-        spans.append(intervals)
+    up_at, down_at, warnings, spans = _spans(params, lmax)
 
     # The depth-first pass: picked[k], lows[k] and ceilings[k + 1] are the
     # interval, its lo and the least hi so far at depth k, and i is the
@@ -405,8 +429,8 @@ def compare(params: InducedRepParams, lmax: int | None = None) -> OracleVerdict:
     """Closed-form structure vs brute-force graph analysis on one window.
 
     The window's classes come from ``cells``, and the window is never
-    enumerated.  An oversized window is refused by ``check_window``, as the
-    window reference refuses it.
+    enumerated.  A window of more than ``MAX_CELLS`` cells is refused, by
+    ValueError, before any cell is listed.
     Checks, in order: the region partition against the SCC classes, the
     module diagram against the class Hasse diagram, the socle layers against
     longest-path levels, and each generated submodule against the
@@ -415,7 +439,6 @@ def compare(params: InducedRepParams, lmax: int | None = None) -> OracleVerdict:
     """
     if lmax is None:
         lmax = auto_lmax(params)
-    check_window(params.n, lmax)
     graph = cells(params, lmax)
     case = classify(params)
     if case is CaseTag.IRREDUCIBLE:

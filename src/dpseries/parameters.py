@@ -81,9 +81,10 @@ class CaseTag(enum.Enum):
 
     Rows by parity of ``sigma_tilde`` (odd -> a, even -> b), columns by parity
     of ``n + alpha`` (odd -> 1, even -> 2).  ``family`` is the constituent
-    family letter: "R" in Cases 1, "L" in Cases 2, None when irreducible.
-    ``text`` is the value as a plain attribute, which reads faster than the
-    enum's ``value`` descriptor in the per-label views.
+    family letter: "R" in Cases 1, "L" in Cases 2, None when irreducible, and
+    ``row`` is the row letter "a" or "b", None when irreducible.  ``text`` is
+    the value as a plain attribute.  The three read faster than the enum's
+    ``value`` descriptor or a member lookup such as ``CaseTag.CASE_2A``.
     """
 
     IRREDUCIBLE = "Irreducible"
@@ -94,6 +95,7 @@ class CaseTag(enum.Enum):
 
     def __init__(self, value: str) -> None:
         self.family: str | None = _FAMILY.get(value)
+        self.row: str | None = value[-1] if self.family else None
         self.text: str = value
 
 

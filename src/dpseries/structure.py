@@ -25,8 +25,8 @@ from __future__ import annotations
 import json
 from typing import NamedTuple
 
-from .parameters import CaseTag, InducedRepParams
-from .constituents import ConstituentLabel, _Point, _point, parse_label
+from .parameters import InducedRepParams
+from .constituents import ConstituentLabel, _point, parse_label
 
 __all__ = [
     "ModuleDiagram",
@@ -59,34 +59,37 @@ class Submodule(NamedTuple):
     members: tuple[ConstituentLabel, ...]
 
 
-def _grading(pt: _Point) -> tuple[int, int]:
-    """(a, b) such that the level a*i + b*j drops by one along every edge."""
-    if pt.case.family == "R":
-        return -pt.sign, -pt.sign
-    return (-1, 1) if pt.case is CaseTag.CASE_2A else (1, -1)
-
-
 def module_diagram(params: InducedRepParams) -> ModuleDiagram:
     """Hasse diagram of the generation order on the nonempty constituents.
 
-    An edge goes from each label to its neighbours one level lower that lie in
-    the window: the moves (di, dj) with a*di + b*dj = -1, that is (-a, 0) when
-    a != 0 and (0, -b) when b != 0.  The edges come out sorted, with no sort:
-    the labels run in sorted order, so the upper labels do, and each label's
-    moves run in increasing order, so its lower labels (f, i+di, j+dj) do.
+    With the point's grading (a, b), an edge goes from each label to its
+    neighbours one level lower that lie in the window: the moves (di, dj) with
+    a*di + b*dj = -1, that is (-a, 0) and (0, -b), and none on the unitary
+    axis, where a = b = 0 (otherwise both are +-1).  Row i holds
+    labels[start:stop] at j = j0, j0 + 1, ..., so the label at index x has
+    j = x - start + j0.  Its neighbour (i, j - b) is labels[x - b] if that
+    index lies in [start, stop), and its neighbour (i - a, j) in the row
+    (start', stop', j0') is labels[x + shift], shift = start' - j0' - start +
+    j0, if that index lies in [start', stop').  The edges come out sorted,
+    with no sort: the labels run in sorted order, so the upper labels do, and
+    each label's lower label in row i - a precedes the one in row i iff a = 1.
     """
     pt = _point(params)
-    a, b = _grading(pt)
-    moves = sorted(move for move in ((-a, 0), (0, -b)) if move != (0, 0))
-    label_set = pt.label_set
-    edges = []
-    for lab in pt.labels:
-        f, i, j = lab
-        for di, dj in moves:
-            # a plain tuple equals and hashes as its label, and one found in the window is a valid label
-            lower = (f, i + di, j + dj)
-            if lower in label_set:
-                edges.append((lab, tuple.__new__(ConstituentLabel, lower)))
+    a, b = pt.grading
+    labels, rows, edges = pt.labels, pt.rows, []
+    if a:
+        for i, (start, stop, j0) in enumerate(rows):
+            # row i - a, or an empty row past the grid's ends
+            other, other_stop, other_j0 = rows[i - a] if 0 <= i - a < len(rows) else (0, 0, 0)
+            shift = other - other_j0 - start + j0
+            for x in range(start, stop):
+                upper = labels[x]
+                if a == 1 and other <= x + shift < other_stop:
+                    edges.append((upper, labels[x + shift]))
+                if start <= x - b < stop:
+                    edges.append((upper, labels[x - b]))
+                if a == -1 and other <= x + shift < other_stop:
+                    edges.append((upper, labels[x + shift]))
     return ModuleDiagram(nodes=pt.labels, edges=tuple(edges))
 
 
@@ -97,7 +100,7 @@ def socle_series(params: InducedRepParams) -> SocleSeries:
     layer is sorted again.
     """
     pt = _point(params)
-    a, b = _grading(pt)
+    a, b = pt.grading
     levels = [a * i + b * j for _, i, j in pt.labels]
     low = min(levels)
     layers: list[list[ConstituentLabel]] = [[] for _ in range(max(levels) - low + 1)]
@@ -112,7 +115,7 @@ def socle_series(params: InducedRepParams) -> SocleSeries:
 def generated_submodule(params: InducedRepParams, label: ConstituentLabel) -> Submodule:
     """The smallest submodule containing the given constituent.
 
-    With ``(a, b) = _grading`` and the generator at ``(s, t)``, it keeps the
+    With the point's grading (a, b) and the generator at ``(s, t)``, it keeps the
     nonempty constituents x with ``a*(x.i - s) <= 0`` and ``b*(x.j - t) <= 0``;
     at sigma = 0 the grading is (0, 0) and it keeps the generator alone.
     Otherwise a and b are +-1, so the members are, row by row (rows i <= s
@@ -124,8 +127,8 @@ def generated_submodule(params: InducedRepParams, label: ConstituentLabel) -> Su
     pt = _point(params)
     if label not in pt.label_set:
         raise ValueError(f"label is not a nonempty constituent here: {label} at {params}")
-    a, b = _grading(pt)
-    if (a, b) == (0, 0):
+    a, b = pt.grading
+    if not a:
         return Submodule(generator=label, members=(label,))
     _, s, t = label
     labels, rows = pt.labels, pt.rows[: s + 1] if a == 1 else pt.rows[s:]

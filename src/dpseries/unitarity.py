@@ -22,9 +22,9 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .parameters import CaseTag, InducedRepParams
+from .parameters import InducedRepParams
 from .ktypes import KType, check_ktype
-from .constituents import ConstituentLabel, _point
+from .constituents import ConstituentLabel, _Point, _point
 
 __all__ = [
     "UnitarityVerdict",
@@ -119,43 +119,72 @@ def constituent_unitarizable(
 
     Family R has one clause for both signs of sigma, read through |sigma|.
     Family L has one clause per band kind: Case 2a at sigma shares its band
-    (and so its clause) with Case 2b at -sigma.
+    (and so its clause) with Case 2b at -sigma.  The verdict is one of the
+    point's at most three, built once per point by ``_clauses``.
     """
     pt = _point(params)
     if label not in pt.label_set:
         raise ValueError(f"label is not a nonempty constituent here: {label} at {params}")
-    case, name, m, k = pt.case, pt.case.text, pt.m, pt.k
+    ci, cj, first, second, corner, verdicts = pt._verdicts
     _, i, j = label
+    level = ci * i + cj * j
+    if level == first:
+        return verdicts[0]
+    if level == second or i == corner or j == corner:
+        return verdicts[1]
+    return verdicts[2]
+
+
+# Below every level ci*i + cj*j and every index of a window label, so a clause keyed to it never holds.
+_NEVER = -2
+
+
+def _clauses(pt: _Point) -> tuple[int, int, int, int, int, tuple[UnitarityVerdict, ...]]:
+    """The point's clauses as (ci, cj, first, second, corner, verdicts).
+
+    A label (i, j) of the window gets verdicts[0] when its level ci*i + cj*j
+    is ``first``, verdicts[1] when the level is ``second`` or i or j is
+    ``corner``, and verdicts[2] otherwise; at most one of these tests holds.
+    The level is i+j in family R and the band's j-i (r1) or i-j (r2) in
+    family L.  At sigma = 0 every label gets the one verdict.
+    Family R: the first clause is level r when m <= k, the second the corners
+    (k, 0) and (0, k) in Case 1b at odd n, where i + j <= k makes i = k or
+    j = k a corner; off the axis m >= 1, so r = max(k-m, 0) < k.  Family L: the
+    first clause is level -1 (r1) or 0 (r2), the second level r when m <= k0
+    (r1) or m + 1 <= k1 (r2), and r >= 0 (r1) or r >= 1 (r2).
+    """
+    case, name, m, k = pt.case, pt.case.text, pt.m, pt.k
     if pt.sign == 0:  # family R alone has sigma = 0
-        return UnitarityVerdict(True, f"{name}-sigma=0-direct-sum")
+        return 0, 0, 0, _NEVER, _NEVER, (UnitarityVerdict(True, f"{name}-sigma=0-direct-sum"),)
     band, r = pt.index_bound
-    unit = "1" if case.family == "R" else "1/2"  # the least |sigma| off the unitary axis
+    unit = "1" if pt.family == "R" else "1/2"  # the least |sigma| off the unitary axis
     tag = f"{name}-sigma<=-{unit}" if pt.sign < 0 else f"{name}-sigma>={unit}"
 
-    if case.family == "R":  # m = |sigma| here, and r = max(k-m, 0)
-        if m <= k and i + j == r:
-            return UnitarityVerdict(True, f"{tag}-(i+j={band})")
+    if pt.family == "R":  # m = |sigma| here, and r = max(k-m, 0)
         # n odd makes alpha even in Case 1, and k = (n+1)/2 in Case 1b
-        if case is CaseTag.CASE_1B and params.n % 2 == 1 and (i, j) in ((k, 0), (0, k)):
-            return UnitarityVerdict(True, "Case1b-exceptional-(n odd, alpha in {0,2})")
+        corner = k if case.row == "b" and pt.n % 2 == 1 else _NEVER
         bounds = f"-{k}<=sigma<=-1" if pt.sign < 0 else f"1<=sigma<={k}"
-        return UnitarityVerdict(False, f"{tag}: needs {bounds} and i+j={band}={r}")
+        return 1, 1, r if m <= k else _NEVER, _NEVER, corner, (
+            UnitarityVerdict(True, f"{tag}-(i+j={band})"),
+            UnitarityVerdict(True, "Case1b-exceptional-(n odd, alpha in {0,2})"),
+            UnitarityVerdict(False, f"{tag}: needs {bounds} and i+j={band}={r}"),
+        )
 
     # m = |sigma| - 1/2 here, sigma being a half-integer
     if band == "r1":
         # band -1 <= j-i <= r1, r1 = min(|sigma|-1/2, k0)
-        if i == j + 1:
-            return UnitarityVerdict(True, f"{tag}-(i=j+1)")
-        k0 = params.n // 2  # largest i with an i<->i barrier pair in family L
-        if m <= k0 and j - i == r:
-            return UnitarityVerdict(True, f"{tag}-(j-i=r1)")
+        k0 = pt.n // 2  # largest i with an i<->i barrier pair in family L
         bound = f"sigma<={k0}+1/2" if pt.sign > 0 else f"sigma>=-{k0}-1/2"
-        return UnitarityVerdict(False, f"{tag}: needs i=j+1, or {bound} and j-i=r1={r}")
+        return -1, 1, -1, r if m <= k0 else _NEVER, _NEVER, (
+            UnitarityVerdict(True, f"{tag}-(i=j+1)"),
+            UnitarityVerdict(True, f"{tag}-(j-i=r1)"),
+            UnitarityVerdict(False, f"{tag}: needs i=j+1, or {bound} and j-i=r1={r}"),
+        )
     # band 0 <= i-j <= r2, r2 = min(|sigma|+1/2, k1)
-    if i == j:
-        return UnitarityVerdict(True, f"{tag}-(i=j)")
-    k1 = (params.n + 1) // 2
-    if m + 1 <= k1 and i - j == r:
-        return UnitarityVerdict(True, f"{tag}-(i-j=r2)")
+    k1 = (pt.n + 1) // 2
     bound = f"sigma<={k1}-1/2" if pt.sign > 0 else f"sigma>=-{k1}+1/2"
-    return UnitarityVerdict(False, f"{tag}: needs i=j, or {bound} and i-j=r2={r}")
+    return 1, -1, 0, r if m + 1 <= k1 else _NEVER, _NEVER, (
+        UnitarityVerdict(True, f"{tag}-(i=j)"),
+        UnitarityVerdict(True, f"{tag}-(i-j=r2)"),
+        UnitarityVerdict(False, f"{tag}: needs i=j, or {bound} and i-j=r2={r}"),
+    )

@@ -19,15 +19,23 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator
 from functools import cached_property
 from itertools import product
+from math import comb
 from typing import NamedTuple
 
 import numpy as np
 
 from .parameters import InducedRepParams, _Frozen
 from .ktypes import KType
-from .oracle import _class_order, _cut_values, check_window
+from .oracle import _class_order, _cut_values
 
-__all__ = ["TruncatedLattice", "build", "connected_components"]
+__all__ = ["TruncatedLattice", "build", "check_window", "connected_components"]
+
+# Largest window build() accepts, in points.  build() in a fresh process
+# peaked (ru_maxrss) at 49 MB for 1.56 M points (n=8), at 156 MB for 10.0 M
+# and 262 MB for 20.2 M (n=9), and, with the budget raised for the run, at
+# 394 MB for 30.0 M (n=10): under 16 bytes per point from 10 M points up, so
+# a window at the budget needs about 0.4 GB.
+MAX_WINDOW_POINTS = 30_000_000
 
 # Runs whose moves along one coordinate are paired at a time.  Their indices
 # and partners take 1 MiB, so the allocator reuses their pages from block to
@@ -181,6 +189,23 @@ def connected_components(label: np.ndarray, pairs: Iterable[tuple[np.ndarray, np
     number = np.zeros(len(label), dtype=np.int32)
     number[roots] = np.arange(len(roots), dtype=np.int32)
     return len(roots), number[label]
+
+
+def check_window(n: int, lmax: int) -> int:
+    """Number of dominant n-tuples with entries in [-lmax, lmax].
+
+    Raises ValueError, before anything is enumerated, when lmax < 1 or the
+    number exceeds ``MAX_WINDOW_POINTS``.
+    """
+    if lmax < 1:
+        raise ValueError(f"lmax must be >= 1, got {lmax}")
+    size = comb(2 * lmax + n, n)
+    if size > MAX_WINDOW_POINTS:
+        raise ValueError(
+            f"window of {size} points (n={n}, lmax={lmax}) exceeds the oracle's budget"
+            f" of {MAX_WINDOW_POINTS} points"
+        )
+    return size
 
 
 def build(params: InducedRepParams, lmax: int) -> TruncatedLattice:

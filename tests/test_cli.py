@@ -345,22 +345,37 @@ def test_verify_computes_each_points_barriers_once(monkeypatch, capsys):
 
 
 def test_verify_refuses_an_oversized_window_at_once(capsys):
+    # a window is refused by its cells: n=200, alpha=2, sigma_tilde=209 has
+    # 5,251, over the oracle's 3,500, counted, not listed, so at once
     t0 = time.perf_counter()
-    assert run(["verify", "--n", "12", "--alpha", "0", "--sigma", "-20", "--lmax", "20"]) == 1
+    assert run(["verify", "--n", "200", "--alpha", "2", "--sigma", "215/2"]) == 1
     assert time.perf_counter() - t0 < 5
     captured = capsys.readouterr()
-    assert captured.err.startswith("error: --lmax") and "budget" in captured.err
-    assert "Traceback" not in captured.err and captured.out == ""
+    assert captured.err == (
+        "error: --n/--sigma: 5251 cells (n=200, sigma_tilde=209, lmax=107) exceed the oracle's budget of 3500 cells\n"
+    )
+    assert captured.out == ""
+    # a window wider than the auto one has the same cells, and a far wider
+    # one than any window budget allowed runs (12 cells here)
+    assert run(["verify", "--n", "12", "--alpha", "0", "--sigma", "-20", "--lmax", "20"]) == 0
+    assert json.loads(capsys.readouterr().out)["ok"]
 
 
 def test_verify_checks_every_window_before_running_any(capsys):
-    # n=11 at the auto window (193,536,720 points) is far over budget; no
-    # smaller point may run first
-    args = ["--n-range", "2,3,4,5,6,7,8,9,11", "--alpha-set", "0", "--sigma-tilde-range", "-6:-6"]
+    # n=200's window is over the cell budget; no smaller point may run first
+    args = ["--n-range", "2,3,4,5,6,7,8,9,200", "--alpha-set", "2", "--sigma-tilde-range", "209:209"]
     assert run(["verify", *args]) == 1
     captured = capsys.readouterr()
-    assert captured.err.startswith("error: --n-range") and "n=11" in captured.err
+    assert captured.err.startswith("error: --n-range") and "n=200" in captured.err and "cells" in captured.err
     assert captured.out == ""
+
+
+def test_verify_runs_n_up_to_16_with_no_window_budget(capsys):
+    # n=10 at sigma_tilde=-6 (a window of 30,045,015 points) was refused by
+    # the window budget; the cells of every point here number at most 53
+    assert run(["verify", "--n-range", "2:16"]) == 0
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert len(records) == 780 and all(record["ok"] for record in records)
 
 
 def test_verify_record_shows_the_below_margin_warning(capsys):
@@ -421,8 +436,8 @@ def test_verify_refuses_a_huge_sweep_before_building_it():
     env = {**os.environ, "PYTHONPATH": str(Path(dpseries.__file__).parents[1])}
     for flag, raw, phrases in (
         ("--alpha-set", "0:1000000000", ("--alpha-set",)),
-        ("--n-range", "2:1000000000", ("budget",)),
-        ("--sigma-tilde-range", "-1000000000:1000000000", ("budget", "--sigma-tilde-range")),
+        ("--n-range", "2:1000000000", ("--n-range: sweep of 51999999948 points exceeds", "budget")),
+        ("--sigma-tilde-range", "-1000000000:1000000000", ("--sigma-tilde-range: sweep of 32000000016 points",)),
     ):
         proc = subprocess.run(
             [sys.executable, "-m", "dpseries", "verify", flag, raw],
@@ -435,10 +450,10 @@ def test_verify_refuses_a_huge_sweep_before_building_it():
 
 
 def test_verify_with_a_fixed_window_starts_a_huge_sweep_at_once():
-    # a fixed --lmax window's size depends on n alone, so the pre-check must
-    # not visit each of the sweep's 8 * 10**9 points before the first record
+    # the pre-check counts the cells of each of the sweep's 100,000 points
+    # (verify's budget) before the first record; at a fixed window too
     env = {**os.environ, "PYTHONPATH": str(Path(dpseries.__file__).parents[1])}
-    argv = ["verify", "--lmax", "1", "--sigma-tilde-range", "-1000000000:1000000000"]
+    argv = ["verify", "--lmax", "1", "--sigma-tilde-range", "-3124:3125"]
     proc = subprocess.Popen(
         [sys.executable, "-m", "dpseries", *argv],
         stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True, env=env,
@@ -447,7 +462,7 @@ def test_verify_with_a_fixed_window_starts_a_huge_sweep_at_once():
         ready, _, _ = select.select([proc.stdout], [], [], 10)
         assert ready, "no record within 10 s"
         record = json.loads(proc.stdout.readline())
-        assert (record["n"], record["lmax"], record["sigma_tilde"]) == (2, 1, "-1000000000")
+        assert (record["n"], record["lmax"], record["sigma_tilde"]) == (2, 1, "-3124")
     finally:
         proc.kill()
         proc.wait()

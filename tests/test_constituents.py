@@ -315,7 +315,7 @@ def test_every_chain_bounds_a_coordinate_of_the_rank():
         params = params_from_sigma_tilde(n, alpha, st_val)
         pt = _point(params)
         for lab in _index_grid(params):
-            for lo_coord, _, hi_coord in _chains(params, pt, lab):
+            for lo_coord, _, hi_coord in _chains(pt, lab):
                 assert lo_coord <= n and hi_coord >= 1, (params, lab, lo_coord, hi_coord)
 
 
@@ -325,7 +325,7 @@ def _region_by_chain_loop(params, pt, label):
     n = params.n
     lower: list[int | None] = [None] * n
     upper: list[int | None] = [None] * n
-    for lo_coord, value, hi_coord in _chains(params, pt, label):
+    for lo_coord, value, hi_coord in _chains(pt, label):
         if value % 2 != 0:
             raise RuntimeError(f"region chain of {label} at {params} sits on odd position {value}")
         if lo_coord >= 1:  # +inf >= value holds for lo_coord <= 0
@@ -347,7 +347,7 @@ def test_region_equals_the_chain_loop_on_the_grid():
             region, reference = region_for(params, lab), _region_by_chain_loop(params, pt, lab)
             assert type(region) is Region and region == reference, (params, lab)
             assert (region.to_json(), region.describe()) == (reference.to_json(), reference.describe())
-            (a1, _, b1), (a2, _, b2) = _chains(params, pt, lab)
+            (a1, _, b1), (a2, _, b2) = _chains(pt, lab)
             shared += 1 <= a1 == a2 or b1 == b2 <= n
     assert shared > 0  # some labels bound one coordinate by both chains
 

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import dpseries
-from dpseries import CaseTag, ConstituentLabel, InducedRepParams, constituents, howe, window
+from dpseries import CaseTag, InducedRepParams, constituents, howe, window
 
 
 def test_no_assert_statements_in_the_package():
@@ -41,10 +41,13 @@ def test_every_exported_name_resolves():
 
 
 def test_odd_region_chain_raises(monkeypatch):
+    # the parity of every region's chain values is fixed per point, so the
+    # point record checks it once; a Case 1a point read as Case 1b puts its
+    # first chain at 2i - 1 with the even offset 1 - sigma_tilde = 0
     params = InducedRepParams(2, 1, Fraction(-1))
-    monkeypatch.setattr(constituents, "_chains", lambda *args: [(1, 3, 2)])
-    with pytest.raises(RuntimeError, match="odd position 3"):
-        constituents._build_region(params, constituents._point(params), ConstituentLabel("R", 0, 0))
+    monkeypatch.setattr(constituents, "classify", lambda params: CaseTag.CASE_1B)
+    with pytest.raises(RuntimeError, match="odd position -1"):
+        constituents._integers.__wrapped__(params)
 
 
 def test_omega_image_target_checks_raise(monkeypatch):

@@ -365,7 +365,7 @@ def test_compare_holds_under_64_bytes_per_window_point():
     # the window reference with its per-point views; numpy reports its
     # buffers to tracemalloc, so the peak is deterministic
     params = params_from_sigma_tilde(6, 0, -6)
-    points = oracle.check_window(6, 8)
+    points = window.check_window(6, 8)
     tracemalloc.start()
     try:
         lattice = build(params, 8)
@@ -380,7 +380,7 @@ def test_compare_holds_under_64_bytes_per_window_point():
 def test_compare_holds_under_22_bytes_per_window_point():
     # the window reference alone: its runs, not its points, set the peak
     params = params_from_sigma_tilde(6, 0, -6)
-    points = oracle.check_window(6, 8)
+    points = window.check_window(6, 8)
     tracemalloc.start()
     try:
         lattice = build(params, 8)
@@ -887,9 +887,41 @@ def test_oversized_window_is_refused_before_enumeration(monkeypatch):
     monkeypatch.setattr(window, "_window_points", enumerate_nothing)
     with pytest.raises(ValueError, match="exceeds the oracle's budget"):
         build(params_from_sigma_tilde(12, 0, -6), 20)
-    assert oracle.check_window(8, 9) == 1562275
+    assert window.check_window(8, 9) == 1562275
     with pytest.raises(ValueError, match="budget"):
-        oracle.check_window(9, 12)
+        window.check_window(9, 12)
+    # compare refuses by cells, not window points: that window has 12 cells
+    assert compare(params_from_sigma_tilde(12, 0, -6), 20).ok
+
+
+def test_a_window_of_too_many_cells_is_refused_before_any_cell_is_listed():
+    # 5,251 cells: the depth-first pass and the closures would take seconds
+    # and gigabytes; the count takes milliseconds
+    params = params_from_sigma_tilde(200, 2, 209)
+    message = "5251 cells (n=200, sigma_tilde=209, lmax=107) exceed the oracle's budget of 3500 cells"
+    for refuse in (lambda: compare(params), lambda: oracle.cells(params, 107), lambda: oracle.check_cells(params, 107)):
+        with pytest.raises(ValueError) as info:
+            refuse()
+        assert str(info.value) == message
+    with pytest.raises(ValueError, match="lmax must be >= 1"):
+        oracle.check_cells(params, 0)
+
+
+def test_the_cell_count_is_the_number_of_classes(monkeypatch):
+    # the count over (depth, least hi) states is exact: a budget of the
+    # class count admits the window, and one less refuses it
+    for n in range(2, 9):
+        for alpha in range(4):
+            for st_val in (*range(-8, n + 11), Fraction(1, 2)):
+                params = params_from_sigma_tilde(n, alpha, st_val)
+                for lmax in (1, 2, auto_lmax(params)):
+                    classes = oracle.cells(params, lmax).n_classes
+                    monkeypatch.setattr(oracle, "MAX_CELLS", classes)
+                    oracle.check_cells(params, lmax)
+                    monkeypatch.setattr(oracle, "MAX_CELLS", classes - 1)
+                    with pytest.raises(ValueError, match=f"^{classes} cells"):
+                        oracle.check_cells(params, lmax)
+                    monkeypatch.undo()
 
 
 def test_build_uses_nothing_from_the_closed_form_modules(monkeypatch):

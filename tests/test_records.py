@@ -37,11 +37,16 @@ RECORDS = {
     "ConstituentLabel": (lambda: LABEL, ("family", "i", "j"), ()),
     "Region": (lambda: region_for(P, LABEL), ("n", "lower", "upper"), ("_extremes",)),
     "ConstituentSet": (lambda: enumerate_constituents(P), ("case", "labels", "index_bound"), ()),
-    "_Integers": (lambda: constituents._integers(P), ("case", "sign", "m", "k", "st"), ()),
+    "_Integers": (
+        lambda: constituents._integers(P),
+        ("case", "sign", "m", "k", "st", "n", "family", "grading", "chains"),
+        (),
+    ),
     "_Point": (
         lambda: constituents._point(P),
-        ("case", "sign", "m", "k", "st", "index_bound", "labels", "label_set", "rows"),
-        (),
+        ("case", "sign", "m", "k", "st", "n", "family", "grading", "chains", "index_bound", "labels", "label_set",
+         "rows"),
+        ("_verdicts",),
     ),
     "ModuleDiagram": (lambda: module_diagram(P), ("nodes", "edges"), ()),
     "SocleSeries": (lambda: socle_series(P), ("layers",), ()),

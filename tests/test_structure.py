@@ -5,8 +5,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dpseries import (
+    CaseTag,
     ConstituentLabel,
     InducedRepParams,
     derived,
@@ -22,7 +24,8 @@ from dpseries import (
     region_for,
     socle_series,
 )
-from dpseries.structure import diagram_from_json
+from dpseries.constituents import _point
+from dpseries.structure import ModuleDiagram, diagram_from_json
 
 from conftest import params_from_sigma_tilde
 
@@ -290,3 +293,50 @@ def test_views_emit_in_label_order_beyond_the_pin():
         layers = socle_series(params).layers
         assert all(list(layer) == sorted(layer) for layer in layers), params
         assert sorted(x for layer in layers for x in layer) == list(labels), params
+
+
+def _module_diagram_reference(params):
+    """``structure.module_diagram`` as it probed the window's label set for each move, verbatim but for
+    its grading, which is the body of the ``_grading`` it called: a reference."""
+    pt = _point(params)
+    if pt.case.family == "R":
+        a, b = -pt.sign, -pt.sign
+    else:
+        a, b = (-1, 1) if pt.case is CaseTag.CASE_2A else (1, -1)
+    moves = sorted(move for move in ((-a, 0), (0, -b)) if move != (0, 0))
+    label_set = pt.label_set
+    edges = []
+    for lab in pt.labels:
+        f, i, j = lab
+        for di, dj in moves:
+            # a plain tuple equals and hashes as its label, and one found in the window is a valid label
+            lower = (f, i + di, j + dj)
+            if lower in label_set:
+                edges.append((lab, tuple.__new__(ConstituentLabel, lower)))
+    return ModuleDiagram(nodes=pt.labels, edges=tuple(edges))
+
+
+def _check_diagram_against_the_reference(params):
+    diagram = module_diagram(params)
+    assert diagram == _module_diagram_reference(params), params
+    # the edges hold the window's own label objects
+    window = {id(x) for x in enumerate_constituents(params).labels}
+    assert all(id(u) in window and id(v) in window for u, v in diagram.edges), params
+    return len(diagram.edges)
+
+
+def test_diagram_equals_the_label_set_probe():
+    # every point's edge list, in order, on n 2..16, alpha 0..3, sigma_tilde -20..20
+    edges = sum(
+        _check_diagram_against_the_reference(params_from_sigma_tilde(n, alpha, st_val))
+        for n in range(2, 17)
+        for alpha in range(4)
+        for st_val in range(-20, 21)
+    )
+    assert edges > 10_000
+
+
+@settings(deadline=None)
+@given(st.integers(2, 40), st.integers(0, 3), st.integers(-60, 60))
+def test_diagram_equals_the_label_set_probe_beyond_the_grid(n, alpha, st_val):
+    _check_diagram_against_the_reference(params_from_sigma_tilde(n, alpha, st_val))

@@ -3,8 +3,10 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dpseries import (
+    CaseTag,
     ConstituentLabel,
     InducedRepParams,
     complementary_series,
@@ -18,8 +20,9 @@ from dpseries import (
     region_for,
     transition,
 )
+from dpseries.constituents import _point
 from dpseries.ktypes import neighbors
-from dpseries.unitarity import xi
+from dpseries.unitarity import UnitarityVerdict, xi
 
 from conftest import dominant_window, params_from_sigma_tilde
 
@@ -295,3 +298,83 @@ def test_case1b_corners_at_even_rank_are_not_exceptional():
                         assert "exceptional" not in verdict.reason, (params, lab)
                         seen += not verdict.unitarizable
     assert seen > 0
+
+
+def _constituent_unitarizable_reference(
+    params: InducedRepParams, label: ConstituentLabel
+) -> UnitarityVerdict:
+    """The clauses as ``unitarity.constituent_unitarizable`` read them label by label before the point
+    record held its verdicts, verbatim: a reference."""
+    pt = _point(params)
+    if label not in pt.label_set:
+        raise ValueError(f"label is not a nonempty constituent here: {label} at {params}")
+    case, name, m, k = pt.case, pt.case.text, pt.m, pt.k
+    _, i, j = label
+    if pt.sign == 0:  # family R alone has sigma = 0
+        return UnitarityVerdict(True, f"{name}-sigma=0-direct-sum")
+    band, r = pt.index_bound
+    unit = "1" if case.family == "R" else "1/2"  # the least |sigma| off the unitary axis
+    tag = f"{name}-sigma<=-{unit}" if pt.sign < 0 else f"{name}-sigma>={unit}"
+
+    if case.family == "R":  # m = |sigma| here, and r = max(k-m, 0)
+        if m <= k and i + j == r:
+            return UnitarityVerdict(True, f"{tag}-(i+j={band})")
+        # n odd makes alpha even in Case 1, and k = (n+1)/2 in Case 1b
+        if case is CaseTag.CASE_1B and params.n % 2 == 1 and (i, j) in ((k, 0), (0, k)):
+            return UnitarityVerdict(True, "Case1b-exceptional-(n odd, alpha in {0,2})")
+        bounds = f"-{k}<=sigma<=-1" if pt.sign < 0 else f"1<=sigma<={k}"
+        return UnitarityVerdict(False, f"{tag}: needs {bounds} and i+j={band}={r}")
+
+    # m = |sigma| - 1/2 here, sigma being a half-integer
+    if band == "r1":
+        # band -1 <= j-i <= r1, r1 = min(|sigma|-1/2, k0)
+        if i == j + 1:
+            return UnitarityVerdict(True, f"{tag}-(i=j+1)")
+        k0 = params.n // 2  # largest i with an i<->i barrier pair in family L
+        if m <= k0 and j - i == r:
+            return UnitarityVerdict(True, f"{tag}-(j-i=r1)")
+        bound = f"sigma<={k0}+1/2" if pt.sign > 0 else f"sigma>=-{k0}-1/2"
+        return UnitarityVerdict(False, f"{tag}: needs i=j+1, or {bound} and j-i=r1={r}")
+    # band 0 <= i-j <= r2, r2 = min(|sigma|+1/2, k1)
+    if i == j:
+        return UnitarityVerdict(True, f"{tag}-(i=j)")
+    k1 = (params.n + 1) // 2
+    if m + 1 <= k1 and i - j == r:
+        return UnitarityVerdict(True, f"{tag}-(i-j=r2)")
+    bound = f"sigma<={k1}-1/2" if pt.sign > 0 else f"sigma>=-{k1}+1/2"
+    return UnitarityVerdict(False, f"{tag}: needs i=j, or {bound} and i-j=r2={r}")
+
+
+def _check_verdicts_against_the_reference(params):
+    verdicts = []
+    for label in enumerate_constituents(params).labels:
+        verdict = constituent_unitarizable(params, label)
+        assert type(verdict) is UnitarityVerdict, (params, label)
+        assert verdict == _constituent_unitarizable_reference(params, label), (params, label)
+        verdicts.append(verdict)
+    # each is one of the point's at most three verdicts, built once
+    assert len({id(v) for v in verdicts}) <= 3, params
+    return {v.reason for v in verdicts}
+
+
+def test_verdicts_equal_the_label_by_label_clauses():
+    # every label's verdict and reason string, on n 2..16, alpha 0..3, sigma_tilde -20..20
+    reasons = set()
+    for n in range(2, 17):
+        for alpha in range(4):
+            for st_val in range(-20, 21):
+                reasons |= _check_verdicts_against_the_reference(params_from_sigma_tilde(n, alpha, st_val))
+    # every clause decides somewhere on the grid, and so does each failure
+    for clause in (
+        "-sigma=0-direct-sum", "-(i+j=r1)", "-(i+j=r2)", "exceptional-(n odd, alpha in {0,2})",
+        "-(i=j+1)", "-(j-i=r1)", "-(i=j)", "-(i-j=r2)",
+    ):
+        assert any(reason.endswith(clause) for reason in reasons), clause
+    for failure in (": needs -", ": needs 1<=", ": needs i=j+1, or sigma", ": needs i=j, or sigma"):
+        assert any(failure in reason for reason in reasons), failure
+
+
+@settings(deadline=None)
+@given(st.integers(2, 40), st.integers(0, 3), st.integers(-60, 60))
+def test_verdicts_equal_the_label_by_label_clauses_beyond_the_grid(n, alpha, st_val):
+    _check_verdicts_against_the_reference(params_from_sigma_tilde(n, alpha, st_val))
