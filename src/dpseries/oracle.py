@@ -32,7 +32,6 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from itertools import combinations
-from math import prod
 from operator import le
 from typing import NamedTuple
 
@@ -153,40 +152,40 @@ def _spans(params: InducedRepParams, lmax: int) -> tuple[list, list, list[str], 
     (depth, least hi so far) of ``cells``' depth-first pass, each with the
     number of prefixes that reach it; a state extends by each interval up to
     the first whose lo exceeds its least hi, as the pass does, so the counts
-    at the last depth sum to the cells the pass finds.  A coordinate has at
-    most three intervals, so below rank 8 the cells never exceed the budget,
-    and the count is made only when the product of the interval counts does.
+    at the last depth sum to the cells the pass finds.  Every prefix extends
+    by the interval holding -lmax, so the count never falls from one depth to
+    the next, and the window is refused at the first depth whose count
+    exceeds the budget.  So the count takes O(n * MAX_CELLS) steps, and the
+    intervals, listed as it goes, are listed only that far.
     """
     if lmax < 1:
         raise ValueError(f"lmax must be >= 1, got {lmax}")
     up_at, down_at, warnings = _cut_values(params, lmax)
-    spans = []
+    spans, states, count = [], {lmax: 1}, 1
     for u, d in zip(up_at, down_at):
         lo, intervals = -lmax, []
-        for c in sorted({u, d} - {None}):
-            if -lmax <= c < lmax:
+        for c in (u, d) if u is None or d is None or u < d else (d, u):  # in increasing order
+            if c is not None and lo <= c < lmax:  # lo <= c drops a cut left of the window, or a repeat
                 intervals.append((lo, c))
                 lo = c + 1
         intervals.append((lo, lmax))
         spans.append(intervals)
-    if prod(map(len, spans)) <= MAX_CELLS:  # the cells number at most this product
-        return up_at, down_at, warnings, spans
-    states = {lmax: 1}
-    for intervals in spans:
-        after: dict[int, int] = {}
-        for ceiling, prefixes in states.items():
-            for lo, hi in intervals:
-                if lo > ceiling:
-                    break
-                least = hi if hi < ceiling else ceiling
-                after[least] = after.get(least, 0) + prefixes
-        states = after
-    count = sum(states.values())
-    if count > MAX_CELLS:
-        raise ValueError(
-            f"{count} cells (n={params.n}, sigma_tilde={params.sigma_tilde}, lmax={lmax}) exceed the oracle's"
-            f" budget of {MAX_CELLS} cells"
-        )
+        if len(intervals) > 1:  # the one interval (-lmax, lmax) keeps every state as it is
+            after: dict[int, int] = {}
+            count = 0
+            for ceiling, prefixes in states.items():
+                for low, high in intervals:
+                    if low > ceiling:
+                        break
+                    least = high if high < ceiling else ceiling
+                    after[least] = after.get(least, 0) + prefixes
+                    count += prefixes
+            states = after
+        if count > MAX_CELLS:
+            raise ValueError(
+                f"window (n={params.n}, sigma_tilde={params.sigma_tilde}, lmax={lmax}) has more than the oracle's"
+                f" budget of {MAX_CELLS} cells"
+            )
     return up_at, down_at, warnings, spans
 
 

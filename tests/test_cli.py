@@ -352,7 +352,8 @@ def test_verify_refuses_an_oversized_window_at_once(capsys):
     assert time.perf_counter() - t0 < 5
     captured = capsys.readouterr()
     assert captured.err == (
-        "error: --n/--sigma: 5251 cells (n=200, sigma_tilde=209, lmax=107) exceed the oracle's budget of 3500 cells\n"
+        "error: --n/--sigma: window (n=200, sigma_tilde=209, lmax=107) has more than the oracle's budget of"
+        " 3500 cells\n"
     )
     assert captured.out == ""
     # a window wider than the auto one has the same cells, and a far wider
@@ -368,6 +369,31 @@ def test_verify_checks_every_window_before_running_any(capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith("error: --n-range") and "n=200" in captured.err and "cells" in captured.err
     assert captured.out == ""
+
+
+def test_verify_refuses_a_huge_rank_at_once():
+    # no rank cap: the count stops at the first depth over the budget, about
+    # 3,500 coordinates in, so n=100,000 (one cut per coordinate, n + 1 cells)
+    # is refused in about a second, alone or last in a list; under a 1 GB
+    # address-space cap, so a point let through fails here, not the host
+    import resource
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    env = {**os.environ, "PYTHONPATH": str(Path(dpseries.__file__).parents[1])}
+    for args in (["--n", "100000", "--alpha", "0", "--sigma", "1/2"],
+                 ["--n-range", "2,100000", "--alpha-set", "0", "--sigma-tilde-range", "50001:50001"]):
+        t0 = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "dpseries", "verify", *args],
+            capture_output=True, text=True, env=env, preexec_fn=cap_memory, timeout=60,
+        )
+        assert time.perf_counter() - t0 < 5, args
+        assert proc.returncode == 1, (args, proc.stderr[-300:])
+        assert proc.stderr.startswith(f"error: {args[0]}"), (args, proc.stderr[-300:])
+        assert "window (n=100000, sigma_tilde=50001, lmax=25003) has more than" in proc.stderr
+        assert proc.stdout == ""
 
 
 def test_verify_runs_n_up_to_16_with_no_window_budget(capsys):
@@ -450,8 +476,9 @@ def test_verify_refuses_a_huge_sweep_before_building_it():
 
 
 def test_verify_with_a_fixed_window_starts_a_huge_sweep_at_once():
-    # the pre-check counts the cells of each of the sweep's 100,000 points
-    # (verify's budget) before the first record; at a fixed window too
+    # a sweep is refused beyond verify's budget of 100,000 points, and the
+    # pre-check counts every point's cells before the first record, at a
+    # fixed window too; at the budget that takes about 2 s, well within 10 s
     env = {**os.environ, "PYTHONPATH": str(Path(dpseries.__file__).parents[1])}
     argv = ["verify", "--lmax", "1", "--sigma-tilde-range", "-3124:3125"]
     proc = subprocess.Popen(
