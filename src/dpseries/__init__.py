@@ -73,7 +73,7 @@ __version__ = "0.1.0"
 
 
 def __getattr__(name: str):
-    """The window reference's names, which load ``window`` and numpy on first use, as ``oracle`` resolves them."""
+    """The window reference's names, which load ``window`` on first use, as ``oracle`` resolves them."""
     if name in oracle._WINDOW_NAMES:
         return getattr(oracle, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -16,9 +16,9 @@ closures from the cut values alone, without listing a lattice point.
 class's box with a region's, and reports the first witness on any mismatch.
 Both need only the standard library.
 
-The window reference, which enumerates the window and derives the same
-class graph for the tests to compare with ``cells``, is ``window.build``; it
-needs numpy and is loaded only when asked for (see ``__getattr__``).
+The window reference, which lists the window point by point and derives
+the same class graph for the tests to compare with ``cells``, is
+``window.build``; it is loaded only when asked for (see ``__getattr__``).
 
 Edge direction convention: an edge A -> B between classes means B lies in the
 submodule generated by A, matching the module diagrams' downward edges.
@@ -43,9 +43,9 @@ from .structure import generated_submodule, module_diagram, socle_series
 __all__ = ["ClassGraph", "OracleVerdict", "auto_lmax", "cells", "check_cells", "compare"]
 
 # The names of the window reference that this module still resolves, by
-# loading ``window`` (and numpy) on their first lookup.  The benchmark's
-# tracer looks up ``build`` and ``connected_components`` here; ROADMAP
-# direction 5 deletes this seam when it retargets the tracer at ``cells``.
+# loading ``window`` on their first lookup, so that no command loads it.  The
+# benchmark's tracer looks up ``build`` and ``connected_components`` here;
+# ROADMAP direction 5 deletes this seam when it retargets the tracer at ``cells``.
 _WINDOW_NAMES = frozenset({"build", "connected_components", "TruncatedLattice"})
 
 
@@ -85,11 +85,15 @@ def _cut_values(params: InducedRepParams, lmax: int) -> tuple[list, list, list[s
     its down edge where 2*lam_j + 2 hits the down barrier.
     """
     up_block, down_block = blocked_positions(params)
-    auto = _auto_lmax(up_block, down_block)
-    warnings = [f"window lmax={lmax} below auto margin {auto}; comparisons may fail"] if lmax < auto else []
     up_at = [b // 2 if b is not None else None for b in up_block]
     down_at = [b // 2 - 1 if b is not None else None for b in down_block]
-    return up_at, down_at, warnings
+    return up_at, down_at, _below_margin(up_block, down_block, lmax)
+
+
+def _below_margin(up_block: tuple, down_block: tuple, lmax: int) -> list[str]:
+    """The warning for a window of radius lmax below the auto margin of these ``blocked_positions``, if it is."""
+    auto = _auto_lmax(up_block, down_block)
+    return [f"window lmax={lmax} below auto margin {auto}; comparisons may fail"] if lmax < auto else []
 
 
 def _class_order(n_classes: int, class_edges: tuple[tuple[int, int], ...]) -> tuple[tuple, tuple, tuple]:
@@ -197,8 +201,8 @@ def check_cells(params: InducedRepParams, lmax: int) -> None:
 def cells(params: InducedRepParams, lmax: int) -> ClassGraph:
     """The window's class graph from its cells, without listing a lattice point.
 
-    The classes are the nonempty cells (``window.build`` proves it and checks
-    it on the window).  The cut values c of a coordinate with -lmax <= c < lmax
+    The classes are the nonempty cells (``window.build`` checks it on the
+    window).  The cut values c of a coordinate with -lmax <= c < lmax
     split its values in [-lmax, lmax] into intervals, and a cell picks one
     interval per coordinate.  Dominant tuples with lo_i <= x_i <= hi_i exist
     iff lo_j <= hi_i for every i <= j (take x_j = min of hi_1..hi_j), so a

@@ -10,11 +10,10 @@ import pkgutil
 from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import dpseries
-from dpseries import CaseTag, InducedRepParams, constituents, howe, window
+from dpseries import CaseTag, InducedRepParams, constituents, howe
 
 
 def test_no_assert_statements_in_the_package():
@@ -62,9 +61,3 @@ def test_omega_image_target_checks_raise(monkeypatch):
         with pytest.raises(RuntimeError, match=f"cannot target .* in {case.value}"):
             howe.omega_image(p, 2, 4)
 
-
-def test_window_with_a_hole_raises(monkeypatch):
-    whole = window._window_points
-    monkeypatch.setattr(window, "_window_points", lambda n, lmax: np.delete(whole(n, lmax), 1, axis=0))
-    with pytest.raises(AssertionError, match="leaves the enumerated window"):
-        window.build(InducedRepParams(2, 0, Fraction(1, 2)), 2)

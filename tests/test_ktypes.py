@@ -134,14 +134,21 @@ def test_ktype_parse_format():
 
 
 def test_blocked_positions_match_transition_zero_locus():
-    # The vectorized oracle consumes blocked_positions; pin it to transition().
-    for p in (P_CASE1A, P_CASE2B, InducedRepParams(3, 2, Fraction(-2)), InducedRepParams(2, 0, Fraction(0))):
-        up, down = blocked_positions(p)
-        for lam in dominant_window(p.n, 4):
-            for target, j, direction in neighbors(lam):
-                coeff = transition(p, lam, j, direction)
-                block = up[j - 1] if direction == "up" else down[j - 1]
-                assert (coeff == 0) == (block is not None and 2 * lam[j - 1] == block)
+    # The oracle reads its edges from blocked_positions; pin it to transition()
+    # on every move out of each window below (radius 4 at n 2 and 3, 3 at n 4
+    # and 2 at n 5 and 6).  sigma_tilde 3/2 adds I^0(0) at n 2.
+    sigma_tildes = [Fraction(s) for s in range(-6, 7)] + [Fraction(t, 2) for t in (-7, 1, 3, 5)]
+    for n, radius in ((2, 4), (3, 4), (4, 3), (5, 2), (6, 2)):
+        window = dominant_window(n, radius)
+        for alpha in range(4):
+            for st in sigma_tildes:
+                p = params_from_sigma_tilde(n, alpha, st)
+                up, down = blocked_positions(p)
+                for lam in window:
+                    for target, j, direction in neighbors(lam):
+                        coeff = transition(p, lam, j, direction)
+                        block = up[j - 1] if direction == "up" else down[j - 1]
+                        assert (coeff == 0) == (block is not None and 2 * lam[j - 1] == block), (p, lam, j, direction)
 
 
 def test_blocked_positions_and_auto_lmax_match_the_fraction_barriers():
