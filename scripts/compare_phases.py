@@ -5,11 +5,13 @@ Usage:
 
 Each CHECKOUT (by default the one holding this script) is measured from its
 own ``src/``.  A worker process replays ``compare``'s steps point by point
-and times each: ``auto_lmax``, ``cells`` without its ``_class_order``,
-``_class_order``, ``classify``, the theorem window
-(``enumerate_constituents``), ``_partition`` and the diagram, socle and
-generated checks (``_structure_mismatches``); then it times ``auto_lmax`` and
-``compare`` end to end.  The point memos are cleared and ``gc.collect()``
+and times each: ``cells`` without its ``_class_order``, ``_class_order``,
+``classify``, the theorem window (``enumerate_constituents``),
+``_partition``, the diagram, socle and generated checks
+(``_structure_mismatches``) and ``auto_lmax``, which only fills the
+verdict's ``lmax``; then it times ``compare`` end to end.  A checkout whose
+``cells`` still takes a window radius gets ``auto_lmax`` first, as its
+``compare`` did.  The point memos are cleared and ``gc.collect()``
 runs before each sweep, so every sweep derives each point once, as a fresh
 ``verify`` does, and starts from the same heap.  The phases are timed with
 the garbage collector off, so no phase pays for a collection that another's
@@ -28,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import inspect
 import json
 import statistics
 import subprocess
@@ -36,7 +39,7 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-PHASES = ("auto_lmax", "cells", "class_order", "classify", "theorem_window", "partition", "structure", "end_to_end")
+PHASES = ("cells", "class_order", "classify", "theorem_window", "partition", "structure", "auto_lmax", "end_to_end")
 GRIDS = {  # name -> (n, alpha, sigma_tilde) of each point
     "default_sweep": [(n, a, st) for n in range(2, 6) for a in range(4) for st in range(-6, 7)],
     "oracle_large": [(7, a, -6) for a in range(4)],
@@ -60,6 +63,7 @@ def _worker(src: str, grids: list[str], sweeps: int) -> dict:
         return result
 
     oracle._class_order = timed_class_order  # cells looks it up at each call
+    radius = "lmax" in inspect.signature(oracle.cells).parameters  # a checkout whose cells clips to a radius
 
     result = {}
     for name in grids:
@@ -72,10 +76,10 @@ def _worker(src: str, grids: list[str], sweeps: int) -> dict:
             spent = dict.fromkeys(PHASES, 0)
             for p in points:
                 t0 = clock()
-                lmax = oracle.auto_lmax(p)
+                lmax = (oracle.auto_lmax(p),) if radius else ()
                 t1 = clock()
                 ordering[0] = 0
-                graph = oracle.cells(p, lmax)
+                graph = oracle.cells(p, *lmax)
                 t2 = clock()
                 case = classify(p)
                 t3 = clock()
@@ -83,24 +87,27 @@ def _worker(src: str, grids: list[str], sweeps: int) -> dict:
                 spent["cells"] += t2 - t1 - ordering[0]
                 spent["class_order"] += ordering[0]
                 spent["classify"] += t3 - t2
-                if case is CaseTag.IRREDUCIBLE:
-                    continue
-                labels = enumerate_constituents(p).labels
-                t4 = clock()
-                label_for_class = oracle._partition(p, graph, labels)
-                t5 = clock()
-                if not isinstance(label_for_class, str):
-                    list(oracle._structure_mismatches(p, graph, labels, label_for_class))
-                t6 = clock()
-                spent["theorem_window"] += t4 - t3
-                spent["partition"] += t5 - t4
-                spent["structure"] += t6 - t5
+                if case is not CaseTag.IRREDUCIBLE:
+                    labels = enumerate_constituents(p).labels
+                    t4 = clock()
+                    label_for_class = oracle._partition(p, graph, labels)
+                    t5 = clock()
+                    if not isinstance(label_for_class, str):
+                        list(oracle._structure_mismatches(p, graph, labels, label_for_class))
+                    t6 = clock()
+                    spent["theorem_window"] += t4 - t3
+                    spent["partition"] += t5 - t4
+                    spent["structure"] += t6 - t5
+                if not radius:
+                    t0 = clock()
+                    oracle.auto_lmax(p)  # the verdict's lmax, read after the checks
+                    spent["auto_lmax"] += clock() - t0
             gc.enable()
             clear_point_memos()
             gc.collect()
             t0 = clock()
             for p in points:
-                oracle.compare(p)  # with its auto_lmax
+                oracle.compare(p)
             spent["end_to_end"] = clock() - t0
             for phase in PHASES:
                 samples[phase].append(spent[phase] / len(points) / 1e3)

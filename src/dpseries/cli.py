@@ -400,26 +400,17 @@ def _cmd_verify(args) -> int:
             InducedRepParams(n=n, alpha=a, sigma=Fraction(st) - Fraction(n + 1 + a, 2))
             for n in ns for a in alphas for st in sigma_tildes
         )
-    fixed = None  # the window radius, None for each point's auto_lmax
-    if args.lmax != "auto":
-        try:
-            fixed = parse_integer(args.lmax)
-        except ValueError:
-            raise CLIError(f"--lmax: expected 'auto' or an integer, got {args.lmax!r}") from None
-        if fixed < 1:
-            raise CLIError(f"--lmax: window radius must be >= 1, got {fixed}")
-    # refuse a point of too many cells before any point runs; a fixed window
-    # below the auto one has no more cells, and one above it the same cells
+    # refuse a point of too many cells before any point runs
     flag = "--n/--sigma" if args.n is not None else "--n-range/--sigma-tilde-range"
     for params in points():
         try:
-            oracle.check_cells(params, oracle.auto_lmax(params) if fixed is None else fixed)
+            oracle.check_cells(params)
         except ValueError as e:
             raise CLIError(f"{flag}: {e}") from None
 
     all_ok = True
     for params in points():
-        verdict = oracle.compare(params, fixed)
+        verdict = oracle.compare(params)
         all_ok &= verdict.ok
         record = {
             "n": params.n,
@@ -432,8 +423,6 @@ def _cmd_verify(args) -> int:
             "checks": dict(verdict.checks),
             "witness": verdict.witness,
         }
-        if verdict.warnings:
-            record["warnings"] = list(verdict.warnings)
         print(json.dumps(record, sort_keys=True))
     return 0 if all_ok else 2
 
@@ -479,7 +468,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--n-range", dest="n_range", help="sweep ranks, A:B or a list (default 2:5)")
     p.add_argument("--alpha-set", dest="alpha_set", help="sweep alphas (default 0,1,2,3)")
     p.add_argument("--sigma-tilde-range", dest="sigma_tilde_range", help="sweep sigma_tilde (default -6:6)")
-    p.add_argument("--lmax", default="auto")
     p.set_defaults(fn=_cmd_verify)
     return parser
 

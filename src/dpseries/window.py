@@ -2,10 +2,12 @@
 
 ``build`` lists every dominant tuple with entries in [-lmax, lmax] and draws
 each one-step move off ``ktypes.blocked_positions``, the zero locus of
-``ktypes.transition``; the tests compare its class graph with the one
-``oracle.cells`` reads from the cut values.  It needs only the standard
-library, and no command imports it: ``dpseries.build``, ``TruncatedLattice``,
-``oracle.build`` and ``oracle.connected_components`` load it on first use.
+``ktypes.transition``; on a window that holds every cut, the tests compare
+its class graph with the one ``oracle.cells`` reads from the cut values, the
+unbounded ends of its boxes moved to the window's edge.  It needs only the
+standard library, and no command imports it: ``dpseries.build``,
+``TruncatedLattice``, ``oracle.build`` and ``oracle.connected_components``
+load it on first use.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from typing import NamedTuple
 
 from .parameters import InducedRepParams
 from .ktypes import KType, blocked_positions
-from .oracle import _below_margin, _class_order
+from .oracle import _class_order
 
 __all__ = ["TruncatedLattice", "build", "check_window", "connected_components"]
 
@@ -40,7 +42,6 @@ class TruncatedLattice(NamedTuple):
     hasse: tuple[tuple[int, int], ...]  # transitive reduction of class_edges
     layers: tuple[int, ...]  # per class: 1 + longest downward path length
     closures: tuple[frozenset[int], ...]  # per class: reachable classes incl. self
-    warnings: tuple[str, ...] = ()
 
 
 def check_window(n: int, lmax: int) -> int:
@@ -89,7 +90,6 @@ def build(params: InducedRepParams, lmax: int) -> TruncatedLattice:
     check_window(params.n, lmax)
     n = params.n
     up_block, down_block = blocked_positions(params)
-    warnings = _below_margin(up_block, down_block, lmax)
     points = sorted(combinations_with_replacement(range(lmax, -lmax - 1, -1), n))
     gap = [[comb(v + n - 1 - j, n - 1 - j) for v in range(2 * lmax + 1)] for j in range(n)]
     one_way = []
@@ -111,9 +111,6 @@ def build(params: InducedRepParams, lmax: int) -> TruncatedLattice:
     for lam, c in zip(points, comp):
         members[c].append(lam)
     class_boxes = tuple((tuple(map(min, zip(*own))), tuple(map(max, zip(*own)))) for own in members)
-    for c, own in enumerate(members):
-        if not any(lam[0] < lmax and lam[-1] > -lmax for lam in own):
-            warnings.append(f"class {c} owns no interior point; enlarge the window")
     hasse, layers, closures = _class_order(n_classes, class_edges)
-    fields = (n_classes, class_boxes, class_edges, hasse, layers, closures, tuple(warnings))
+    fields = (n_classes, class_boxes, class_edges, hasse, layers, closures)
     return TruncatedLattice(params, lmax, tuple(points), comp, *fields)

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import dpseries
+from dpseries import Region, oracle
 from dpseries.cli import run
 
 
@@ -230,7 +231,6 @@ def test_integer_flags_take_ascii_digits_only(capsys):
         (["verify", "--n-range", "2,\uff13"], "--n-range"),
         (["verify", "--alpha-set", "0,1_0"], "--alpha-set"),
         (["verify", "--sigma-tilde-range", "-1_0:0"], "--sigma-tilde-range"),
-        (["verify", *point, "--lmax", "1_0"], "--lmax"),
     ]:
         assert run(argv) == 1, argv
         captured = capsys.readouterr()
@@ -249,7 +249,7 @@ def test_out_of_range_rank_and_alpha_name_their_flag(capsys):
 
 
 def test_verify_single_point(capsys):
-    code = run(["verify", "--n", "2", "--alpha", "0", "--sigma", "1/2", "--lmax", "auto"])
+    code = run(["verify", "--n", "2", "--alpha", "0", "--sigma", "1/2"])
     assert code == 0
     record = json.loads(capsys.readouterr().out)
     assert record["ok"] is True
@@ -271,8 +271,6 @@ def test_verify_small_grid(capsys):
             "0,1",
             "--sigma-tilde-range",
             "-1:2",
-            "--lmax",
-            "auto",
         ]
     )
     assert code == 0
@@ -281,9 +279,11 @@ def test_verify_small_grid(capsys):
     assert all(json.loads(line)["ok"] for line in lines)
 
 
-def test_verify_fail_exits_2(capsys):
-    # a window far below the auto margin misses a whole region
-    code = run(["verify", "--n", "2", "--alpha", "0", "--sigma", "5/2", "--lmax", "1"])
+def test_verify_fail_exits_2(capsys, monkeypatch):
+    # a closed-form region that holds the whole lattice overlaps every other
+    whole = lambda params, label: Region(params.n, (None,) * params.n, (None,) * params.n)
+    monkeypatch.setattr(oracle, "region_for", whole)
+    code = run(["verify", "--n", "2", "--alpha", "0", "--sigma", "5/2"])
     assert code == 2
     record = json.loads(capsys.readouterr().out)
     assert record["ok"] is False
@@ -293,8 +293,6 @@ def test_verify_fail_exits_2(capsys):
 def test_verify_bad_flags(capsys):
     assert run(["verify", "--n-range", "x:y"]) == 1
     assert "--n-range" in capsys.readouterr().err
-    assert run(["verify", "--lmax", "soon"]) == 1
-    assert "--lmax" in capsys.readouterr().err
     assert run(["verify", "--n", "2"]) == 1
     assert "together" in capsys.readouterr().err
     # a sweep flag beside a single point is refused, not silently ignored
@@ -306,9 +304,6 @@ def test_verify_bad_flags(capsys):
 
 
 def test_verify_out_of_range_flags_name_the_flag(capsys):
-    assert run(["verify", "--lmax", "0"]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: --lmax") and "Traceback" not in err
     assert run(["verify", "--alpha-set", "5"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: --alpha-set") and "Traceback" not in err
@@ -352,14 +347,9 @@ def test_verify_refuses_an_oversized_window_at_once(capsys):
     assert time.perf_counter() - t0 < 5
     captured = capsys.readouterr()
     assert captured.err == (
-        "error: --n/--sigma: window (n=200, sigma_tilde=209, lmax=107) has more than the oracle's budget of"
-        " 3500 cells\n"
+        "error: --n/--sigma: point (n=200, sigma_tilde=209) has more than the oracle's budget of 3500 cells\n"
     )
     assert captured.out == ""
-    # a window wider than the auto one has the same cells, and a far wider
-    # one than any window budget allowed runs (12 cells here)
-    assert run(["verify", "--n", "12", "--alpha", "0", "--sigma", "-20", "--lmax", "20"]) == 0
-    assert json.loads(capsys.readouterr().out)["ok"]
 
 
 def test_verify_checks_every_window_before_running_any(capsys):
@@ -392,7 +382,7 @@ def test_verify_refuses_a_huge_rank_at_once():
         assert time.perf_counter() - t0 < 5, args
         assert proc.returncode == 1, (args, proc.stderr[-300:])
         assert proc.stderr.startswith(f"error: {args[0]}"), (args, proc.stderr[-300:])
-        assert "window (n=100000, sigma_tilde=50001, lmax=25003) has more than" in proc.stderr
+        assert "point (n=100000, sigma_tilde=50001) has more than" in proc.stderr
         assert proc.stdout == ""
 
 
@@ -404,13 +394,13 @@ def test_verify_runs_n_up_to_16_with_no_window_budget(capsys):
     assert len(records) == 780 and all(record["ok"] for record in records)
 
 
-def test_verify_record_shows_the_below_margin_warning(capsys):
-    assert run(["verify", "--n", "2", "--alpha", "0", "--sigma", "1/2", "--lmax", "2"]) == 0
-    record = json.loads(capsys.readouterr().out)
-    assert record["warnings"] == ["window lmax=2 below auto margin 4; comparisons may fail"]
-    # at the auto window the record has no warnings key
-    assert run(["verify", "--n", "2", "--alpha", "0", "--sigma", "1/2"]) == 0
-    assert "warnings" not in json.loads(capsys.readouterr().out)
+def test_verify_refuses_the_removed_lmax_flag(capsys):
+    # the oracle reads the unclipped cells, so verify takes no window radius
+    for value in ("2", "auto"):
+        assert run(["verify", "--n", "2", "--alpha", "0", "--sigma", "1/2", "--lmax", value]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: unrecognized arguments: --lmax {value}\n"
+        assert captured.out == ""
 
 
 def test_both_module_forms_run_the_cli():
@@ -477,10 +467,10 @@ def test_verify_refuses_a_huge_sweep_before_building_it():
 
 def test_verify_with_a_fixed_window_starts_a_huge_sweep_at_once():
     # a sweep is refused beyond verify's budget of 100,000 points, and the
-    # pre-check counts every point's cells before the first record, at a
-    # fixed window too; at the budget that takes about 2 s, well within 10 s
+    # pre-check counts every point's cells before the first record; at the
+    # budget that takes about 2 s, well within 10 s
     env = {**os.environ, "PYTHONPATH": str(Path(dpseries.__file__).parents[1])}
-    argv = ["verify", "--lmax", "1", "--sigma-tilde-range", "-3124:3125"]
+    argv = ["verify", "--sigma-tilde-range", "-3124:3125"]
     proc = subprocess.Popen(
         [sys.executable, "-m", "dpseries", *argv],
         stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True, env=env,
@@ -489,7 +479,7 @@ def test_verify_with_a_fixed_window_starts_a_huge_sweep_at_once():
         ready, _, _ = select.select([proc.stdout], [], [], 10)
         assert ready, "no record within 10 s"
         record = json.loads(proc.stdout.readline())
-        assert (record["n"], record["lmax"], record["sigma_tilde"]) == (2, 1, "-3124")
+        assert (record["n"], record["lmax"], record["sigma_tilde"], record["ok"]) == (2, 1565, "-3124", True)
     finally:
         proc.kill()
         proc.wait()

@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -68,7 +69,7 @@ def test_compare_worked_points():
         (3, 2, Fraction(-2)),
         (4, 1, Fraction(5, 2)),
     ]:
-        verdict = compare(InducedRepParams(n, alpha, sigma), 6)
+        verdict = compare(InducedRepParams(n, alpha, sigma))
         assert verdict.ok, (n, alpha, sigma, verdict.checks, verdict.witness)
         assert [name for name, _ in verdict.checks] == [
             "partition",
@@ -90,11 +91,6 @@ def test_auto_lmax():
     assert auto_lmax(InducedRepParams(2, 1, Fraction(-1))) == 3
     # barriers at -2 and 2
     assert auto_lmax(InducedRepParams(2, 0, Fraction(1, 2))) == 4
-
-
-def test_small_window_records_warning():
-    lattice = build(InducedRepParams(2, 0, Fraction(1, 2)), 2)
-    assert any("below auto margin" in w for w in lattice.warnings)
 
 
 def test_build_is_deterministic():
@@ -218,33 +214,62 @@ def _partition_by_points(lattice, sets, labels, regions):
     return label_for_class
 
 
+def _cut_values(params):
+    """Each coordinate's cut values, up and down (None for none): 2*lam_j at the up barrier, 2*lam_j + 2 at the down
+    one."""
+    up, down = blocked_positions(params)
+    return [None if b is None else b // 2 for b in up], [None if b is None else b // 2 - 1 for b in down]
+
+
+def _holding_radius(params):
+    """max |cut value| + 1, the least window radius that holds every cut."""
+    return 1 + max((abs(c) for cuts in _cut_values(params) for c in cuts if c is not None), default=0)
+
+
+def _frame_radius(params, regions):
+    """The radius of the frame ``oracle._partition`` names its witnesses in: one more than the greatest |finite end|
+    of a class box (a cut c, or c + 1 past it) or of a nonempty region's box."""
+    ends = [v for cuts in _cut_values(params) for c in cuts if c is not None for v in (c, c + 1)]
+    for region in regions:  # 2*lam >= b iff lam >= ceil(b/2)
+        lower = [None if b is None else -(-b // 2) for b in region.lower]
+        upper = [None if b is None else b // 2 for b in region.upper]
+        box = dominant_extremes(lower, upper)
+        ends += [v for end in box or () for v in end if v is not None]
+    return 1 + max(map(abs, ends), default=0)
+
+
+def _partition_against_the_points(params, graph, labels, regions, listed):
+    """``oracle._partition``'s result, checked against ``_partition_by_points`` on the window of its witnesses."""
+    lattice, sets = listed(params, _frame_radius(params, regions))
+    result = oracle._partition(params, graph, labels)
+    assert result == _partition_by_points(lattice, sets, labels, regions), (params, regions)
+    return result
+
+
 def test_partition_matches_a_point_by_point_reference(listed):
+    # the closed-form regions partition the lattice at every point here, and
+    # the auto window holds every end of their boxes and the classes', so the
+    # reference reads the same partition there
     failures = {}
-    for params, lmax, lattice, sets in _small_grid(listed, (1, 2, 4, None)):
+    for params, lmax, lattice, sets in _small_grid(listed, (None,)):
         labels = dpseries.enumerate_constituents(params).labels
-        result = oracle._partition(params, oracle.cells(params, lmax), labels)
         regions = [dpseries.region_for(params, lab) for lab in labels]
-        expected = _partition_by_points(lattice, sets, labels, regions)
-        assert result == expected, (params, lmax)
+        assert _frame_radius(params, regions) <= lmax, params
+        result = oracle._partition(params, oracle.cells(params), labels)
+        assert result == _partition_by_points(lattice, sets, labels, regions), params
         if isinstance(result, str):
-            kind = "count" if result.endswith("closed-form constituents") else result
-            failures[kind] = failures.get(kind, 0) + 1
-    assert failures == {"count": 724}
+            failures[params] = result
+    assert failures == {}
 
 
-def test_partition_matches_the_reference_on_random_regions(monkeypatch):
+def test_partition_matches_the_reference_on_random_regions(monkeypatch, listed):
     # Each region is the true one with some bounds moved or dropped, so the
     # trials reach every failure and its witness in window order.
     rng = random.Random(21)
-    lattices = {}
     kinds = set()
     for _ in range(3000):
         n, alpha, lmax = rng.randrange(2, 5), rng.randrange(4), rng.randrange(1, 4)
         params = params_from_sigma_tilde(n, alpha, rng.randrange(-4, n + 6))
-        if (params, lmax) not in lattices:
-            lattice = build(params, lmax)
-            lattices[params, lmax] = lattice, _window_sets(lattice), oracle.cells(params, lmax)
-        lattice, sets, graph = lattices[params, lmax]
         labels = dpseries.enumerate_constituents(params).labels
         regions = []
         for lab in labels:
@@ -255,23 +280,32 @@ def test_partition_matches_the_reference_on_random_regions(monkeypatch):
             regions.append(Region(n, *map(tuple, bounds)))
         fake = dict(zip(labels, regions))
         monkeypatch.setattr(oracle, "region_for", lambda params, lab: fake[lab])
-        result = oracle._partition(params, graph, labels)
-        assert result == _partition_by_points(lattice, sets, labels, regions), (params, lmax, regions)
+        result = _partition_against_the_points(params, oracle.cells(params), labels, regions, listed)
         if isinstance(result, list):
             kinds.add("pass")
         else:
             kinds.add(result.split(" lies in ")[-1] if " lies in " in result else result.split(" ")[-1])
-    # a point in none, two or three regions; the class count; two classes in one region
-    assert {"pass", "0 regions", "2 regions", "3 regions", "constituents", "region"} <= kinds
+    # a point in none, two or three regions; two classes in one region.  The
+    # class count differs only where the labels do (see the next test).
+    assert {"pass", "0 regions", "2 regions", "3 regions", "region"} <= kinds
+
+
+def test_partition_names_the_class_count_where_one_region_tiles_the_lattice(monkeypatch, listed):
+    # one label whose region holds every point, at a point of three classes
+    labels = dpseries.enumerate_constituents(P_SW).labels[:1]
+    regions = [_everything_region(P_SW, labels[0])]
+    monkeypatch.setattr(oracle, "region_for", _everything_region)
+    result = _partition_against_the_points(P_SW, oracle.cells(P_SW), labels, regions, listed)
+    assert result == "3 lattice classes vs 1 closed-form constituents"
 
 
 def _region_faults(region, lmax):
-    """(kind, region) for each one-bound fault of ``region`` in a window of radius lmax.
+    """(kind, region) for each one-bound fault of ``region``, at a scale of lmax.
 
-    A bound dropped, moved past the window's edge on its own side or the
-    other, moved two units (half a step) outward, which can overlap another
-    region, or inward, which can leave a gap; and the region crossed, a lower
-    bound above an upper one at the same or an earlier coordinate.
+    A bound dropped, moved past lmax + 1 on its own side or the other, moved
+    two units (half a step) outward, which can overlap another region, or
+    inward, which can leave a gap; and the region crossed, a lower bound
+    above an upper one at the same or an earlier coordinate.
     """
     n, far = region.n, 2 * lmax + 2
     for side, sign in (("lower", -1), ("upper", 1)):
@@ -290,10 +324,10 @@ def _region_faults(region, lmax):
     yield "crossed", Region(n, (*region.lower[:-1], 2), (0, *region.upper[1:]))
 
 
-def test_partition_matches_the_point_by_point_reference_under_region_faults(monkeypatch):
-    # one label's region faulty at a time, at the auto window and, for n 2..3,
-    # one below its margin; the result, a label per class or the witness
-    # string, must be the reference's at every fault
+def test_partition_matches_the_point_by_point_reference_under_region_faults(monkeypatch, listed):
+    # one label's region faulty at a time, moved past every cut and, for n
+    # 2..3, past 3 only; the result, a label per class or the witness string,
+    # must be the reference's at every fault
     fake = {}
     monkeypatch.setattr(oracle, "region_for", lambda params, lab: fake.get(lab) or dpseries.region_for(params, lab))
     outcomes = {}
@@ -301,17 +335,14 @@ def test_partition_matches_the_point_by_point_reference_under_region_faults(monk
         for alpha in range(4):
             for st_val in range(-2, n + 3):
                 params = params_from_sigma_tilde(n, alpha, st_val)
-                labels = dpseries.enumerate_constituents(params).labels
-                for lmax in {auto_lmax(params), *((2,) if n < 4 else ())}:
-                    graph, lattice = oracle.cells(params, lmax), build(params, lmax)
-                    sets = _window_sets(lattice)
+                labels, graph = dpseries.enumerate_constituents(params).labels, oracle.cells(params)
+                for lmax in {_holding_radius(params), *((2,) if n < 4 else ())}:
                     for lab in labels:
                         for kind, region in _region_faults(dpseries.region_for(params, lab), lmax):
                             fake.clear()
                             fake[lab] = region
-                            result = oracle._partition(params, graph, labels)
                             regions = [oracle.region_for(params, label) for label in labels]
-                            assert result == _partition_by_points(lattice, sets, labels, regions), (params, lmax, region)
+                            result = _partition_against_the_points(params, graph, labels, regions, listed)
                             if isinstance(result, list):
                                 seen = "pass"
                             else:
@@ -319,19 +350,8 @@ def test_partition_matches_the_point_by_point_reference_under_region_faults(monk
                             outcomes.setdefault(kind, set()).add(seen)
     assert outcomes.keys() == {"none", "past", "beyond", "overlap", "gap", "crossed"}
     assert all(seen - {"pass"} for seen in outcomes.values())  # every kind of fault is caught somewhere
-    assert set.union(*outcomes.values()) == {"pass", "0 regions", "2 regions", "constituents"}
-
-
-def test_interior_warning_names_the_classes_with_no_interior_point(listed):
-    # an interior point has lam_1 < lmax and lam_n > -lmax
-    warned = 0
-    for params, lmax, lattice, (by_value, by_class) in _small_grid(listed, (1, 2)):
-        rim = by_value[0, lmax] | by_value[params.n - 1, -lmax]
-        bare = {c for c, own in enumerate(by_class) if not own & ~rim}
-        said = {int(w.split()[1]) for w in lattice.warnings if w.endswith("owns no interior point; enlarge the window")}
-        assert said == bare, (params, lmax)
-        warned += bool(said)
-    assert warned == 266
+    # no fault changes the label count, so the class count never differs
+    assert set.union(*outcomes.values()) == {"pass", "0 regions", "2 regions"}
 
 
 def test_window_points_match_itertools_enumeration():
@@ -374,47 +394,72 @@ def test_compare_matches_sweep_row():
 SIGMA_TILDES = [Fraction(s) for s in range(-6, 7)] + [Fraction(-7, 2), Fraction(1, 2), Fraction(5, 2)]
 
 
-CLASS_GRAPH = ("n_classes", "class_boxes", "class_edges", "hasse", "layers", "closures", "warnings")
+CLASS_GRAPH = ("n_classes", "class_edges", "hasse", "layers", "closures")
+
+
+def _clipped(boxes, radius):
+    """The boxes cut to the window of this radius: each unbounded (None) end moved to its edge."""
+    clip = lambda end, edge: tuple(edge if v is None else v for v in end)
+    return tuple((clip(least, -radius), clip(greatest, radius)) for least, greatest in boxes)
 
 
 def _cells_against_the_window(lattice):
+    # on a window that holds every cut, the window's classes are the cells cut to it
     params, lmax = lattice.params, lattice.lmax
-    graph = oracle.cells(params, lmax)
+    graph = oracle.cells(params)
+    assert _clipped(graph.class_boxes, lmax) == lattice.class_boxes, (params, lmax)
     for field in CLASS_GRAPH:
         assert getattr(graph, field) == getattr(lattice, field), (params, lmax, field)
-    assert graph.lmax == lmax
+    return graph
 
 
-# The windows of rank 6 that the tests list: up to 3,003 points, where the
-# auto windows reach 230,230.
-N6_LMAXES = (1, 2, 3, 4)
+# The windows of rank 6 that the tests list: those that hold every cut at
+# radius 4 or less, up to 3,003 points, where the auto windows reach 230,230.
+N6_RADIUS = 4
 
 
 def test_cells_equal_the_window(listed):
-    # every field, at the auto window and at windows below its margin, where
-    # the cuts fall on the window's edge and the interior warnings appear
+    # every field, at the auto window, and at rank 6 at the least window that
+    # holds every cut, where that is small enough to list
     pairs = set()
     for n in range(2, 7):
         for alpha in range(4):
             for sigma_tilde in SIGMA_TILDES:
                 params = params_from_sigma_tilde(n, alpha, sigma_tilde)
-                pairs.update((params, lmax) for lmax in (N6_LMAXES if n == 6 else (auto_lmax(params), 1, 2, 3)))
-    assert len(pairs) == 1228
+                if n < 6:
+                    pairs.add((params, auto_lmax(params)))
+                elif _holding_radius(params) <= N6_RADIUS:
+                    pairs.add((params, _holding_radius(params)))
+    assert len(pairs) == 290
     for params, lmax in pairs:
         _cells_against_the_window(listed(params, lmax)[0])
 
 
+def test_unbounded_ends_are_the_ones_that_move_with_the_window(listed):
+    # at the least radius that holds every cut and two more, a box end moves
+    # with the window's edge exactly where cells has it None
+    for params in DEFAULT_SWEEP:
+        radius = _holding_radius(params)
+        graph = _cells_against_the_window(listed(params, radius)[0])
+        wider = _cells_against_the_window(listed(params, radius + 2)[0])
+        assert graph == wider
+        near, far = (listed(params, r)[0].class_boxes for r in (radius, radius + 2))
+        for box, a, b in zip(graph.class_boxes, near, far):
+            for ends, *clipped in zip(box, a, b):
+                assert [v is None for v in ends] == [x != y for x, y in zip(*clipped)], (params, box)
+
+
 @settings(deadline=None)
 @given(
-    st.integers(2, 6),
+    st.integers(2, 5),
     st.integers(0, 3),
     st.integers(-16, 20).map(lambda twice: Fraction(twice, 2)),
-    st.integers(1, 1 << 10),
+    st.integers(0, 1 << 10),
 )
 def test_cells_equal_the_window_on_random_points(n, alpha, sigma_tilde, pick):
     params = params_from_sigma_tilde(n, alpha, sigma_tilde)
-    top = N6_LMAXES[-1] if n == 6 else auto_lmax(params) + 2
-    _cells_against_the_window(build(params, 1 + pick % top))  # lmax 1 .. auto + 2, or 1 .. 4 at n = 6
+    radius, top = _holding_radius(params), auto_lmax(params) + 2
+    _cells_against_the_window(build(params, radius + pick % (top + 1 - radius)))  # the least holding radius .. auto + 2
 
 
 LARGE_POINTS = [params_from_sigma_tilde(7, alpha, -6) for alpha in range(4)]  # perfbench's oracle_large
@@ -428,107 +473,86 @@ def test_cells_never_calls_dominant_extremes(monkeypatch):
     monkeypatch.setattr(oracle, "dominant_extremes", refuse)
     assert len(DEFAULT_SWEEP) == 208
     for params in DEFAULT_SWEEP + LARGE_POINTS:
-        oracle.cells(params, auto_lmax(params))
+        oracle.cells(params)
 
 
-def _cells_by_dominant_extremes(params, lmax):
-    """``oracle.cells``, each box, one-way edge and interior point read by ``dominant_extremes``: a slow reference."""
-    if lmax < 1:
-        raise ValueError(f"lmax must be >= 1, got {lmax}")
-    up_at, down_at, warnings = oracle._cut_values(params, lmax)
-    spans = []  # per coordinate, its intervals (lo, hi) in increasing order
+def _cells_by_dominant_extremes(params):
+    """``oracle.cells``, each box and one-way edge read by ``dominant_extremes``: a slow reference."""
+    up_at, down_at = _cut_values(params)
+    spans = []  # per coordinate, its intervals (lo, hi) in increasing order, None at an unbounded end
     for u, d in zip(up_at, down_at):
-        tops = sorted({c for c in (u, d) if c is not None and -lmax <= c < lmax})
-        spans.append(tuple(zip((-lmax, *(c + 1 for c in tops)), (*tops, lmax))))
+        tops = sorted({c for c in (u, d) if c is not None})
+        spans.append(tuple(zip((None, *(c + 1 for c in tops)), (*tops, None))))
 
-    prefixes = [((), lmax)]  # (interval indices, least hi so far) of each nonempty prefix
+    prefixes = [((), None)]  # (interval indices, least hi so far) of each nonempty prefix
     for intervals in spans:
         prefixes = [
-            ((*picked, i), min(ceiling, hi))
+            ((*picked, i), hi if ceiling is None else ceiling if hi is None else min(ceiling, hi))
             for picked, ceiling in prefixes
             for i, (lo, hi) in enumerate(intervals)
-            if lo <= ceiling
+            if lo is None or ceiling is None or lo <= ceiling
         ]
-    boxed = sorted(
-        (dominant_extremes(*zip(*(spans[j][i] for j, i in enumerate(picked)))), picked) for picked, _ in prefixes
-    )
+    boxed = [(dominant_extremes(*zip(*(spans[j][i] for j, i in enumerate(picked)))), picked) for picked, _ in prefixes]
+    first = lambda end: tuple((v is not None, v or 0) for v in end)  # None first, as -infinity
+    boxed.sort(key=lambda item: first(item[0][0]))
     class_of = {picked: c for c, (_, picked) in enumerate(boxed)}
 
     class_edges = []
     for (least, greatest), picked in boxed:
         for j, i in enumerate(picked):
             c = spans[j][i][1]
-            if c == lmax or up_at[j] == down_at[j]:  # the window's edge, or a pair cut both ways
+            if c is None or up_at[j] == down_at[j]:  # the last interval, or a pair cut both ways
                 continue
             lows = [*least[:j], c, *least[j + 1 :]]
             if j:
-                lows[j - 1] = max(lows[j - 1], c + 1)
+                lows[j - 1] = c + 1 if lows[j - 1] is None else max(lows[j - 1], c + 1)
             if dominant_extremes(lows, greatest) is not None:
                 here, there = class_of[picked], class_of[(*picked[:j], i + 1, *picked[j + 1 :])]
                 class_edges.append((here, there) if c == down_at[j] else (there, here))
     class_edges = tuple(sorted(class_edges))
 
     class_boxes = tuple(box for box, _ in boxed)
-    for c, (least, greatest) in enumerate(class_boxes):
-        inner = (*least[:-1], max(least[-1], 1 - lmax)), (min(greatest[0], lmax - 1), *greatest[1:])
-        if dominant_extremes(*inner) is None:
-            warnings.append(f"class {c} owns no interior point; enlarge the window")
     n_classes = len(class_boxes)
     hasse, layers, closures = oracle._class_order(n_classes, class_edges)
-    return oracle.ClassGraph(lmax, n_classes, class_boxes, class_edges, hasse, layers, closures, tuple(warnings))
+    return oracle.ClassGraph(n_classes, class_boxes, class_edges, hasse, layers, closures)
 
 
-def _cells_against_the_reference(params, lmax):
-    graph, reference = oracle.cells(params, lmax), _cells_by_dominant_extremes(params, lmax)
-    for field in CLASS_GRAPH:
-        assert getattr(graph, field) == getattr(reference, field), (params, lmax, field)
-    assert graph.lmax == lmax
+def _cells_against_the_reference(params):
+    graph, reference = oracle.cells(params), _cells_by_dominant_extremes(params)
+    assert graph == reference, params
     return graph
 
 
-def _pairs_past_the_windows_reach():
-    """(params, lmax) over n 7..16, at the auto window and below its margin, where the interior warnings appear.
-
-    The auto windows hold up to C(2*auto_lmax+16, 16) points.
-    """
-    pairs = set()
+def _points_past_the_windows_reach():
+    """The points of n 7..16, where the auto windows hold up to C(2*auto_lmax+16, 16) points."""
     for n in range(7, 17):
         for alpha in range(4):
             for sigma_tilde in [*map(Fraction, range(-8, n + 11)), Fraction(1, 2), Fraction(-7, 2)]:
-                params = params_from_sigma_tilde(n, alpha, sigma_tilde)
-                pairs.update((params, lmax) for lmax in (auto_lmax(params), 1, 2, 3))
-    return pairs
+                yield params_from_sigma_tilde(n, alpha, sigma_tilde)
 
 
 def test_cells_equal_the_reference_past_the_windows_reach():
-    pairs = _pairs_past_the_windows_reach()
-    assert len(pairs) == 5120
-    warned = 0
-    for params, lmax in pairs:
-        warnings = _cells_against_the_reference(params, lmax).warnings
-        warned += any(w.endswith("owns no interior point; enlarge the window") for w in warnings)
-    assert warned == 2270
+    # of the classes, those with no unbounded end are the finite-dimensional constituents
+    classes = bounded = 0
+    for count, params in enumerate(_points_past_the_windows_reach(), start=1):
+        graph = _cells_against_the_reference(params)
+        classes += graph.n_classes
+        bounded += sum(None not in least + greatest for least, greatest in graph.class_boxes)
+    assert (count, classes, bounded) == (1300, 32490, 190)
 
 
 @settings(deadline=None)
-@given(
-    st.integers(2, 12),
-    st.integers(0, 3),
-    st.integers(-16, 26).map(lambda twice: Fraction(twice, 2)),
-    st.integers(1, 1 << 10),
-)
-def test_cells_equal_the_reference_on_random_points(n, alpha, sigma_tilde, pick):
-    params = params_from_sigma_tilde(n, alpha, sigma_tilde)
-    _cells_against_the_reference(params, 1 + pick % (auto_lmax(params) + 2))  # lmax 1 .. auto + 2
+@given(st.integers(2, 12), st.integers(0, 3), st.integers(-16, 26).map(lambda twice: Fraction(twice, 2)))
+def test_cells_equal_the_reference_on_random_points(n, alpha, sigma_tilde):
+    _cells_against_the_reference(params_from_sigma_tilde(n, alpha, sigma_tilde))
 
 
 def test_cells_at_rank_1500_need_no_recursion():
     # past the interpreter's default recursion limit of 1,000 frames, so a
     # pass recursing once per coordinate could not answer here
-    params = InducedRepParams(1500, 0, Fraction(1, 3))
-    graph = oracle.cells(params, auto_lmax(params))
-    assert (graph.lmax, graph.n_classes, graph.class_edges, graph.layers) == (3, 1, (), (1,))
-    assert graph.class_boxes == (((-3,) * 1500, (3,) * 1500),)
+    graph = oracle.cells(InducedRepParams(1500, 0, Fraction(1, 3)))
+    assert (graph.n_classes, graph.class_edges, graph.layers) == (1, (), (1,))
+    assert graph.class_boxes == (((None,) * 1500, (None,) * 1500),)
 
 
 def test_compare_never_builds_the_window(monkeypatch, capsys):
@@ -598,7 +622,7 @@ def test_class_order_matches_the_frozenset_reference_on_the_default_sweep():
         for alpha in range(4):
             for st_val in range(-6, 7):
                 params = params_from_sigma_tilde(n, alpha, st_val)
-                graph = oracle.cells(params, auto_lmax(params))
+                graph = oracle.cells(params)
                 reference = _class_order_by_frozensets(graph.n_classes, graph.class_edges)
                 assert (graph.hasse, graph.layers, graph.closures) == reference, params
 
@@ -613,38 +637,35 @@ def test_oversized_window_is_refused_before_enumeration(monkeypatch):
     assert window.check_window(8, 8) == 735471
     with pytest.raises(ValueError, match="budget of 1500000 points"):
         window.check_window(8, 9)  # 1,562,275 points
-    # compare refuses by cells, not window points: that window has 12 cells
-    assert compare(params_from_sigma_tilde(12, 0, -6), 20).ok
+    # compare refuses by cells, not window points: that point has 12 cells
+    assert compare(params_from_sigma_tilde(12, 0, -6)).ok
 
 
 def test_a_window_of_too_many_cells_is_refused_before_any_cell_is_listed():
     # 5,251 cells: the depth-first pass and the closures would take seconds
     # and gigabytes; the count takes milliseconds
     params = params_from_sigma_tilde(200, 2, 209)
-    message = "window (n=200, sigma_tilde=209, lmax=107) has more than the oracle's budget of 3500 cells"
-    for refuse in (lambda: compare(params), lambda: oracle.cells(params, 107), lambda: oracle.check_cells(params, 107)):
+    message = "point (n=200, sigma_tilde=209) has more than the oracle's budget of 3500 cells"
+    for refuse in (lambda: compare(params), lambda: oracle.cells(params), lambda: oracle.check_cells(params)):
         with pytest.raises(ValueError) as info:
             refuse()
         assert str(info.value) == message
-    with pytest.raises(ValueError, match="lmax must be >= 1"):
-        oracle.check_cells(params, 0)
 
 
 def test_the_cell_count_is_the_number_of_classes(monkeypatch):
     # the count over (depth, least hi) states is exact: a budget of the
-    # class count admits the window, and one less refuses it
+    # class count admits the point, and one less refuses it
     for n in range(2, 9):
         for alpha in range(4):
             for st_val in (*range(-8, n + 11), Fraction(1, 2)):
                 params = params_from_sigma_tilde(n, alpha, st_val)
-                for lmax in (1, 2, auto_lmax(params)):
-                    classes = oracle.cells(params, lmax).n_classes
-                    monkeypatch.setattr(oracle, "MAX_CELLS", classes)
-                    oracle.check_cells(params, lmax)
-                    monkeypatch.setattr(oracle, "MAX_CELLS", classes - 1)
-                    with pytest.raises(ValueError, match=f"budget of {classes - 1} cells$"):
-                        oracle.check_cells(params, lmax)
-                    monkeypatch.undo()
+                classes = oracle.cells(params).n_classes
+                monkeypatch.setattr(oracle, "MAX_CELLS", classes)
+                oracle.check_cells(params)
+                monkeypatch.setattr(oracle, "MAX_CELLS", classes - 1)
+                with pytest.raises(ValueError, match=f"budget of {classes - 1} cells$"):
+                    oracle.check_cells(params)
+                monkeypatch.undo()
 
 
 def test_build_uses_nothing_from_the_closed_form_modules(monkeypatch):
@@ -663,8 +684,7 @@ def test_build_uses_nothing_from_the_closed_form_modules(monkeypatch):
                 if getattr(oracle, name, None) is value:
                     monkeypatch.setattr(oracle, name, refuse)
     params = params_from_sigma_tilde(3, 1, -2)
-    for engine in (build, oracle.cells):
-        assert engine(params, 5).n_classes > 1
+    assert build(params, 5).n_classes == oracle.cells(params).n_classes > 1
 
 
 def test_barriers_are_computed_once_per_point(monkeypatch):
@@ -685,9 +705,9 @@ def test_barriers_are_computed_once_per_point(monkeypatch):
 
 
 def test_barriers_are_derived_once_per_compare():
-    # blocked_positions is memoized: auto_lmax, compare and cells share one computation per point
+    # blocked_positions is memoized: compare's cells and auto_lmax share one computation per point
     params = params_from_sigma_tilde(5, 2, -3)
-    for calls in ((lambda: auto_lmax(params), lambda: compare(params)), (lambda: compare(params, 6),)):
+    for calls in ((lambda: auto_lmax(params), lambda: compare(params)), (lambda: compare(params),)):
         blocked_positions.cache_clear()
         for call in calls:
             call()
@@ -695,8 +715,8 @@ def test_barriers_are_derived_once_per_compare():
 
 
 def test_build_reads_the_barriers_once(monkeypatch):
-    # build derives its warning margin from the positions it holds; compare
-    # reads them once more only to size an auto window
+    # build reads the positions once; compare reads them once for its cells
+    # and once more for the auto radius its verdict reports
     calls = []
 
     def counted(params):
@@ -706,15 +726,11 @@ def test_build_reads_the_barriers_once(monkeypatch):
     monkeypatch.setattr(oracle, "blocked_positions", counted)
     monkeypatch.setattr(window, "blocked_positions", counted)
     params = params_from_sigma_tilde(4, 1, -2)
-    lattice = build(params, 2)
+    build(params, 2)
     assert len(calls) == 1
-    assert lattice.warnings[0].startswith("window lmax=2 below auto margin 6")
     calls.clear()
     assert compare(params).ok
     assert len(calls) == 2
-    calls.clear()
-    assert compare(params, 6).ok
-    assert len(calls) == 1
 
 
 def _fresh_interpreter(code, *args):
@@ -808,9 +824,9 @@ def _split_by_first_coordinate(params, label):
 
 
 def _leave_l11_beyond_the_window(params, label):
-    # {lambda_1 <= -1} and {lambda_1 >= 0} partition the window, so every class
-    # lies in one region; L(1,1) = {lambda_1 >= 100} holds no window point, so
-    # two of the three classes map to one region.
+    # {lambda_1 <= -1} and {lambda_1 >= 0} partition the lattice, and
+    # L(1,1) = {lambda_1 >= 100}, far past every cut, overlaps the second: the
+    # witness is the first point of the overlap, in a frame that reaches it.
     bounds = {
         "L(0,0)": ((None, None), (-2, None)),
         "L(1,0)": ((0, None), (None, None)),
@@ -823,14 +839,14 @@ def _leave_l11_beyond_the_window(params, label):
 @pytest.mark.parametrize(
     "fake, witness",
     [
-        (_everything_region, "lambda=(-4,-4) lies in 3 regions"),
-        (_split_by_first_coordinate, "class of lambda=(0,-4) spans regions L(0,0), L(1,0), L(1,1)"),
-        (_leave_l11_beyond_the_window, "two lattice classes map to one region"),
+        (_everything_region, "lambda=(-2,-2) lies in 3 regions"),
+        (_split_by_first_coordinate, "class of lambda=(0,-2) spans regions L(0,0), L(1,0), L(1,1)"),
+        (_leave_l11_beyond_the_window, "lambda=(100,-101) lies in 2 regions"),
     ],
 )
 def test_compare_partition_failure_skips_the_other_checks(monkeypatch, fake, witness):
     monkeypatch.setattr(oracle, "region_for", fake)
-    verdict = compare(P_SW, 4)
+    verdict = compare(P_SW)
     assert verdict.ok is False
     assert verdict.witness == witness
     assert verdict.checks == (
@@ -842,16 +858,16 @@ def test_compare_partition_failure_skips_the_other_checks(monkeypatch, fake, wit
 
 
 def _leave_r10_empty(params, label):
-    # R(0,1) = {lambda_1 >= -1, lambda_1 <= 1, lambda_2 <= 1} holds the whole
-    # lmax=1 window, and R(1,0) = {lambda_1 >= 0, 1 <= lambda_2 <= 0} holds no
-    # point, so the two classes map to R(0,1); no class meets the empty R(1,0).
-    lower, upper = {"R(0,1)": ((-2, None), (2, 2)), "R(1,0)": ((0, 2), (None, 0))}[str(label)]
+    # R(0,1) has no bound, so it holds the whole lattice, and R(1,0) =
+    # {lambda_1 <= 0, lambda_2 >= 1} holds no point, so the two classes map
+    # to R(0,1); no class meets the empty R(1,0).
+    lower, upper = {"R(0,1)": ((None, None), (None, None)), "R(1,0)": ((None, 2), (0, None))}[str(label)]
     return Region(n=params.n, lower=lower, upper=upper)
 
 
 def test_compare_partition_names_no_empty_region_a_class_spans(monkeypatch):
     monkeypatch.setattr(oracle, "region_for", _leave_r10_empty)
-    verdict = compare(InducedRepParams(2, 1, 0), 1)
+    verdict = compare(InducedRepParams(2, 1, 0))
     assert verdict.witness == "two lattice classes map to one region"
     assert verdict.checks[0] == ("partition", "FAIL: two lattice classes map to one region")
 
@@ -868,7 +884,7 @@ def _lose_the_top_row_of_l10(params, label):
 
 def test_compare_names_a_point_in_no_region(monkeypatch):
     monkeypatch.setattr(oracle, "region_for", _lose_the_top_row_of_l10)
-    verdict = compare(P_SW, 4)
+    verdict = compare(P_SW)
     witness = "lambda=(0,0) lies in 0 regions"
     assert verdict.ok is False
     assert verdict.witness == witness
@@ -880,10 +896,35 @@ def test_compare_names_a_point_in_no_region(monkeypatch):
     )
 
 
+def _one_step_up(params, label):
+    # every region moved up one step along the diagonal: the regions still
+    # tile the lattice, so no point lies in none or in two, but no class's
+    # box is a region's
+    region = dpseries.region_for(params, label)
+    step = lambda bounds: tuple(None if b is None else b + 2 for b in bounds)
+    return Region(params.n, step(region.lower), step(region.upper))
+
+
+def test_a_region_fault_at_rank_12_is_named_within_seconds(monkeypatch):
+    # the search for a point in no region visits at most MAX_GAP_BOXES boxes,
+    # then falls back to the class-level witness
+    monkeypatch.setattr(oracle, "region_for", _one_step_up)
+    t0 = time.perf_counter()
+    verdict = compare(params_from_sigma_tilde(12, 0, -6))
+    assert time.perf_counter() - t0 < 5
+    assert verdict.ok is False
+    assert verdict.witness == (
+        "class of lambda=(-8,-8,-11,-11,-11,-11,-11,-11,-11,-11,-11,-11) spans regions L(0,0), L(0,1)"
+    )
+    # with room for the whole search it finds no point either, on a smaller point
+    monkeypatch.setattr(oracle, "MAX_GAP_BOXES", 10**9)
+    assert compare(params_from_sigma_tilde(4, 0, -2)).witness.startswith("class of lambda=(")
+
+
 def test_compare_diagram_failure(monkeypatch):
     edgeless = lambda params: ModuleDiagram(dpseries.module_diagram(params).nodes, ())
     monkeypatch.setattr(oracle, "module_diagram", edgeless)
-    verdict = compare(P_SW, 4)
+    verdict = compare(P_SW)
     detail = "edge mismatch: ['L(1,0)->L(0,0)', 'L(1,0)->L(1,1)']"
     assert verdict.ok is False
     assert verdict.witness == detail
@@ -898,7 +939,7 @@ def test_compare_diagram_failure(monkeypatch):
 def test_compare_socle_failure(monkeypatch):
     one_layer = lambda params: SocleSeries((dpseries.module_diagram(params).nodes,))
     monkeypatch.setattr(oracle, "socle_series", one_layer)
-    verdict = compare(P_SW, 4)
+    verdict = compare(P_SW)
     detail = (
         "socle mismatch: oracle {1: ['L(0,0)', 'L(1,1)'], 2: ['L(1,0)']}"
         " vs formula {1: ['L(0,0)', 'L(1,0)', 'L(1,1)']}"
@@ -916,7 +957,7 @@ def test_compare_socle_failure(monkeypatch):
 def test_compare_generated_failure(monkeypatch):
     singleton = lambda params, label: Submodule(label, (label,))
     monkeypatch.setattr(oracle, "generated_submodule", singleton)
-    verdict = compare(P_SW, 4)
+    verdict = compare(P_SW)
     detail = (
         "generated submodule of L(1,0): oracle ['L(0,0)', 'L(1,0)', 'L(1,1)']"
         " vs formula ['L(1,0)']"
@@ -1010,7 +1051,7 @@ def test_structure_checks_match_the_label_reference_under_injected_faults(monkey
             with monkeypatch.context() as m:
                 m.setattr(oracle, name, fake)
                 verdict = compare(params)
-                graph = oracle.cells(params, verdict.lmax)
+                graph = oracle.cells(params)
                 mismatches = list(
                     _structure_mismatches_by_labels(params, graph, labels, oracle._partition(params, graph, labels))
                 )
@@ -1023,7 +1064,7 @@ def test_structure_checks_match_the_label_reference_under_injected_faults(monkey
 
 def test_compare_irreducible_point_with_several_classes_fails(monkeypatch):
     monkeypatch.setattr(oracle, "classify", lambda params: CaseTag.IRREDUCIBLE)
-    verdict = compare(P_SW, 4)
+    verdict = compare(P_SW)
     failed = "FAIL: 3 classes at an irreducible point"
     assert verdict.ok is False
     assert verdict.case == "Irreducible"
@@ -1041,10 +1082,9 @@ def test_hermitian_duality_keeps_the_classes_and_reverses_the_edges():
             for st in range((n + 1 + alpha) // 2 + 1, n + 10):
                 params = params_from_sigma_tilde(n, alpha, st)
                 dual = params_from_sigma_tilde(n, alpha, n + 1 + alpha - st)
-                lmax = max(auto_lmax(params), auto_lmax(dual))
-                here, there = oracle.cells(params, lmax), oracle.cells(dual, lmax)
-                assert here.class_boxes == there.class_boxes, (params, lmax)
-                assert {(b, a) for a, b in here.class_edges} == set(there.class_edges), (params, lmax)
-                assert {(b, a) for a, b in here.hasse} == set(there.hasse), (params, lmax)
+                here, there = oracle.cells(params), oracle.cells(dual)
+                assert here.class_boxes == there.class_boxes, params
+                assert {(b, a) for a, b in here.class_edges} == set(there.class_edges), params
+                assert {(b, a) for a, b in here.hasse} == set(there.hasse), params
                 pairs += 1
     assert pairs == 200

@@ -57,7 +57,7 @@ RECORDS = {
     "TruncatedLattice": (
         lambda: build(P, 1),
         ("params", "lmax", "points", "comp", "n_classes", "class_boxes", "class_edges", "hasse", "layers",
-         "closures", "warnings"),
+         "closures"),
         (),
     ),
     "OracleVerdict": (lambda: compare(P), ("ok", "lmax", "case", "checks", "witness", "warnings"), ()),
